@@ -1,10 +1,16 @@
 """Isomorphism-aware equality and canonical state keys.
 
-Two routes are kept deliberately separate: ``canonical_key`` is an
-iterative colour-refinement hash over the combined place and link
-structure (equal on isomorphic bigraphs, collisions possible), while
-``iso_equal`` is an exact backtracking search. State stores look up by
-key and confirm hits with the exact check.
+Two routes are kept deliberately separate: ``canonical_key`` is a
+colour-refinement hash over the combined place and link structure
+(equal on isomorphic bigraphs, collisions possible), while ``iso_equal``
+is an exact backtracking search. State stores look up by key and
+confirm hits with the exact check.
+
+Refinement stops at the stable partition: the first round that splits
+no colour class. Bigraphs are immutable, so each one's refined colours
+and key are computed once and cached on it (``Bigraph._cache``); a
+state's key, its bucket lookups and every ``iso_equal`` it takes part
+in share one refinement.
 
 Regions, sites, outer and inner names are fixed points of any
 isomorphism (compared by index / by name); only nodes, closed edges and
@@ -14,7 +20,6 @@ port pairings may be permuted.
 from __future__ import annotations
 
 import hashlib
-from itertools import groupby
 
 from .bigraph import Bigraph, require_ground
 
@@ -24,7 +29,18 @@ def _h(*parts) -> bytes:
 
 
 def _refine(b: Bigraph) -> tuple[list[bytes], list[bytes]]:
-    """Stable colours for nodes and edges, seeded by structure-invariant data."""
+    """Colours of the stable partition of nodes and edges, seeded by
+    structure-invariant data; computed once per bigraph and cached.
+
+    A round recolours each node and edge from its own colour and its
+    neighbours' colours, so it can only split classes. Refinement stops
+    at the first round after which the number of node plus edge classes
+    has not grown: that partition is stable. The round count depends only
+    on the isomorphism class, so isomorphic bigraphs get equal colours.
+    """
+    got = b._cache.get("colours")
+    if got is not None:
+        return got
     ncol = [_h("n", b.ctrl[i], b.params[i]) for i in range(b.n)]
     ecol = [_h("e",) for _ in range(b.edges)]
     kids = b.children()
@@ -40,9 +56,8 @@ def _refine(b: Bigraph) -> tuple[list[bytes], list[bytes]]:
             return ecol[h[1]]
         return _h(h)                      # outer names fixed by identity
 
-    rounds = max(b.n + b.edges, 1)
-    prev = None
-    for _ in range(rounds):
+    classes = len(set(ncol)) + len(set(ecol))
+    while True:
         sig_n = []
         for i in range(b.n):
             parents = sorted(place_colour(p) for p in b.node_parents[i])
@@ -55,15 +70,23 @@ def _refine(b: Bigraph) -> tuple[list[bytes], list[bytes]]:
                 ncol[pt[1]] if pt[0] == "p" else _h("i", pt[1])
                 for pt in points[("e", k)])
             sig_e.append(_h(ecol[k], inc))
-        if (sig_n, sig_e) == prev:
-            break
-        prev = (sig_n, sig_e)
         ncol, ecol = sig_n, sig_e
+        refined = len(set(ncol)) + len(set(ecol))
+        if refined <= classes:
+            break
+        classes = refined
+    b._cache["colours"] = (ncol, ecol)
     return ncol, ecol
 
 
 def canonical_key(b: Bigraph) -> bytes:
-    """Hash equal on isomorphic ground bigraphs; collisions need iso_equal."""
+    """Hash equal on isomorphic ground bigraphs; collisions need iso_equal.
+
+    Built from the stable colours of ``_refine`` and cached on ``b``.
+    """
+    got = b._cache.get("key")
+    if got is not None:
+        return got
     require_ground(b)
     ncol, ecol = _refine(b)
     kids = b.children()
@@ -76,7 +99,9 @@ def canonical_key(b: Bigraph) -> bytes:
                   for k in range(b.regions)]
     per_name = [(x, sorted(ncol[pt[1]] for pt in points[("o", x)] if pt[0] == "p"))
                 for x in sorted(b.outer)]
-    return _h("key", b.regions, sorted(ncol), sorted(ecol), per_region, per_name)
+    got = _h("key", b.regions, sorted(ncol), sorted(ecol), per_region, per_name)
+    b._cache["key"] = got
+    return got
 
 
 def iso_equal(a: Bigraph, b: Bigraph) -> bool:
@@ -166,35 +191,45 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
             return sorted(out)
         return sigs(a, acol, lambda i: fwd[i]) == sigs(b, bcol, lambda j: j)
 
-    def extend(pos: int) -> bool:
-        if pos == len(order):
-            if not edge_signatures_match():
+    def complete() -> bool:
+        if not edge_signatures_match():
+            return False
+        # final full parent check (sites included)
+        for i, j in fwd.items():
+            mapped = frozenset(
+                ("n", fwd[p[1]]) if p[0] == "n" else p for p in a.node_parents[i])
+            if mapped != b.node_parents[j]:
                 return False
-            # final full parent check (sites included)
-            for i, j in fwd.items():
-                mapped = frozenset(
-                    ("n", fwd[p[1]]) if p[0] == "n" else p for p in a.node_parents[i])
-                if mapped != b.node_parents[j]:
-                    return False
-            for k in range(a.sites):
-                mapped = frozenset(
-                    ("n", fwd[p[1]]) if p[0] == "n" else p for p in a.site_parents[k])
-                if mapped != b.site_parents[k]:
-                    return False
-            return True
-        i = order[pos]
-        for j in by_colour.get(acol[i], ()):
-            if j in used or not ok(i, j):
-                continue
-            fwd[i] = j
-            used.add(j)
-            if extend(pos + 1):
-                return True
-            del fwd[i]
-            used.discard(j)
-        return False
+        for k in range(a.sites):
+            mapped = frozenset(
+                ("n", fwd[p[1]]) if p[0] == "n" else p for p in a.site_parents[k])
+            if mapped != b.site_parents[k]:
+                return False
+        return True
 
-    return extend(0)
+    # Depth-first search with an explicit stack of candidate iterators, one
+    # per mapped position, so the depth is not bounded by Python's recursion.
+    if not order:
+        return complete()
+    stack = [iter(by_colour.get(acol[order[0]], ()))]
+    while stack:
+        pos = len(stack) - 1
+        i = order[pos]
+        if i in fwd:                      # back at this position: undo its choice
+            used.discard(fwd.pop(i))
+        for j in stack[-1]:
+            if j not in used and ok(i, j):
+                fwd[i] = j
+                used.add(j)
+                break
+        else:
+            stack.pop()
+            continue
+        if pos + 1 < len(order):
+            stack.append(iter(by_colour.get(acol[order[pos + 1]], ())))
+        elif complete():
+            return True
+    return False
 
 
 class StateStore:

@@ -47,9 +47,6 @@ class TransitionSystem:
     partial: bool = False
     init_index: int = 0
 
-    def outgoing(self, i: int) -> list[Transition]:
-        return [t for t in self.transitions if t.src == i]
-
 
 @dataclass
 class SimTrace:
@@ -126,6 +123,10 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> Bigraph:
 
 
 def _settle(state, spec, check):
+    # with no instantaneous class a state is already settled, and trivially
+    # confluent
+    if not any(cls.instantaneous for cls in spec.classes):
+        return state
     return check_confluent_settle(state, spec) if check else reduce_instantaneous(state, spec)
 
 

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 
 from bigengine import canonical_key, close, iso_equal, make_atom, merge, nest
+from bigengine.bigraph import Control, Signature, _mk
 from bigengine.canon import StateStore
 from bigengine.errors import NotGround
 
@@ -104,3 +106,119 @@ def test_params_distinguish_states():
     assert not iso_equal(a, b)
     c = nest(make_atom(sig, "S"), make_atom(sig, "P", params=[1]))
     assert canonical_key(a) == canonical_key(c) and iso_equal(a, c)
+
+
+def permuted(b, rng):
+    """The same bigraph with its nodes and closed edges renumbered at random."""
+    perm = list(range(b.n))
+    rng.shuffle(perm)
+    eperm = list(range(b.edges))
+    rng.shuffle(eperm)
+    place = lambda p: ("n", perm[p[1]]) if p[0] == "n" else p
+    handle = lambda h: ("e", eperm[h[1]]) if h[0] == "e" else h
+    ctrl, params, parents, ports = ([None] * b.n for _ in range(4))
+    for i in range(b.n):
+        j = perm[i]
+        ctrl[j], params[j] = b.ctrl[i], b.params[i]
+        parents[j] = frozenset(place(p) for p in b.node_parents[i])
+        ports[j] = tuple(handle(h) for h in b.ports[i])
+    site_parents = [frozenset(place(p) for p in ps) for ps in b.site_parents]
+    inner = [(x, handle(h)) for x, h in b.inner]
+    return _mk(b.sig, b.regions, b.sites, ctrl, params, parents, site_parents,
+               ports, inner, b.outer, b.edges)
+
+
+def nx_graph(nx, b):
+    """Labelled digraph of the place and link graphs: regions, sites, outer
+    and inner names keep their identity as labels; nodes carry control
+    and parameters; closed edges are anonymous."""
+    g = nx.DiGraph()
+    for k in range(b.regions):
+        g.add_node(("r", k), label=("r", k))
+    for k in range(b.sites):
+        g.add_node(("s", k), label=("s", k))
+    for i in range(b.n):
+        g.add_node(("n", i), label=("n", b.ctrl[i], b.params[i]))
+    for x in b.outer:
+        g.add_node(("o", x), label=("o", x))
+    for k in range(b.edges):
+        g.add_node(("e", k), label=("e",))
+    for i, ps in enumerate(b.node_parents):
+        for p in ps:
+            g.add_edge(p, ("n", i), kind="place")
+    for k, ps in enumerate(b.site_parents):
+        for p in ps:
+            g.add_edge(p, ("s", k), kind="place")
+    for i in range(b.n):
+        for h, c in Counter(b.ports[i]).items():
+            g.add_edge(("n", i), h, kind=("ports", c))
+    for x, h in b.inner:
+        g.add_node(("i", x), label=("i", x))
+        g.add_edge(("i", x), h, kind="inner")
+    return g
+
+
+def nx_iso(nx, a, b):
+    return nx.is_isomorphic(nx_graph(nx, a), nx_graph(nx, b),
+                            node_match=lambda u, v: u["label"] == v["label"],
+                            edge_match=lambda u, v: u["kind"] == v["kind"])
+
+
+def random_cycles(rng, sig, n):
+    """n arity-2 atoms in one region, their 2n ports paired at random into
+    n closed edges: a union of cycles. Colour refinement gives every node
+    one colour and every edge one colour, so only the exact search can
+    tell two of these apart."""
+    ends = [i for i in range(n) for _ in range(2)]
+    rng.shuffle(ends)
+    ports = [[] for _ in range(n)]
+    for k in range(n):
+        ports[ends[2 * k]].append(("e", k))
+        ports[ends[2 * k + 1]].append(("e", k))
+    return _mk(sig, 1, 0, ["C"] * n, ((),) * n, (frozenset({("r", 0)}),) * n,
+               (), [tuple(hs) for hs in ports], (), frozenset(), n)
+
+
+def test_refinement_invariant_and_exact_against_oracles():
+    # the stable-partition stop must give node-order-independent keys, and
+    # iso_equal must agree with two independent isomorphism oracles
+    nx = pytest.importorskip("networkx")
+    sig = make_sig(DEFAULT_CONTROLS)
+    rng = random.Random(20241017)
+    outcomes = []
+    for _ in range(150):
+        a = random_ground(rng, sig, max_nodes=8)
+        b = permuted(a, rng)
+        assert canonical_key(a) == canonical_key(b)
+        assert iso_equal(a, b) and iso_equal(b, a) and nx_iso(nx, a, b)
+        # small, dense draws so that isomorphic pairs occur by chance too
+        c = random_ground(rng, sig, max_nodes=4, name_pool=("a",), max_regions=1)
+        d = permuted(random_ground(rng, sig, max_nodes=4, name_pool=("a",),
+                                   max_regions=1), rng)
+        n = rng.randint(3, 5)
+        e = random_cycles(rng, sig, n)
+        f = permuted(random_cycles(rng, sig, n), rng)
+        assert canonical_key(e) == canonical_key(f)
+        for x, y in ((c, d), (a, d), (e, f)):
+            same = iso_equal(x, y)
+            assert same == brute_iso(x, y) == nx_iso(nx, x, y)
+            if same:
+                assert canonical_key(x) == canonical_key(y)
+            outcomes.append(same)
+    assert outcomes.count(True) >= 30 and outcomes.count(False) >= 30
+
+
+def test_iso_equal_deep_flat_state():
+    # one B and 1,100 A atoms side by side: the search maps one node per
+    # level, deeper than Python's default recursion limit
+    sig = Signature([Control("A", 0, atomic=True), Control("B", 0, atomic=True)])
+    n = 1101
+
+    def flat(ctrl):
+        return _mk(sig, 1, 0, ctrl, ((),) * n, (frozenset({("r", 0)}),) * n,
+                   (), ((),) * n, (), frozenset(), 0)
+
+    a = flat(["B"] + ["A"] * (n - 1))
+    b = flat(["A"] * (n - 1) + ["B"])
+    assert canonical_key(a) == canonical_key(b)
+    assert iso_equal(a, b)
