@@ -351,27 +351,7 @@ def nest(outer_b: Bigraph, inner_b: Bigraph) -> Bigraph:
         raise WidthMismatch(
             "nesting needs %d region(s) to fill %d site(s)"
             % (outer_b.sites, inner_b.regions))
-    no, eo = outer_b.n, outer_b.edges
-
-    def trans(ps):
-        out = set()
-        for p in ps:
-            if p[0] == "n":
-                out.add(("n", p[1] + no))
-            else:
-                out |= outer_b.site_parents[p[1]]
-        return frozenset(out)
-
-    node_parents = list(outer_b.node_parents) + [trans(ps) for ps in inner_b.node_parents]
-    site_parents = [trans(ps) for ps in inner_b.site_parents]
-    ports = list(outer_b.ports)
-    for hs in inner_b.ports:
-        ports.append(tuple(_shift_handle(h, eo) for h in hs))
-    inner = [(x, _shift_handle(h, eo)) for x, h in inner_b.inner]
-    return _mk(outer_b.sig, outer_b.regions, inner_b.sites,
-               outer_b.ctrl + inner_b.ctrl, outer_b.params + inner_b.params,
-               node_parents, site_parents, ports, inner,
-               outer_b.outer | inner_b.outer, outer_b.edges + inner_b.edges)
+    return _graft(inner_b, [(k,) for k in range(inner_b.regions)], outer_b)
 
 
 def close(name: str, b: Bigraph) -> Bigraph:
@@ -434,6 +414,14 @@ def share(contents: Bigraph, placement: Sequence[Iterable[int]], site_count: int
                     "placement for region %d uses site %d of %d" % (k, j, site_count))
         if not p:
             raise WidthMismatch("placement for region %d is empty" % k)
+    return _graft(contents, placement, host)
+
+
+def _graft(contents: Bigraph, placement: Sequence[Sequence[int]],
+           host: Bigraph) -> Bigraph:
+    """Place region k of contents under every host site in placement[k]
+    (arguments already checked). Outer names are fused by name; the
+    result's inner interface is contents'."""
     no, eo = host.n, host.edges
 
     def trans(ps):

@@ -3,14 +3,15 @@
 Two routes are kept deliberately separate: ``canonical_key`` is a
 colour-refinement hash over the combined place and link structure
 (equal on isomorphic bigraphs, collisions possible), while ``iso_equal``
-is an exact backtracking search. State stores look up by key and
-confirm hits with the exact check.
+is an exact backtracking search. ``StateStore.insert`` is the one place
+that merges states: it buckets them by key and confirms a bucket hit
+with the exact check.
 
 Refinement stops at the stable partition: the first round that splits
 no colour class. Bigraphs are immutable, so each one's refined colours
 and key are computed once and cached on it (``Bigraph._cache``); a
-state's key, its bucket lookups and every ``iso_equal`` it takes part
-in share one refinement.
+state's key and every ``iso_equal`` it takes part in share one
+refinement.
 
 Regions, sites, outer and inner names are fixed points of any
 isomorphism (compared by index / by name); only nodes, closed edges and
@@ -233,29 +234,28 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
 
 
 class StateStore:
-    """Insert-if-absent store of ground states keyed by canonical_key,
-    with exact confirmation on key hits. Indices are assigned densely
-    in insertion order."""
+    """Insert-if-absent store of ground states: a state is new unless it
+    is iso_equal to a stored state with the same canonical_key. Indices
+    are assigned densely in insertion order; at most max_states states
+    are stored (None: no bound)."""
 
-    def __init__(self):
+    def __init__(self, max_states: int | None = None):
         self.states: list[Bigraph] = []
+        self.max_states = max_states
         self._buckets: dict[bytes, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.states)
 
-    def lookup(self, b: Bigraph) -> int | None:
-        for idx in self._buckets.get(canonical_key(b), ()):
-            if iso_equal(self.states[idx], b):
-                return idx
-        return None
-
-    def insert(self, b: Bigraph) -> tuple[int, bool]:
-        """Return (index, added)."""
+    def insert(self, b: Bigraph) -> tuple[int | None, bool]:
+        """Return (index, added); (None, False) for a new state when the
+        store is full."""
         key = canonical_key(b)
         for idx in self._buckets.get(key, ()):
             if iso_equal(self.states[idx], b):
                 return idx, False
+        if self.max_states is not None and len(self.states) >= self.max_states:
+            return None, False
         idx = len(self.states)
         self.states.append(b)
         self._buckets.setdefault(key, []).append(idx)

@@ -20,9 +20,9 @@ import sys
 
 from .canon import StateStore
 from .elaborate import load_file
-from .engine import SimTrace, explore, simulate
+from .engine import SimTrace, TransitionSystem, explore, label_states, simulate
 from .errors import BigraphError
-from .export import write_dot, write_labels, write_tra
+from .export import fmt_number, write_dot, write_labels, write_tra
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,13 +63,8 @@ def _label_value(label) -> str:
         return "-"
     if isinstance(label, tuple):
         action, prob = label
-        return "%s:%s" % (action, _num(prob))
-    return _num(label)
-
-
-def _num(x) -> str:
-    f = float(x)
-    return str(int(f)) if f.is_integer() else repr(f)
+        return "%s:%s" % (action, fmt_number(prob))
+    return fmt_number(label)
 
 
 def _trace_lines(trace: SimTrace):
@@ -80,17 +75,11 @@ def _trace_lines(trace: SimTrace):
 
 def _trace_label_file(spec, trace: SimTrace) -> bytes:
     """Label map over the distinct states of a trace, in first-visit order."""
-    from .engine import TransitionSystem
-    from .matching import matches_predicate
-
     store = StateStore()
     for state, _, _ in trace.steps:
         store.insert(state)
-    labelling = {
-        name: {k for k, s in enumerate(store.states) if matches_predicate(s, pat)}
-        for name, pat in spec.preds.items()
-    }
-    ts = TransitionSystem(states=store.states, transitions=[], labelling=labelling,
+    ts = TransitionSystem(states=store.states, transitions=[],
+                          labelling=label_states(store.states, spec),
                           semantics=spec.semantics, predicates=tuple(spec.preds))
     return write_labels(ts)
 

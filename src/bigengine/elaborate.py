@@ -34,6 +34,7 @@ from .errors import (
     ElaborationError,
     InitNotGround,
     MixedLabelKinds,
+    ParseError,
     PatternNotSolid,
     SignatureError,
     UnknownIdentifier,
@@ -294,9 +295,21 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
 
 def load(source: str) -> BrsSpec:
     """Parse and elaborate a model source text."""
-    return elaborate(lang.parse(source))
+    ast = lang.parse(source)
+    try:
+        return elaborate(ast)
+    except RecursionError:        # e.g. a chain of thousands of merges
+        raise ElaborationError("expression nested too deeply to elaborate") from None
 
 
 def load_file(path) -> BrsSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        source = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        col = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError("byte 0x%02x is not valid UTF-8" % data[exc.start],
+                         line, col) from None
+    return load(source.replace("\r\n", "\n").replace("\r", "\n"))   # universal newlines

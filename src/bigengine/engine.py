@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bigraph import Bigraph
-from .canon import StateStore, canonical_key, iso_equal
+from .canon import StateStore
 from .elaborate import BrsSpec
 from .errors import DivergentInstantaneous, InitNotGround, NonConfluence
 from .matching import check_constraints, find_occurrences, matches_predicate
@@ -141,23 +141,16 @@ class Successor:
 
 def _group_results(state, spec, hits, check_confluence=False):
     """Apply every hit, settle, and merge isomorphic successors in
-    first-seen order. Returns (groups, total mass) per plain weighting."""
+    first-seen order. Returns the groups, each listing its hits as
+    members; labels and weights are left to the caller."""
+    store = StateStore()
     groups = []
-    index = {}
     for rule, occ in hits:
         dst = _settle(apply_at(state, rule, occ), spec, check_confluence)
-        key = canonical_key(dst)
-        hit = None
-        for gi in index.get(key, ()):
-            if iso_equal(groups[gi].dst, dst):
-                hit = gi
-                break
-        if hit is None:
-            groups.append(Successor(dst=dst, label=None, rule_names=frozenset(),
-                                    members=[]))
-            hit = len(groups) - 1
-            index.setdefault(key, []).append(hit)
-        groups[hit].members.append((rule, occ))
+        gi, added = store.insert(dst)
+        if added:
+            groups.append(Successor(dst=dst, label=None, rule_names=frozenset()))
+        groups[gi].members.append((rule, occ))
     for g in groups:
         g.rule_names = frozenset(r.name for r, _ in g.members)
     return groups
@@ -177,19 +170,12 @@ def step_distribution(state: Bigraph, spec: BrsSpec,
         return []
     _, hits = res
     sem = spec.semantics
-    if sem == "brs":
-        groups = _group_results(state, spec, hits, check_confluence)
-        return groups
-    if sem in ("pbrs", "sbrs"):
+    if sem != "abrs":
         groups = _group_results(state, spec, hits, check_confluence)
         if sem == "pbrs":
-            total = Fraction(0)
-            for g in groups:
-                g.weight = sum((r.label.weight for r, _ in g.members), Fraction(0))
-                total += g.weight
-            for g in groups:
-                g.label = g.weight / total
-        else:
+            for g, p in zip(groups, _shares(groups)):
+                g.label = p
+        elif sem == "sbrs":
             for g in groups:
                 g.weight = 0.0
                 for r, _ in g.members:
@@ -200,17 +186,21 @@ def step_distribution(state: Bigraph, spec: BrsSpec,
     out = []
     for action in spec.actions:
         sub = [(r, o) for r, o in hits if r.label.action == action]
-        if not sub:
-            continue
-        groups = _group_results(state, spec, sub, check_confluence)
-        total = Fraction(0)
-        for g in groups:
-            g.weight = sum((r.label.weight for r, _ in g.members), Fraction(0))
-            total += g.weight
-        for g in groups:
-            g.label = (action, g.weight / total)
-        out.extend(groups)
+        if sub:
+            groups = _group_results(state, spec, sub, check_confluence)
+            for g, p in zip(groups, _shares(groups)):
+                g.label = (action, p)
+            out.extend(groups)
     return out
+
+
+def _shares(groups):
+    """Set each group's weight to its members' summed rule weights and
+    return each group's share of the total."""
+    for g in groups:
+        g.weight = sum((r.label.weight for r, _ in g.members), Fraction(0))
+    total = sum((g.weight for g in groups), Fraction(0))
+    return [g.weight / total for g in groups]
 
 
 def simulate(spec: BrsSpec, max_steps: int, seed: int) -> SimTrace:
@@ -268,6 +258,12 @@ def _sample(rng, items, probs):
     return items[-1]
 
 
+def label_states(states: list[Bigraph], spec: BrsSpec) -> dict[str, set[int]]:
+    """Indices of the states that match each predicate, per predicate name."""
+    return {name: {k for k, s in enumerate(states) if matches_predicate(s, pat)}
+            for name, pat in spec.preds.items()}
+
+
 def explore(spec: BrsSpec, max_states: int,
             check_confluence: bool = False) -> TransitionSystem:
     """Breadth-first state-space construction from the settled initial
@@ -277,28 +273,21 @@ def explore(spec: BrsSpec, max_states: int,
     exact isomorphism confirmation."""
     if not spec.init.is_ground():
         raise InitNotGround("Init bigraph is not ground")
-    store = StateStore()
-    init = _settle(spec.init, spec, check_confluence)
-    store.insert(init)
+    store = StateStore(max(max_states, 1))     # the initial state is always stored
+    store.insert(_settle(spec.init, spec, check_confluence))
     transitions: list[Transition] = []
     partial = False
     i = 0
     while i < len(store.states):
         state = store.states[i]
         for g in step_distribution(state, spec, check_confluence):
-            j = store.lookup(g.dst)
+            j, _ = store.insert(g.dst)
             if j is None:
-                if len(store) >= max_states:
-                    partial = True
-                    continue
-                j, _ = store.insert(g.dst)
+                partial = True
+                continue
             transitions.append(Transition(i, j, g.label, g.rule_names))
         i += 1
-    labelling = {
-        name: {k for k, s in enumerate(store.states) if matches_predicate(s, pat)}
-        for name, pat in spec.preds.items()
-    }
     return TransitionSystem(states=store.states, transitions=transitions,
-                            labelling=labelling, semantics=spec.semantics,
-                            predicates=tuple(spec.preds), actions=tuple(spec.actions),
-                            partial=partial)
+                            labelling=label_states(store.states, spec),
+                            semantics=spec.semantics, predicates=tuple(spec.preds),
+                            actions=tuple(spec.actions), partial=partial)

@@ -14,7 +14,8 @@ from .engine import TransitionSystem
 from .errors import PartialSystem
 
 
-def _fmt(value) -> str:
+def fmt_number(value) -> str:
+    """Integral values without a decimal point, others as repr(float)."""
     v = float(value)
     if v.is_integer():
         return str(int(v))
@@ -50,7 +51,7 @@ def write_tra(ts: TransitionSystem, allow_partial: bool = False) -> bytes:
         rows.sort(key=lambda r: (r[0], r[1]))
         lines.append("%d %d" % (n, len(rows)))
         for src, dst, value in rows:
-            lines.append("%d %d %s" % (src, dst, _fmt(value)))
+            lines.append("%d %d %s" % (src, dst, fmt_number(value)))
     else:
         per_state: dict[int, dict[str, list]] = {}
         for t in ts.transitions:
@@ -75,7 +76,7 @@ def write_tra(ts: TransitionSystem, allow_partial: bool = False) -> bytes:
             nchoices += ci
         lines.append("%d %d %d" % (n, nchoices, len(rows)))
         for src, ci, dst, prob, action in rows:
-            row = "%d %d %d %s" % (src, ci, dst, _fmt(prob))
+            row = "%d %d %d %s" % (src, ci, dst, fmt_number(prob))
             if action is not None:
                 row += " %s" % action
             lines.append(row)
@@ -117,8 +118,8 @@ def write_dot(ts: TransitionSystem) -> str:
         if label is None:
             return None
         if isinstance(label, tuple):
-            return "%s: %s" % (label[0], _fmt(label[1]))
-        return _fmt(label)
+            return "%s: %s" % (label[0], fmt_number(label[1]))
+        return fmt_number(label)
     for t in sorted(ts.transitions, key=lambda t: t.sort_key()):
         txt = edge_text(t.label)
         attr = ' [label="%s"]' % txt if txt is not None else ""

@@ -278,6 +278,15 @@ class Parser:
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
 
+    def items(self, item, close=None) -> list:
+        """``item ("," item)*``, or no items if the next token is close."""
+        if close is not None and self.peek().kind == close:
+            return []
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return out
+
     # -- top level ----------------------------------------------------
 
     def parse_file(self) -> Ast:
@@ -324,9 +333,7 @@ class Parser:
         params = None
         if fun:
             self.expect("(")
-            params = [self.expect("name").value]
-            while self.accept(","):
-                params.append(self.expect("name").value)
+            params = self.items(lambda: self.expect("name").value)
             self.expect(")")
         self.expect("=")
         arity = int(self.expect("int", "arity").value)
@@ -349,9 +356,7 @@ class Parser:
         params = None
         if fun:
             self.expect("(")
-            params = [self.expect("name").value]
-            while self.accept(","):
-                params.append(self.expect("name").value)
+            params = self.items(lambda: self.expect("name").value)
             self.expect(")")
         self.expect("=")
         lhs = self.parse_bexp()
@@ -370,18 +375,9 @@ class Parser:
         inst = None
         if self.accept("@"):
             self.expect("[")
-            entries = []
-            if self.peek().kind != "]":
-                entries.append(int(self.expect("int").value))
-                while self.accept(","):
-                    entries.append(int(self.expect("int").value))
+            inst = tuple(self.items(lambda: int(self.expect("int").value), "]"))
             self.expect("]")
-            inst = tuple(entries)
-        conds = []
-        if self.accept("if"):
-            conds.append(self.parse_cond())
-            while self.accept(","):
-                conds.append(self.parse_cond())
+        conds = self.items(self.parse_cond) if self.accept("if") else []
         self.expect(";")
         return ReactDef(name, tuple(params) if params else None, lhs, rhs,
                         label_text, inst, tuple(conds), line)
@@ -459,11 +455,7 @@ class Parser:
                 self.next()
                 self.expect("=")
                 self.expect("{")
-                names = []
-                if self.peek().kind != "}":
-                    names.append(self.expect("name").value)
-                    while self.accept(","):
-                        names.append(self.expect("name").value)
+                names = self.items(lambda: self.expect("name").value, "}")
                 self.expect("}")
                 self.expect(";")
                 preds = tuple(names)
@@ -485,11 +477,7 @@ class Parser:
 
     def parse_classes(self):
         self.expect("[")
-        classes = []
-        if self.peek().kind != "]":
-            classes.append(self.parse_class())
-            while self.accept(","):
-                classes.append(self.parse_class())
+        classes = self.items(self.parse_class, "]")
         self.expect("]")
         return tuple(classes)
 
@@ -502,11 +490,7 @@ class Parser:
             closing = ")"
         else:
             self.fail("expected a priority class '{...}' or '(...)'")
-        refs = []
-        if self.peek().kind != closing:
-            refs.append(self.parse_ruleref())
-            while self.accept(","):
-                refs.append(self.parse_ruleref())
+        refs = self.items(self.parse_ruleref, closing)
         self.expect(closing)
         return ClassAst(tuple(refs), instant)
 
@@ -514,9 +498,7 @@ class Parser:
         t = self.expect("name", "rule name")
         args = None
         if self.accept("("):
-            args = [self.parse_arith()]
-            while self.accept(","):
-                args.append(self.parse_arith())
+            args = self.items(self.parse_arith)
             self.expect(")")
         return RuleRef(t.value, tuple(args) if args else None, t.line)
 
@@ -527,9 +509,7 @@ class Parser:
             name = self.expect("name", "action name").value
             self.expect("=")
             self.expect("{")
-            rules = [self.expect("name").value]
-            while self.accept(","):
-                rules.append(self.expect("name").value)
+            rules = self.items(lambda: self.expect("name").value)
             self.expect("}")
             out.append((name, tuple(rules)))
             if not self.accept(","):
@@ -580,11 +560,7 @@ class Parser:
         self.expect("by")
         self.expect("(")
         self.expect("[")
-        placement = []
-        if self.peek().kind != "]":
-            placement.append(self.parse_site_set())
-            while self.accept(","):
-                placement.append(self.parse_site_set())
+        placement = self.items(self.parse_site_set, "]")
         self.expect("]")
         self.expect(",")
         count = int(self.expect("int", "site count").value)
@@ -595,9 +571,7 @@ class Parser:
 
     def parse_site_set(self):
         self.expect("{")
-        out = [int(self.expect("int").value)]
-        while self.accept(","):
-            out.append(int(self.expect("int").value))
+        out = self.items(lambda: int(self.expect("int").value))
         self.expect("}")
         return tuple(out)
 
@@ -634,9 +608,7 @@ class Parser:
             names = None
             if self.peek().kind == "(":
                 self.next()
-                args = [self.parse_arith()]
-                while self.accept(","):
-                    args.append(self.parse_arith())
+                args = self.items(self.parse_arith)
                 self.expect(")")
             if self.peek().kind == "{":
                 names = tuple(self.parse_name_set())
@@ -646,9 +618,7 @@ class Parser:
 
     def parse_name_set(self):
         self.expect("{")
-        names = [self.expect("name", "link name").value]
-        while self.accept(","):
-            names.append(self.expect("name", "link name").value)
+        names = self.items(lambda: self.expect("name", "link name").value)
         self.expect("}")
         return names
 
@@ -695,5 +665,14 @@ class Parser:
 
 
 def parse(source: str) -> Ast:
-    """Parse a model file into an AST (one begin...end block required)."""
-    return Parser(source).parse_file()
+    """Parse a model file into an AST (one begin...end block required).
+
+    Expressions nested deeper than Python's recursion limit allows are
+    rejected at the token the parser had reached.
+    """
+    parser = Parser(source)
+    try:
+        return parser.parse_file()
+    except RecursionError:
+        t = parser.peek()
+        raise ParseError("expression nested too deeply", t.line, t.col) from None

@@ -100,13 +100,17 @@ def merged_parameter(occ: Occurrence, sig) -> Bigraph:
     return reduce(merge, occ.parameter)
 
 
-def recompose(occ: Occurrence, pattern: Bigraph) -> Bigraph:
-    """Re-build a bigraph iso_equal to the matched target (soundness check)."""
+def recompose(occ: Occurrence, pattern: Bigraph, fillers=None) -> Bigraph:
+    """Put pattern, its sites filled by fillers (default: the matched
+    parameter), in the matched part's place; with the matched pattern the
+    result is iso_equal to the target, with a rule's right side it is the
+    rewrite."""
     renaming = {}
     for lh, th in occ.link_map.items():
         if lh[0] == "o":
             renaming[lh[1]] = occ.exposed[th]
-    piece = fill_sites(rename_outer(pattern, renaming), occ.parameter)
+    piece = fill_sites(rename_outer(pattern, renaming),
+                       occ.parameter if fillers is None else fillers)
     whole = nest(occ.context, piece)
     for w in occ.to_close:
         if whole.link_points()[("o", w)]:

@@ -14,6 +14,7 @@ import re
 
 from .bigraph import Bigraph, renumber_sites
 from .errors import UnprintableBigraph
+from .export import fmt_number
 from .language import KEYWORDS
 
 
@@ -23,13 +24,6 @@ def _render_value(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _fmt_number(v) -> str:
-    f = float(v)
-    if f.is_integer():
-        return str(int(f))
-    return repr(f)
 
 
 def _edges_to_names(b: Bigraph):
@@ -268,9 +262,9 @@ def print_rule(rule) -> str:
     if label.kind == "plain":
         arrow = "-->"
     elif label.kind == "rate":
-        arrow = "-[%s]->" % _fmt_number(label.rate)
+        arrow = "-[%s]->" % fmt_number(label.rate)
     else:
-        arrow = "-[%s]->" % _fmt_number(label.weight)
+        arrow = "-[%s]->" % fmt_number(label.weight)
     text = "%s %s %s" % (print_bigraph(rule.lhs), arrow, print_bigraph(rule.rhs))
     if rule.inst is not None and (rule.lhs.sites != rule.rhs.sites
                                   or rule.inst.entries != tuple(range(rule.rhs.sites))):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bigraph import Bigraph, close, forget, nest, rename_outer
+from .bigraph import Bigraph
 from .errors import (
     ConstraintViolated,
     InnerInterfaceMismatch,
@@ -23,8 +23,8 @@ from .matching import (
     MatchConstraint,
     Occurrence,
     check_constraints,
-    fill_sites,
     find_occurrences,
+    recompose,
 )
 
 
@@ -124,20 +124,7 @@ def apply_at(state: Bigraph, rule: ReactionRule, occ: Occurrence) -> Bigraph:
     """
     if not check_constraints(occ, rule.constraints):
         raise ConstraintViolated("conditions of rule %s fail at this occurrence" % rule.name)
-    renaming = {}
-    for lh, th in occ.link_map.items():
-        if lh[0] == "o":
-            renaming[lh[1]] = occ.exposed[th]
-    piece = rename_outer(rule.rhs, renaming)
-    fillers = [occ.parameter[j] for j in rule.inst.entries]
-    piece = fill_sites(piece, fillers)
-    result = nest(occ.context, piece)
-    for w in occ.to_close:
-        if result.link_points()[("o", w)]:
-            result = close(w, result)
-        else:
-            result = forget(w, result)
-    return result
+    return recompose(occ, rule.rhs, [occ.parameter[j] for j in rule.inst.entries])
 
 
 def all_applications(state: Bigraph, rule: ReactionRule):

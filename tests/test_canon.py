@@ -86,14 +86,17 @@ def test_key_stable_under_rebuild():
 
 
 def test_state_store_dedups(building_sig):
-    store = StateStore()
+    store = StateStore(2)
     i, added = store.insert(room_with(building_sig, "Adult", "Child"))
     assert (i, added) == (0, True)
     j, added = store.insert(room_with(building_sig, "Child", "Adult"))
     assert (j, added) == (0, False)
     k, added = store.insert(room_with(building_sig, "Adult"))
     assert (k, added) == (1, True)
-    assert store.lookup(room_with(building_sig, "Child", "Adult")) == 0
+    # full: a new state is refused, a known one still found
+    assert store.insert(room_with(building_sig, "Child")) == (None, False)
+    assert store.insert(room_with(building_sig, "Child", "Adult")) == (0, False)
+    assert len(store) == 2
 
 
 def test_params_distinguish_states():

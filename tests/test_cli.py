@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -86,6 +87,53 @@ def test_error_exit_and_message(tmp_path, capsys):
     rc = run_cli(["validate", str(bad)])
     assert rc != 0
     assert "Init bigraph is not ground" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"ctrl R = 0;\nbig b = " + b"R." * 990 + b"1;\n",
+     "error: line 2, column "),
+    (b"ctrl R = 0;\nbig b = " + b"R.(" * 200 + b"\n",
+     "error: line 2, column "),
+    (b"\xff\xfe ctrl",
+     "error: line 1, column 1: byte 0xff is not valid UTF-8"),
+    (b"ctrl R = 0;\nbig b = " + b"R | " * 1500 + b"R;\nbegin brs init b; rules = []; end\n",
+     "error: expression nested too deeply"),
+], ids=["deep-nest", "deep-paren", "not-utf8", "long-merge"])
+def test_hostile_model_gives_diagnostic(tmp_path, capsys, data, message):
+    model = tmp_path / "hostile.big"
+    model.write_bytes(data)
+    assert run_cli(["validate", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+
+
+def test_fuzzed_models_exit_0_or_1(tmp_path, capsys):
+    """Mutated corpus models must validate or fail with a diagnostic."""
+    rng = random.Random(4)
+    corpus = [p.read_bytes() for p in sorted(MODELS.glob("*.big"))]
+    model = tmp_path / "fuzz.big"
+    for case in range(300):
+        data = bytearray(rng.choice(corpus))
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(data) + 1)
+            j = min(len(data), i + rng.randint(0, 12))
+            op = rng.randrange(4)
+            if op == 0:                   # cut
+                del data[i:j]
+            elif op == 1:                 # repeat a span, up to deep nesting
+                data[i:i] = data[i:j] * rng.randint(2, 400)
+            elif op == 2:                 # insert punctuation
+                data[i:i] = bytes(rng.choice(b"().|/{}[];,=-+*@!")
+                                  for _ in range(rng.randint(1, 8)))
+            else:                         # overwrite with random bytes
+                data[i:j] = bytes(rng.randrange(256) for _ in range(j - i))
+        model.write_bytes(bytes(data))
+        try:
+            rc = run_cli(["validate", str(model)])
+        except Exception as exc:
+            pytest.fail("case %d raised %r on %r" % (case, exc, bytes(data)[:200]))
+        assert rc in (0, 1), case
+    capsys.readouterr()
 
 
 def test_missing_file(capsys):
