@@ -20,7 +20,6 @@ from .matching import (
     MatchConstraint,
     Occurrence,
     check_constraints,
-    count_occurrences,
     find_occurrences,
     matches_predicate,
 )
@@ -36,7 +35,7 @@ __all__ = [
     "make_atom", "nest", "merge", "parallel", "close", "share",
     "one", "identity", "idle", "link_identity",
     "iso_equal", "canonical_key",
-    "Occurrence", "MatchConstraint", "find_occurrences", "count_occurrences",
+    "Occurrence", "MatchConstraint", "find_occurrences",
     "matches_predicate", "check_constraints",
     "InstMap", "RuleLabel", "ReactionRule", "PriorityClass",
     "validate_rule", "apply_at", "all_applications",

@@ -460,6 +460,59 @@ def require_ground(b: Bigraph, what: str = "bigraph") -> None:
         raise NotGround("%s is not ground" % what)
 
 
+def _node_maps(a: Bigraph, b: Bigraph, order: Sequence[int], candidates):
+    """Each injective map of a's nodes, assigned in ``order``, onto
+    ``candidates(i)`` in b that agrees on node-to-node parenthood.
+
+    The one node-map search of the engine (occurrences and isomorphism).
+    A pair (i, j) is checked only against the already-mapped parents and
+    children of i and of j, through the inverse map; the search keeps an
+    explicit stack of candidate iterators, so its depth is not bounded by
+    Python's recursion. The same dict is yielded each time: copy it to
+    keep it.
+    """
+    a_kids, b_kids = a.children(), b.children()
+    fwd: dict[int, int] = {}
+    inv: dict[int, int] = {}
+
+    def fits(i, j) -> bool:
+        for p in a.node_parents[i]:
+            if p[0] == "n" and p[1] in fwd and ("n", fwd[p[1]]) not in b.node_parents[j]:
+                return False
+        for c in a_kids[("n", i)]:
+            if c[0] == "n" and c[1] in fwd and ("n", j) not in b.node_parents[fwd[c[1]]]:
+                return False
+        for p in b.node_parents[j]:
+            if p[0] == "n" and p[1] in inv and ("n", inv[p[1]]) not in a.node_parents[i]:
+                return False
+        for c in b_kids[("n", j)]:
+            if c[0] == "n" and c[1] in inv and ("n", i) not in a.node_parents[inv[c[1]]]:
+                return False
+        return True
+
+    if not order:
+        yield fwd
+        return
+    stack = [iter(candidates(order[0]))]
+    while stack:
+        pos = len(stack) - 1
+        i = order[pos]
+        if i in fwd:                      # back at this position: undo its choice
+            del inv[fwd.pop(i)]
+        for j in stack[-1]:
+            if j not in inv and fits(i, j):
+                fwd[i] = j
+                inv[j] = i
+                break
+        else:
+            stack.pop()
+            continue
+        if pos + 1 < len(order):
+            stack.append(iter(candidates(order[pos + 1])))
+        else:
+            yield fwd
+
+
 def well_formed(b: Bigraph) -> bool:
     """Structural sanity: used by tests, not on hot paths."""
     for i in range(b.n):

@@ -3,9 +3,13 @@
 Two routes are kept deliberately separate: ``canonical_key`` is a
 colour-refinement hash over the combined place and link structure
 (equal on isomorphic bigraphs, collisions possible), while ``iso_equal``
-is an exact backtracking search. ``StateStore.insert`` is the one place
-that merges states: it buckets them by key and confirms a bucket hit
-with the exact check.
+is exact. It runs ``bigraph._node_maps``, the node-map search the
+matcher uses too, with candidates drawn from each node's colour class,
+and accepts the first full map that passes one exact check of controls,
+parameters, open names, parents and closed edges, so a colour collision
+cannot make it wrong. ``StateStore.insert`` is the one place that merges
+states: it buckets them by key and confirms a bucket hit with the exact
+check.
 
 Refinement stops at the stable partition: the first round that splits
 no colour class. Bigraphs are immutable, so each one's refined colours
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .bigraph import Bigraph, require_ground
+from .bigraph import Bigraph, _node_maps, require_ground
 
 
 def _h(*parts) -> bytes:
@@ -118,8 +122,6 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
         return False
     if {x for x, _ in a.inner} != {x for x, _ in b.inner}:
         return False
-    if sorted(zip(a.ctrl, a.params)) != sorted(zip(b.ctrl, b.params)):
-        return False
     acol, _ = _refine(a)
     bcol, _ = _refine(b)
     if sorted(acol) != sorted(bcol):
@@ -138,99 +140,39 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
     for j in range(b.n):
         by_colour.setdefault(bcol[j], []).append(j)
 
-    a_kids = a.children()
-    b_kids = b.children()
+    def open_counts(big, i):
+        return {h: c for h, c in big.node_handle_counts(i).items() if h[0] == "o"}
 
-    def region_parents(big, ps):
-        return frozenset(p for p in ps if p[0] == "r")
+    def mapped(fwd, ps):
+        return frozenset(("n", fwd[p[1]]) if p[0] == "n" else p for p in ps)
 
-    def site_children(kids_map, key):
-        return frozenset(c for c in kids_map[key] if c[0] == "s")
+    def edge_signatures(big, trans):
+        points = big.link_points()
+        return sorted(
+            tuple(sorted(("p", trans(pt[1])) if pt[0] == "p" else ("i", pt[1])
+                         for pt in points[("e", k)]))
+            for k in range(big.edges))
 
-    # order: most constrained colour classes first
-    order = sorted(range(a.n), key=lambda i: (len(by_colour.get(acol[i], ())), i))
-    fwd: dict[int, int] = {}
-    used = set()
+    b_edges = edge_signatures(b, lambda j: j)
 
-    def ok(i, j) -> bool:
-        if a.ctrl[i] != b.ctrl[j] or a.params[i] != b.params[j]:
-            return False
-        if region_parents(a, a.node_parents[i]) != region_parents(b, b.node_parents[j]):
-            return False
-        if len(a.node_parents[i]) != len(b.node_parents[j]):
-            return False
-        if site_children(a_kids, ("n", i)) != site_children(b_kids, ("n", j)):
-            return False
-        if len(a_kids[("n", i)]) != len(b_kids[("n", j)]):
-            return False
-        ca, cb = a.node_handle_counts(i), b.node_handle_counts(j)
-        for h, c in ca.items():
-            if h[0] == "o" and cb.get(h, 0) != c:
-                return False
-        if sum(c for h, c in ca.items() if h[0] == "e") != \
-                sum(c for h, c in cb.items() if h[0] == "e"):
-            return False
-        for v, w in fwd.items():
-            if (("n", v) in a.node_parents[i]) != (("n", w) in b.node_parents[j]):
-                return False
-            if (("n", i) in a.node_parents[v]) != (("n", j) in b.node_parents[w]):
-                return False
-        return True
-
-    def edge_signatures_match() -> bool:
-        def sigs(big, col_of, trans):
-            points = big.link_points()
-            out = []
-            for k in range(big.edges):
-                inc = []
-                for pt in points[("e", k)]:
-                    if pt[0] == "p":
-                        inc.append(("p", trans(pt[1])))
-                    else:
-                        inc.append(("i", pt[1]))
-                out.append(tuple(sorted(inc)))
-            return sorted(out)
-        return sigs(a, acol, lambda i: fwd[i]) == sigs(b, bcol, lambda j: j)
-
-    def complete() -> bool:
-        if not edge_signatures_match():
-            return False
-        # final full parent check (sites included)
+    def complete(fwd) -> bool:
+        """The exact check of a full node map; colours only pick candidates."""
         for i, j in fwd.items():
-            mapped = frozenset(
-                ("n", fwd[p[1]]) if p[0] == "n" else p for p in a.node_parents[i])
-            if mapped != b.node_parents[j]:
+            if (a.ctrl[i], a.params[i]) != (b.ctrl[j], b.params[j]):
+                return False
+            if open_counts(a, i) != open_counts(b, j):
+                return False
+            if mapped(fwd, a.node_parents[i]) != b.node_parents[j]:
                 return False
         for k in range(a.sites):
-            mapped = frozenset(
-                ("n", fwd[p[1]]) if p[0] == "n" else p for p in a.site_parents[k])
-            if mapped != b.site_parents[k]:
+            if mapped(fwd, a.site_parents[k]) != b.site_parents[k]:
                 return False
-        return True
+        return edge_signatures(a, fwd.__getitem__) == b_edges
 
-    # Depth-first search with an explicit stack of candidate iterators, one
-    # per mapped position, so the depth is not bounded by Python's recursion.
-    if not order:
-        return complete()
-    stack = [iter(by_colour.get(acol[order[0]], ()))]
-    while stack:
-        pos = len(stack) - 1
-        i = order[pos]
-        if i in fwd:                      # back at this position: undo its choice
-            used.discard(fwd.pop(i))
-        for j in stack[-1]:
-            if j not in used and ok(i, j):
-                fwd[i] = j
-                used.add(j)
-                break
-        else:
-            stack.pop()
-            continue
-        if pos + 1 < len(order):
-            stack.append(iter(by_colour.get(acol[order[pos + 1]], ())))
-        elif complete():
-            return True
-    return False
+    # most constrained colour classes first; candidates share i's colour
+    order = sorted(range(a.n), key=lambda i: (len(by_colour.get(acol[i], ())), i))
+    return any(complete(fwd) for fwd in
+               _node_maps(a, b, order, lambda i: by_colour.get(acol[i], ())))
 
 
 class StateStore:

@@ -6,9 +6,12 @@ A valid occurrence decomposes the target into
 
 where the context holds everything above/around the image, and the
 parameter holds one ground bigraph per pattern site (everything the
-sites absorbed). The search is a backtracking constraint search over
-node injections (rarest control first), followed by an exact placement
-and link-assignment validation; no incremental or SAT machinery.
+sites absorbed). Node injections come from ``bigraph._node_maps``, the
+same iterative search that ``canon.iso_equal`` uses, taken in a
+connectivity-guided order (rarest control first); each one then gets an
+exact placement and link-assignment validation. Occurrences are produced
+lazily, so ``matches_predicate`` and the rule guards stop at the first;
+no incremental or SAT machinery.
 
 Matching semantics:
 
@@ -33,6 +36,7 @@ from .bigraph import (
     Bigraph,
     Handle,
     _mk,
+    _node_maps,
     close,
     forget,
     merge,
@@ -126,6 +130,22 @@ def recompose(occ: Occurrence, pattern: Bigraph, fillers=None) -> Bigraph:
 
 
 def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
+    """Every occurrence of pattern in target, one per node and link image,
+    sorted by image."""
+    occurrences: list[Occurrence] = []
+    seen_images: set = set()
+    for occ in _occurrences(target, pattern):
+        key = (frozenset(occ.node_map.values()), frozenset(occ.link_map.values()))
+        if key not in seen_images:
+            seen_images.add(key)
+            occurrences.append(occ)
+    occurrences.sort(key=Occurrence.sort_key)
+    return occurrences
+
+
+def _occurrences(target: Bigraph, pattern: Bigraph):
+    """Occurrences in search order, one per node map and link assignment
+    (images may repeat)."""
     if not target.is_ground():
         raise TargetNotGround("match target must be ground")
     if pattern.inner:
@@ -137,19 +157,13 @@ def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
     t_kids = target.children()
     p_kids = pattern.children()
 
-    def node_kids(big, kids, i):
-        return [c[1] for c in kids[("n", i)] if c[0] == "n"]
-
-    def site_kids(kids, i):
-        return [c[1] for c in kids[("n", i)] if c[0] == "s"]
-
     # candidate target nodes per pattern node, with cheap degree filters
     cand: list[list[int]] = []
     for u in range(pn):
         np_nodes = sum(1 for p in pattern.node_parents[u] if p[0] == "n")
         has_region = any(p[0] == "r" for p in pattern.node_parents[u])
-        n_kids = len(node_kids(pattern, p_kids, u))
-        has_site = bool(site_kids(p_kids, u))
+        n_kids = sum(1 for c in p_kids[("n", u)] if c[0] == "n")
+        has_site = any(c[0] == "s" for c in p_kids[("n", u)])
         row = []
         for t in range(tn):
             if target.ctrl[t] != pattern.ctrl[u] or target.params[t] != pattern.params[u]:
@@ -168,7 +182,7 @@ def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
                 continue
             row.append(t)
         if not row:
-            return []
+            return
         cand.append(row)
 
     # adjacency for a connectivity-guided ordering
@@ -195,45 +209,13 @@ def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
         order.append(nxt)
         placed.add(nxt)
 
-    occurrences: list[Occurrence] = []
-    seen_images: set = set()
-    fwd: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(u: int, t: int) -> bool:
-        for v, w in fwd.items():
-            if (("n", v) in pattern.node_parents[u]) != (("n", w) in target.node_parents[t]):
-                return False
-            if (("n", u) in pattern.node_parents[v]) != (("n", t) in target.node_parents[w]):
-                return False
-        return True
-
-    def extend(pos: int):
-        if pos == pn:
-            for occ in _finalize(target, pattern, dict(fwd)):
-                key = (frozenset(occ.node_map.values()),
-                       frozenset(occ.link_map.values()))
-                if key not in seen_images:
-                    seen_images.add(key)
-                    occurrences.append(occ)
-            return
-        u = order[pos]
-        for t in cand[u]:
-            if t in used or not consistent(u, t):
-                continue
-            fwd[u] = t
-            used.add(t)
-            extend(pos + 1)
-            del fwd[u]
-            used.discard(t)
-
-    extend(0)
-    occurrences.sort(key=Occurrence.sort_key)
-    return occurrences
+    for fwd in _node_maps(pattern, target, order, cand.__getitem__):
+        yield from _finalize(target, pattern, dict(fwd))
 
 
-def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]) -> list[Occurrence]:
-    """Exact placement validation + link assignment for a full node map."""
+def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]):
+    """Exact placement validation + link assignment for a full node map;
+    yields one occurrence per link assignment."""
     t_kids = target.children()
     p_kids = pattern.children()
     image = set(fwd.values())
@@ -247,18 +229,18 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]) -> list[Oc
                 mapped.add(("n", fwd[p[1]]))
         tps = set(target.node_parents[t])
         if not mapped <= tps:
-            return []
+            return
         extra = tps - mapped
         for p in extra:
             if p[0] == "n" and p[1] in image:
-                return []                      # context position inside the image
+                return                         # context position inside the image
         regions_u = [p for p in pattern.node_parents[u] if p[0] == "r"]
         if not regions_u:
             if extra:
-                return []
+                return
         else:
             if not extra:
-                return []
+                return
             extra_parents[u] = frozenset(extra)
 
     region_pos: dict[int, frozenset] = {}
@@ -269,7 +251,7 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]) -> list[Oc
             r = rs[0]
             if r in region_pos:
                 if region_pos[r] != extra_parents[u]:
-                    return []
+                    return
             else:
                 region_pos[r] = extra_parents[u]
         else:
@@ -277,12 +259,12 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]) -> list[Oc
     for u in multi:
         rs = [p[1] for p in pattern.node_parents[u] if p[0] == "r"]
         if any(r not in region_pos for r in rs):
-            return []                          # undetermined shared-region position
+            return                             # undetermined shared-region position
         want = frozenset().union(*(region_pos[r] for r in rs))
         if extra_parents[u] != want:
-            return []
+            return
     if set(region_pos) != set(range(pattern.regions)):
-        return []
+        return
 
     # --- children exactness and parameter routing --------------------------
     site_of_parents: dict[frozenset, int] = {}
@@ -295,24 +277,24 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]) -> list[Oc
         mapped_kids = {fwd[c] for c in (c[1] for c in p_kids[("n", u)] if c[0] == "n")}
         t_children = {c[1] for c in t_kids[("n", t)]}
         if not mapped_kids <= t_children:
-            return []
+            return
         extras = t_children - mapped_kids
         sites_u = [c[1] for c in p_kids[("n", u)] if c[0] == "s"]
         if extras and not sites_u:
-            return []
+            return
         for w in extras:
             if w in image:
-                return []
+                return
             # every parent of a parameter top must be a matched node, and
             # together they must name exactly one pattern site
             if any(p[0] != "n" or p[1] not in image for p in target.node_parents[w]):
-                return []
+                return
             pat_parents = frozenset(("n", inv[p[1]]) for p in target.node_parents[w])
             s = site_of_parents.get(pat_parents)
             if s is None:
-                return []
+                return
             if param_tops.get(w, s) != s:
-                return []
+                return
             param_tops[w] = s
 
     # closure of parameter parts
@@ -325,10 +307,10 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]) -> list[Oc
             x = stack.pop()
             if x in owner:
                 if owner[x] != s:
-                    return []
+                    return
                 continue
             if x in image:
-                return []
+                return
             owner[x] = s
             part_nodes[s].append(x)
             for c in t_kids[("n", x)]:
@@ -338,7 +320,7 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]) -> list[Oc
             continue
         for p in target.node_parents[x]:
             if p[0] != "n" or owner.get(p[1]) != s:
-                return []                      # parameter content escapes its part
+                return                         # parameter content escapes its part
 
     context_nodes = [t for t in range(target.n) if t not in image and t not in owner]
     ctx_set = set(context_nodes)
@@ -346,15 +328,12 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]) -> list[Oc
     for pos in region_pos.values():
         for p in pos:
             if p[0] == "n" and p[1] not in ctx_set:
-                return []
+                return
 
     # --- link assignment -----------------------------------------------------
-    solutions = _link_assignments(target, pattern, fwd, image)
-    out = []
-    for assign in solutions:
-        out.append(_build_occurrence(target, pattern, fwd, assign, param_tops,
-                                     part_nodes, owner, context_nodes, region_pos))
-    return out
+    for assign in _link_assignments(target, pattern, fwd, image):
+        yield _build_occurrence(target, pattern, fwd, assign, param_tops,
+                                part_nodes, owner, context_nodes, region_pos)
 
 
 def _link_assignments(target, pattern, fwd, image):
@@ -547,13 +526,10 @@ def _build_occurrence(target, pattern, fwd, assign, param_tops, part_nodes,
 # ---------------------------------------------------------------------------
 
 
-def count_occurrences(target: Bigraph, pattern: Bigraph) -> int:
-    return len(find_occurrences(target, pattern))
-
-
 def matches_predicate(state: Bigraph, pred: Bigraph) -> bool:
-    """True iff the pattern occurs in the state; names match any link."""
-    return bool(find_occurrences(state, pred))
+    """True iff the pattern occurs in the state; names match any link.
+    Stops at the first occurrence found."""
+    return next(_occurrences(state, pred), None) is not None
 
 
 def check_constraints(occ: Occurrence, constraints) -> bool:

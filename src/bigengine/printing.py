@@ -238,6 +238,15 @@ class _Printer:
 
 
 def print_bigraph(b: Bigraph) -> str:
+    """Source text of b. A place graph nested deeper than Python's
+    recursion limit allows is reported as UnprintableBigraph."""
+    try:
+        return _print_bigraph(b)
+    except RecursionError:
+        raise UnprintableBigraph("bigraph nested too deeply to print") from None
+
+
+def _print_bigraph(b: Bigraph) -> str:
     named, fresh = _edges_to_names(b)
     printer = _Printer(named)
     text, seq = printer.render(named)

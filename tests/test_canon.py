@@ -211,6 +211,37 @@ def test_refinement_invariant_and_exact_against_oracles():
     assert outcomes.count(True) >= 30 and outcomes.count(False) >= 30
 
 
+def swapped(b, rng):
+    """b with the differing controls or ports of two nodes of equal arity
+    exchanged: same sizes, controls and names, often not isomorphic."""
+    ctrl, ports = list(b.ctrl), list(b.ports)
+    row = ctrl if rng.random() < 0.5 else ports
+    pairs = [(i, j) for i in range(b.n) for j in range(i)
+             if len(ports[i]) == len(ports[j]) and row[i] != row[j]]
+    if pairs:
+        i, j = rng.choice(pairs)
+        row[i], row[j] = row[j], row[i]
+    return _mk(b.sig, b.regions, b.sites, ctrl, b.params, b.node_parents,
+               b.site_parents, ports, b.inner, b.outer, b.edges)
+
+
+def test_iso_equal_exact_without_colours(monkeypatch):
+    # colours only pick candidates: with every node in one colour class
+    # the check of a full node map alone must keep iso_equal exact
+    from bigengine import canon
+    monkeypatch.setattr(canon, "_refine", lambda b: ([b""] * b.n, [b""] * b.edges))
+    sig = make_sig(DEFAULT_CONTROLS)
+    rng = random.Random(20261018)
+    outcomes = []
+    for _ in range(300):
+        a = random_ground(rng, sig, max_nodes=6, name_pool=("a", "b"))
+        for b in (permuted(a, rng), permuted(swapped(a, rng), rng)):
+            same = iso_equal(a, b)
+            assert same == brute_iso(a, b)
+            outcomes.append(same)
+    assert outcomes.count(True) >= 300 and outcomes.count(False) >= 50
+
+
 def test_iso_equal_deep_flat_state():
     # one B and 1,100 A atoms side by side: the search maps one node per
     # level, deeper than Python's default recursion limit

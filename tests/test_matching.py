@@ -1,11 +1,12 @@
 import random
+import time
+from functools import reduce
 
 import pytest
 
 from bigengine import (
     MatchConstraint,
     check_constraints,
-    count_occurrences,
     find_occurrences,
     identity,
     iso_equal,
@@ -78,11 +79,11 @@ def detect_pattern(sig):
 def test_count_occurrences(server_sig):
     pattern = detect_pattern(server_sig)
     two_rooms = merge(detect_room(server_sig, 1), detect_room(server_sig, 1))
-    assert count_occurrences(two_rooms, pattern) == 2
-    assert count_occurrences(nest(make_atom(server_sig, "Room"), one(server_sig)),
-                             pattern) == 0
-    assert count_occurrences(detect_room(server_sig, 1), pattern) == 1
-    assert count_occurrences(detect_room(server_sig, 2), pattern) == 2
+    assert len(find_occurrences(two_rooms, pattern)) == 2
+    assert len(find_occurrences(nest(make_atom(server_sig, "Room"), one(server_sig)),
+                                pattern)) == 0
+    assert len(find_occurrences(detect_room(server_sig, 1), pattern)) == 1
+    assert len(find_occurrences(detect_room(server_sig, 2), pattern)) == 2
 
 
 def test_leave_secure_unique_occurrence():
@@ -201,8 +202,20 @@ def test_count_zero_iff_predicate_false():
     for _ in range(40):
         target = random_ground(rng, sig, max_nodes=6)
         pattern = random_solid_pattern(rng, sig, max_nodes=3)
-        assert (count_occurrences(target, pattern) == 0) == \
+        assert (len(find_occurrences(target, pattern)) == 0) == \
             (not matches_predicate(target, pattern))
+
+
+def test_predicate_stops_at_first_match(server_sig):
+    # R.(A|...|A) has 9! node maps onto itself; existence needs only one
+    atoms = [make_atom(server_sig, "Data") for _ in range(9)]
+    state = nest(make_atom(server_sig, "Room"), reduce(merge, atoms))
+    start = time.perf_counter()
+    assert matches_predicate(state, state)
+    assert time.perf_counter() - start < 1.0
+    # automorphic node maps still give one occurrence
+    flat = reduce(merge, atoms[:5])
+    assert len(find_occurrences(flat, flat)) == 1
 
 
 def test_sharing_target_matching(building_sig):

@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from bigengine import close, iso_equal, make_atom, merge, nest, one, parallel, share
 from bigengine.elaborate import load, load_file
+from bigengine.errors import UnprintableBigraph
 from bigengine.printing import print_bigraph, print_rule, print_spec
 
 from conftest import MODELS
@@ -132,6 +135,13 @@ def test_pretty_print_dispatch():
     assert "Door" in pretty_print(spec.init)
     assert "-->" in pretty_print(next(spec.rules()))
     assert pretty_print(spec).startswith("atomic ctrl")
+
+
+def test_deep_nesting_is_a_diagnostic():
+    # the model loads, but the printer recurses once per nesting level
+    spec = load("ctrl R = 0;\nbig start = %s1;%s" % ("R." * 600, BLOCK))
+    with pytest.raises(UnprintableBigraph):
+        print_spec(spec)
 
 
 def test_param_literals_roundtrip():
