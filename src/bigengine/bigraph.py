@@ -178,6 +178,19 @@ class Bigraph:
             self._cache["link_points"] = got
         return got
 
+    def link_partners(self) -> dict:
+        """node -> its partners, one per link it shares with other nodes:
+        that link's lowest-numbered other node (one, not all: a link
+        joining k nodes costs O(k), not O(k^2))."""
+        got = self._cache.get("link_partners")
+        if got is None:
+            got = self._cache["link_partners"] = {}
+            for pts in self.link_points().values():
+                on = sorted({pt[1] for pt in pts if pt[0] == "p"})
+                for i in on if len(on) > 1 else ():
+                    got.setdefault(i, []).append(on[1] if i == on[0] else on[0])
+        return got
+
     def port_count(self, handle: Handle) -> int:
         return sum(1 for pt in self.link_points().get(handle, ()) if pt[0] == "p")
 
@@ -462,16 +475,20 @@ def require_ground(b: Bigraph, what: str = "bigraph") -> None:
 
 def _node_maps(a: Bigraph, b: Bigraph, order: Sequence[int], candidates):
     """Each injective map of a's nodes, assigned in ``order``, onto
-    ``candidates(i)`` in b that agrees on node-to-node parenthood.
+    ``candidates(i)`` in b that agrees on node-to-node parenthood and
+    keeps a's shared links shared.
 
     The one node-map search of the engine (occurrences and isomorphism).
     A pair (i, j) is checked only against the already-mapped parents and
-    children of i and of j, through the inverse map; the search keeps an
+    children of i and of j, through the inverse map, and against i's
+    mapped ``link_partners`` k: fwd[k] must share a link with j, which
+    both callers need before their exact link checks. The search keeps an
     explicit stack of candidate iterators, so its depth is not bounded by
     Python's recursion. The same dict is yielded each time: copy it to
     keep it.
     """
     a_kids, b_kids = a.children(), b.children()
+    a_partners = a.link_partners()
     fwd: dict[int, int] = {}
     inv: dict[int, int] = {}
 
@@ -487,6 +504,9 @@ def _node_maps(a: Bigraph, b: Bigraph, order: Sequence[int], candidates):
                 return False
         for c in b_kids[("n", j)]:
             if c[0] == "n" and c[1] in inv and ("n", i) not in a.node_parents[inv[c[1]]]:
+                return False
+        for k in a_partners.get(i, ()):
+            if k in fwd and set(b.ports[fwd[k]]).isdisjoint(b.ports[j]):
                 return False
         return True
 

@@ -18,7 +18,7 @@ from .bigraph import Bigraph
 from .canon import StateStore
 from .elaborate import BrsSpec
 from .errors import DivergentInstantaneous, InitNotGround, NonConfluence
-from .matching import check_constraints, find_occurrences, matches_predicate
+from .matching import _occurrences, check_constraints, find_occurrences, matches_predicate
 from .rules import ReactionRule, apply_at
 
 INSTANTANEOUS_BOUND = 10 ** 6
@@ -62,11 +62,22 @@ class SimTrace:
 def enabled_class(state: Bigraph, spec: BrsSpec):
     """Highest-priority class with a constraint-passing occurrence, with
     all its applications; None at deadlock."""
+    return _enabled(state, spec, False)
+
+
+def _enabled(state, spec, settling):
+    """enabled_class, or when settling: the highest enabled class and its
+    applications if it is instantaneous, else None (the state is settled).
+    Settling stops a normal class at its first application: one shows it
+    is enabled."""
     for ci, cls in enumerate(spec.classes):
+        first_only = settling and not cls.instantaneous
         hits = []
         for rule in cls.rules:
-            for occ in find_occurrences(state, rule.lhs):
+            for occ in (_occurrences if first_only else find_occurrences)(state, rule.lhs):
                 if check_constraints(occ, rule.constraints):
+                    if first_only:
+                        return None
                     hits.append((rule, occ))
         if hits:
             return ci, hits
@@ -76,16 +87,14 @@ def enabled_class(state: Bigraph, spec: BrsSpec):
 def reduce_instantaneous(state: Bigraph, spec: BrsSpec,
                          bound: int = INSTANTANEOUS_BOUND) -> Bigraph:
     """Apply instantaneous rules (first occurrence in canonical order)
-    until the highest-priority enabled class is a normal one."""
+    until the highest-priority enabled class is a normal one, which is
+    searched only up to its first constraint-passing occurrence."""
     steps = 0
     while True:
-        res = enabled_class(state, spec)
+        res = _enabled(state, spec, True)
         if res is None:
             return state
-        ci, hits = res
-        if not spec.classes[ci].instantaneous:
-            return state
-        rule, occ = hits[0]
+        rule, occ = res[1][0]
         state = apply_at(state, rule, occ)
         steps += 1
         if steps > bound:
@@ -106,8 +115,8 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> Bigraph:
         _, added = visited.insert(s)
         if not added:
             continue
-        res = enabled_class(s, spec)
-        if res is None or not spec.classes[res[0]].instantaneous:
+        res = _enabled(s, spec, True)
+        if res is None:
             terminals.insert(s)
             continue
         hits = res[1]

@@ -8,10 +8,12 @@ where the context holds everything above/around the image, and the
 parameter holds one ground bigraph per pattern site (everything the
 sites absorbed). Node injections come from ``bigraph._node_maps``, the
 same iterative search that ``canon.iso_equal`` uses, taken in a
-connectivity-guided order (rarest control first); each one then gets an
-exact placement and link-assignment validation. Occurrences are produced
-lazily, so ``matches_predicate`` and the rule guards stop at the first;
-no incremental or SAT machinery.
+connectivity-guided order (rarest control first) and pruned by shared
+links; each one then gets an exact placement and link-assignment
+validation. Occurrences are produced lazily, so ``matches_predicate``
+and the rule guards stop at the first, and each occurrence builds its
+context and parameter only when they are first read (a rewrite or a
+guard); no incremental or SAT machinery.
 
 Matching semantics:
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import Callable
 
 from .bigraph import (
     Bigraph,
@@ -62,18 +65,25 @@ class MatchConstraint:
             raise ValueError("bad constraint kind %r" % self.kind)
 
 
+_PARTS = ("context", "parameter", "exposed", "to_close")
+
+
 @dataclass
 class Occurrence:
-    """One match of a pattern in a target, with its full decomposition."""
+    """One match of a pattern in a target. Its decomposition, built on
+    first access and then kept, is ``context``, ``parameter`` (one ground
+    bigraph per site) and the wiring recompose uses: ``exposed`` (target
+    handle -> shared name) and ``to_close`` (names of closed links)."""
 
     node_map: dict[int, int]
     link_map: dict[Handle, Handle]
-    context: Bigraph
-    parameter: list[Bigraph]
-    # wiring used to recompose / rewrite: target handle -> shared name,
-    # and which of those names denote closed target links
-    exposed: dict = field(repr=False, default_factory=dict)
-    to_close: tuple = field(repr=False, default_factory=tuple)
+    _build: Callable = field(repr=False, compare=False)
+
+    def __getattr__(self, name):          # reached only before the build
+        if name not in _PARTS:
+            raise AttributeError(name)
+        self.__dict__.update(zip(_PARTS, self._build()))
+        return self.__dict__[name]
 
     def sort_key(self):
         return (tuple(sorted(self.node_map.values())),
@@ -192,11 +202,8 @@ def _occurrences(target: Bigraph, pattern: Bigraph):
             if p[0] == "n":
                 adj[u].add(p[1])
                 adj[p[1]].add(u)
-    handle_nodes: dict = {}
-    for u in range(pn):
-        for h in pattern.ports[u]:
-            handle_nodes.setdefault(h, set()).add(u)
-    for us in handle_nodes.values():
+    for pts in pattern.link_points().values():
+        us = {pt[1] for pt in pts if pt[0] == "p"}
         for u in us:
             adj[u] |= us - {u}
 
@@ -332,8 +339,9 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]):
 
     # --- link assignment -----------------------------------------------------
     for assign in _link_assignments(target, pattern, fwd, image):
-        yield _build_occurrence(target, pattern, fwd, assign, param_tops,
-                                part_nodes, owner, context_nodes, region_pos)
+        yield Occurrence(fwd, assign, lambda assign=assign: _decompose(
+            target, pattern, fwd, assign, param_tops, part_nodes, owner,
+            context_nodes, region_pos))
 
 
 def _link_assignments(target, pattern, fwd, image):
@@ -398,30 +406,15 @@ def _link_assignments(target, pattern, fwd, image):
     return solutions
 
 
-def _build_occurrence(target, pattern, fwd, assign, param_tops, part_nodes,
-                      owner, context_nodes, region_pos) -> Occurrence:
+def _decompose(target, pattern, fwd, assign, param_tops, part_nodes, owner,
+               context_nodes, region_pos) -> tuple:
+    """An occurrence's parts, in ``_PARTS`` order."""
     sig = target.sig
     image = set(fwd.values())
     t_points = target.link_points()
 
     edges_mapped = {tl for L, tl in assign.items() if L[0] == "e"}
     names_onto = {tl for L, tl in assign.items() if L[0] == "o"}
-
-    # which pieces touch each target link
-    touch: dict[Handle, set] = {}
-    for h, pts in t_points.items():
-        tags = set()
-        for pt in pts:
-            if pt[0] != "p":
-                continue
-            t = pt[1]
-            if t in image:
-                tags.add("img")
-            elif t in owner:
-                tags.add(("par", owner[t]))
-            else:
-                tags.add("ctx")
-        touch[h] = tags
 
     exposed: dict[Handle, str] = {}
     to_close: list[str] = []
@@ -433,7 +426,8 @@ def _build_occurrence(target, pattern, fwd, assign, param_tops, part_nodes,
             continue
         if h in edges_mapped:
             continue                            # consumed exactly by a pattern edge
-        tags = touch[h]
+        # pieces the edge touches (a ground target has only port points)
+        tags = {"img" if pt[1] in image else owner.get(pt[1], "ctx") for pt in t_points[h]}
         if h in names_onto or len(tags) > 1 or tags == {"img"}:
             while "w%d" % counter in taken:
                 counter += 1
@@ -517,8 +511,7 @@ def _build_occurrence(target, pattern, fwd, assign, param_tops, part_nodes,
                   context.ports, context.inner,
                   context.outer | target.outer, context.edges)
 
-    return Occurrence(node_map=fwd, link_map=dict(assign), context=context,
-                      parameter=parts, exposed=exposed, to_close=tuple(to_close))
+    return context, parts, exposed, tuple(to_close)
 
 
 # ---------------------------------------------------------------------------

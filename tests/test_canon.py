@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 from bigengine import canonical_key, close, iso_equal, make_atom, merge, nest
@@ -209,6 +210,34 @@ def test_refinement_invariant_and_exact_against_oracles():
                 assert canonical_key(x) == canonical_key(y)
             outcomes.append(same)
     assert outcomes.count(True) >= 30 and outcomes.count(False) >= 30
+
+
+def cycles(sig, lengths):
+    """Arity-2 atoms in one region, joined by closed edges into one cycle
+    per length, nodes numbered along each cycle."""
+    ports, start = [], 0
+    for m in lengths:
+        ports += [(("e", start + i), ("e", start + (i + 1) % m)) for i in range(m)]
+        start += m
+    n = len(ports)
+    return _mk(sig, 1, 0, ["C"] * n, ((),) * n, (frozenset({("r", 0)}),) * n,
+               (), ports, (), frozenset(), n)
+
+
+def test_iso_equal_cycles_pruned_by_links():
+    # every node and edge gets one colour, so the colour classes leave 9!
+    # node maps; only the shared closed edges can cut the search short
+    sig = make_sig(DEFAULT_CONTROLS)
+    rng = random.Random(9)
+    nine, four_five = cycles(sig, [9]), cycles(sig, [4, 5])
+    assert canonical_key(nine) == canonical_key(four_five)
+    start = time.perf_counter()
+    assert not iso_equal(nine, four_five)
+    assert not iso_equal(four_five, nine)
+    assert not iso_equal(permuted(nine, rng), permuted(four_five, rng))
+    assert iso_equal(nine, permuted(nine, rng))
+    assert iso_equal(four_five, permuted(four_five, rng))
+    assert time.perf_counter() - start < 1.0
 
 
 def swapped(b, rng):

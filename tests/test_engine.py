@@ -319,6 +319,39 @@ def test_sense_requires_ctx_phase():
         assert len(all_applications(state, rules["sense"])) == expected
 
 
+PRIORITY_MODEL = """
+atomic ctrl Intruder = 0;
+atomic ctrl Camera = 0;
+atomic ctrl Alarm = 0;
+ctrl Room = 0;
+react move = Room.(Intruder | id) || Room.id --> Room.id || Room.(Intruder | id);
+react detect = Room.(Intruder | Camera | id) --> Room.(Intruder | Camera | Alarm | id)
+  if !Alarm in param;
+big s0 = Room.(Intruder | Camera) || Room.1;
+begin brs
+  init s0;
+  rules = [ %s ];
+end
+"""
+
+
+def test_normal_class_above_enabled_instantaneous_settles_nothing():
+    # settling searches a normal class only for its first application;
+    # ranked above an enabled instantaneous class, it leaves the state as
+    # it is, while ranked below it lets the instantaneous rule fire
+    for classes, detected in (("{move}, (detect)", False), ("(detect), {move}", True)):
+        spec = load(PRIORITY_MODEL % classes)
+        alarm = make_atom(spec.signature, "Alarm")
+        settled = reduce_instantaneous(spec.init, spec)
+        assert (settled is spec.init) is not detected
+        assert matches_predicate(settled, alarm) is detected
+        assert iso_equal(check_confluent_settle(spec.init, spec), settled)
+        assert iso_equal(simulate(spec, 0, seed=1).steps[0][0], settled)
+        ts = explore(spec, 20)
+        assert iso_equal(ts.states[0], settled)
+        assert any(matches_predicate(s, alarm) for s in ts.states) is detected
+
+
 def test_pbrs_merges_after_instantaneous_settling():
     # two distinct applications settle to isomorphic states: one merged
     # successor carrying the summed probability

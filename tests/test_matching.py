@@ -196,6 +196,28 @@ def test_matcher_agrees_with_brute_force_small():
         assert got == want
 
 
+def test_matcher_agrees_with_brute_force_link_dense():
+    # one or two names, nearly all closed, in two merged pieces: most nodes
+    # share a link and the target has several, so node maps that split a
+    # pattern link are cut before the exact link assignment (about one
+    # node map in six here)
+    sig = make_sig([("A", 0, False), ("B", 1, False), ("C", 2, True)])
+    rng = random.Random(4711)
+    found = 0
+    for k in range(120):
+        pool = ("a",) if k % 2 else ("a", "b")
+        target = merge(*(random_ground(rng, sig, max_nodes=4, name_pool=pool, close_prob=0.9)
+                         for _ in range(2)))
+        pattern = random_solid_pattern(rng, sig, max_nodes=3, name_pool=pool,
+                                       close_prob=0.8)
+        occs = find_occurrences(target, pattern)
+        assert matcher_images(occs) == brute_images(target, pattern)
+        for occ in occs:
+            assert iso_equal(recompose(occ, pattern), target)
+        found += len(occs)
+    assert found >= 40
+
+
 def test_count_zero_iff_predicate_false():
     sig = make_sig(DEFAULT_CONTROLS)
     rng = random.Random(5)
