@@ -482,7 +482,10 @@ def _node_maps(a: Bigraph, b: Bigraph, order: Sequence[int], candidates):
     A pair (i, j) is checked only against the already-mapped parents and
     children of i and of j, through the inverse map, and against i's
     mapped ``link_partners`` k: fwd[k] must share a link with j, which
-    both callers need before their exact link checks. The search keeps an
+    both callers need before their exact link checks. So in every map,
+    node k is a parent of i exactly when fwd[k] is a parent of fwd[i]:
+    the matcher's ``_finalize`` relies on this and does not check
+    parenthood between image nodes again. The search keeps an
     explicit stack of candidate iterators, so its depth is not bounded by
     Python's recursion. The same dict is yielded each time: copy it to
     keep it.

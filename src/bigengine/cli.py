@@ -22,7 +22,7 @@ from .canon import StateStore
 from .elaborate import load_file
 from .engine import SimTrace, TransitionSystem, explore, label_states, simulate
 from .errors import BigraphError
-from .export import fmt_number, write_dot, write_labels, write_tra
+from .export import fmt_label, write_dot, write_labels, write_tra
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,19 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _label_value(label) -> str:
-    if label is None:
-        return "-"
-    if isinstance(label, tuple):
-        action, prob = label
-        return "%s:%s" % (action, fmt_number(prob))
-    return fmt_number(label)
-
-
 def _trace_lines(trace: SimTrace):
     for step, (state, rule, label) in enumerate(trace.steps):
         t = "-" if trace.times is None else repr(trace.times[step])
-        yield "%d\t%s\t%s\t%s" % (step, rule or "-", _label_value(label), t)
+        label = "-" if label is None else fmt_label(label, ":")
+        yield "%d\t%s\t%s\t%s" % (step, rule or "-", label, t)
 
 
 def _trace_label_file(spec, trace: SimTrace) -> bytes:
@@ -95,7 +87,12 @@ def run_cli(argv=None) -> int:
         if args.command == "sim":
             seed = args.seed
             if seed is None:
-                seed = int(os.environ.get("BIGENGINE_SEED", "0"))
+                env = os.environ.get("BIGENGINE_SEED", "0")
+                try:
+                    seed = int(env)
+                except ValueError:
+                    print("error: BIGENGINE_SEED is not an integer: %r" % env, file=sys.stderr)
+                    return 1
             trace = simulate(spec, args.max_steps, seed)
             sys.stdout.write("\n".join(_trace_lines(trace)) + "\n")
             if args.labels:

@@ -96,6 +96,8 @@ class _Evaluator:
                 if r == 0 or l % r:
                     raise ElaborationError("%d / %d is not an integer" % (l, r))
                 return l // r
+            if r == 0:
+                raise ElaborationError("%r / %r is not a number" % (l, r))
             return l / r
         raise ElaborationError("bad parameter expression %r" % (a,))
 

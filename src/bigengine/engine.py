@@ -220,7 +220,7 @@ def simulate(spec: BrsSpec, max_steps: int, seed: int) -> SimTrace:
         raise InitNotGround("Init bigraph is not ground")
     rng = random.Random(seed)
     sem = spec.semantics
-    state = reduce_instantaneous(spec.init, spec)
+    state = _settle(spec.init, spec, False)
     steps = [(state, None, None)]
     time = 0.0 if sem == "sbrs" else None
     times = [0.0] if sem == "sbrs" else None
@@ -231,7 +231,7 @@ def simulate(spec: BrsSpec, max_steps: int, seed: int) -> SimTrace:
                 break
             _, hits = res
             rule, occ = hits[rng.randrange(len(hits))]
-            state = reduce_instantaneous(apply_at(state, rule, occ), spec)
+            state = _settle(apply_at(state, rule, occ), spec, False)
             steps.append((state, rule.name, None))
             continue
         groups = step_distribution(state, spec)

@@ -22,6 +22,14 @@ def fmt_number(value) -> str:
     return repr(v)
 
 
+def fmt_label(label, sep: str) -> str:
+    """A transition label that is not None: a number (probability or
+    rate), or an abrs ``action<sep>probability`` pair."""
+    if isinstance(label, tuple):
+        return "%s%s%s" % (label[0], sep, fmt_number(label[1]))
+    return fmt_number(label)
+
+
 def write_tra(ts: TransitionSystem, allow_partial: bool = False) -> bytes:
     """Transition table. brs/pbrs/sbrs: ``numStates numTransitions`` then
     ``src dst value`` lines (uniform probability for brs, probability for
@@ -114,15 +122,8 @@ def write_dot(ts: TransitionSystem) -> str:
         label = str(s) if not preds else "%d: %s" % (s, " ".join(preds))
         style = ', style=bold' if s == ts.init_index else ""
         lines.append('  %d [label="%s"%s];' % (s, label, style))
-    def edge_text(label):
-        if label is None:
-            return None
-        if isinstance(label, tuple):
-            return "%s: %s" % (label[0], fmt_number(label[1]))
-        return fmt_number(label)
     for t in sorted(ts.transitions, key=lambda t: t.sort_key()):
-        txt = edge_text(t.label)
-        attr = ' [label="%s"]' % txt if txt is not None else ""
+        attr = "" if t.label is None else ' [label="%s"]' % fmt_label(t.label, ": ")
         lines.append("  %d -> %d%s;" % (t.src, t.dst, attr))
     lines.append("}")
     return "\n".join(lines) + "\n"

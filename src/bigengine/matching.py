@@ -9,24 +9,31 @@ parameter holds one ground bigraph per pattern site (everything the
 sites absorbed). Node injections come from ``bigraph._node_maps``, the
 same iterative search that ``canon.iso_equal`` uses, taken in a
 connectivity-guided order (rarest control first) and pruned by shared
-links; each one then gets an exact placement and link-assignment
-validation. Occurrences are produced lazily, so ``matches_predicate``
+links; each one then gets the remaining placement checks and its link
+assignments. Occurrences are produced lazily, so ``matches_predicate``
 and the rule guards stop at the first, and each occurrence builds its
 context and parameter only when they are first read (a rewrite or a
 guard); no incremental or SAT machinery.
 
-Matching semantics:
+Matching semantics, each condition checked in exactly one place:
 
-* A pattern node with no site child matches target nodes with exactly
-  the same children; unmatched children are routed to the unique site
-  under their matched parent (shared sites require the exact parent set).
-* Pattern regions may land anywhere, but all top nodes of one region
-  must share the same set of extra parents (the context position).
+* Controls and parameters agree; a pattern node without a region parent
+  has exactly as many parents as in the pattern, one with a region
+  parent at least one more; without a site child it has exactly as many
+  children, with one at least as many (candidate filter in
+  ``_occurrences``).
+* Parenthood between image nodes is exact in both directions, and nodes
+  on one pattern link land on nodes sharing a link (``_node_maps``).
+* All top nodes of one region share the same extra parents (the
+  region's position, in the context); every unmatched child of an image
+  node has only image parents, which name exactly one site, and its
+  part of the parameter is closed and holds no image node (``_finalize``).
 * A closed pattern edge matches a closed target link with exactly the
   same ports. An open pattern name matches any target link, open or
-  closed; distinct names may land on the same link.
-* Occurrences whose node and link images coincide are counted once
-  (pattern automorphisms do not multiply matches).
+  closed; distinct names may land on the same link
+  (``_link_assignments``).
+* Occurrences whose node and link images coincide are counted once, so
+  pattern automorphisms do not multiply matches (``find_occurrences``).
 """
 
 from __future__ import annotations
@@ -221,86 +228,55 @@ def _occurrences(target: Bigraph, pattern: Bigraph):
 
 
 def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]):
-    """Exact placement validation + link assignment for a full node map;
-    yields one occurrence per link assignment."""
-    t_kids = target.children()
-    p_kids = pattern.children()
+    """Placement checks left after the node map, then link assignment;
+    yields one occurrence per link assignment.
+
+    Relies on ``_node_maps`` for exact parenthood between image nodes and
+    on the candidate filter for parent and child counts, so the parents
+    of a top node outside the image are its region's position, any other
+    node has none, and only nodes with a site child have children outside
+    the image. Checks only what is left: region positions agree, each
+    parameter top's parents name one site, and parameter parts are closed
+    and hold no image node (so no region position lies in one).
+    """
     image = set(fwd.values())
 
-    # --- placement: parent exactness and region consistency ----------------
-    extra_parents: dict[int, frozenset] = {}
-    for u, t in fwd.items():
-        mapped = set()
-        for p in pattern.node_parents[u]:
-            if p[0] == "n":
-                mapped.add(("n", fwd[p[1]]))
-        tps = set(target.node_parents[t])
-        if not mapped <= tps:
-            return
-        extra = tps - mapped
-        for p in extra:
-            if p[0] == "n" and p[1] in image:
-                return                         # context position inside the image
-        regions_u = [p for p in pattern.node_parents[u] if p[0] == "r"]
-        if not regions_u:
-            if extra:
-                return
-        else:
-            if not extra:
-                return
-            extra_parents[u] = frozenset(extra)
-
+    # --- region positions: the parents of a top node outside the image -----
     region_pos: dict[int, frozenset] = {}
-    multi: list[int] = []
-    for u in extra_parents:
+    multi: list[tuple[list[int], frozenset]] = []
+    for u, t in fwd.items():
         rs = [p[1] for p in pattern.node_parents[u] if p[0] == "r"]
-        if len(rs) == 1:
-            r = rs[0]
-            if r in region_pos:
-                if region_pos[r] != extra_parents[u]:
-                    return
-            else:
-                region_pos[r] = extra_parents[u]
-        else:
-            multi.append(u)
-    for u in multi:
-        rs = [p[1] for p in pattern.node_parents[u] if p[0] == "r"]
+        if not rs:
+            continue
+        extra = frozenset(p for p in target.node_parents[t]
+                          if p[0] == "r" or p[1] not in image)
+        if len(rs) > 1:
+            multi.append((rs, extra))
+        elif region_pos.setdefault(rs[0], extra) != extra:
+            return
+    for rs, extra in multi:
         if any(r not in region_pos for r in rs):
             return                             # undetermined shared-region position
-        want = frozenset().union(*(region_pos[r] for r in rs))
-        if extra_parents[u] != want:
+        if frozenset().union(*(region_pos[r] for r in rs)) != extra:
             return
-    if set(region_pos) != set(range(pattern.regions)):
+    if len(region_pos) != pattern.regions:
         return
 
-    # --- children exactness and parameter routing --------------------------
-    site_of_parents: dict[frozenset, int] = {}
-    for s in range(pattern.sites):
-        site_of_parents[frozenset(pattern.site_parents[s])] = s
-
-    inv = {t2: u2 for u2, t2 in fwd.items()}
+    # --- parameter routing: each top's parents name one pattern site -------
+    site_of_parents = {frozenset(ps): s for s, ps in enumerate(pattern.site_parents)}
+    t_kids = target.children()
+    inv = {t: u for u, t in fwd.items()}
     param_tops: dict[int, int] = {}            # target node -> pattern site
-    for u, t in fwd.items():
-        mapped_kids = {fwd[c] for c in (c[1] for c in p_kids[("n", u)] if c[0] == "n")}
-        t_children = {c[1] for c in t_kids[("n", t)]}
-        if not mapped_kids <= t_children:
-            return
-        extras = t_children - mapped_kids
-        sites_u = [c[1] for c in p_kids[("n", u)] if c[0] == "s"]
-        if extras and not sites_u:
-            return
-        for w in extras:
-            if w in image:
+    for t in fwd.values():
+        for _, w in t_kids[("n", t)]:
+            if w in image or w in param_tops:
+                continue
+            # every parent of a parameter top must be a matched node
+            pars = target.node_parents[w]
+            if any(p[0] != "n" or p[1] not in image for p in pars):
                 return
-            # every parent of a parameter top must be a matched node, and
-            # together they must name exactly one pattern site
-            if any(p[0] != "n" or p[1] not in image for p in target.node_parents[w]):
-                return
-            pat_parents = frozenset(("n", inv[p[1]]) for p in target.node_parents[w])
-            s = site_of_parents.get(pat_parents)
+            s = site_of_parents.get(frozenset(("n", inv[p[1]]) for p in pars))
             if s is None:
-                return
-            if param_tops.get(w, s) != s:
                 return
             param_tops[w] = s
 
@@ -317,6 +293,7 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]):
                     return
                 continue
             if x in image:
+                # x's parent is then a region position inside the parameter
                 return
             owner[x] = s
             part_nodes[s].append(x)
@@ -329,19 +306,10 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]):
             if p[0] != "n" or owner.get(p[1]) != s:
                 return                         # parameter content escapes its part
 
-    context_nodes = [t for t in range(target.n) if t not in image and t not in owner]
-    ctx_set = set(context_nodes)
-    # context positions must lie in the context (or be target regions)
-    for pos in region_pos.values():
-        for p in pos:
-            if p[0] == "n" and p[1] not in ctx_set:
-                return
-
     # --- link assignment -----------------------------------------------------
     for assign in _link_assignments(target, pattern, fwd, image):
         yield Occurrence(fwd, assign, lambda assign=assign: _decompose(
-            target, pattern, fwd, assign, param_tops, part_nodes, owner,
-            context_nodes, region_pos))
+            target, pattern, fwd, assign, param_tops, part_nodes, owner, region_pos))
 
 
 def _link_assignments(target, pattern, fwd, image):
@@ -407,7 +375,7 @@ def _link_assignments(target, pattern, fwd, image):
 
 
 def _decompose(target, pattern, fwd, assign, param_tops, part_nodes, owner,
-               context_nodes, region_pos) -> tuple:
+               region_pos) -> tuple:
     """An occurrence's parts, in ``_PARTS`` order."""
     sig = target.sig
     image = set(fwd.values())
@@ -438,11 +406,12 @@ def _decompose(target, pattern, fwd, assign, param_tops, part_nodes, owner,
             to_close.append(w)
         # else: edge internal to a single non-image piece, kept closed there
 
-    def build_piece(nodes, regions, parents_of, site_specs):
+    def build_piece(nodes, regions, parents_of, site_specs, outer=()):
         """Assemble a sub-bigraph from target nodes.
 
         parents_of(t) gives translated parent keys; site_specs is a list of
-        parent-key frozensets for the piece's sites.
+        parent-key frozensets for the piece's sites; outer names are added
+        to those its ports use.
         """
         local = {t: i for i, t in enumerate(nodes)}
         internal_edges: dict[Handle, int] = {}
@@ -451,7 +420,7 @@ def _decompose(target, pattern, fwd, assign, param_tops, part_nodes, owner,
                 if h[0] == "e" and h not in exposed and h not in edges_mapped:
                     internal_edges.setdefault(h, len(internal_edges))
         ports = []
-        outer = set()
+        outer = set(outer)
         for t in nodes:
             row = []
             for h in target.ports[t]:
@@ -484,32 +453,16 @@ def _decompose(target, pattern, fwd, assign, param_tops, part_nodes, owner,
         parts.append(build_piece(nodes, 1, par, []))
 
     # the context: original regions, one hole per pattern region
-    ctx_nodes = sorted(context_nodes)
-
-    def ctx_par(t, local):
-        out = set()
-        for p in target.node_parents[t]:
-            if p[0] == "r":
-                out.add(p)
-            else:
-                out.add(("n", local[p[1]]))
-        return frozenset(out)
-
+    ctx_nodes = [t for t in range(target.n) if t not in image and t not in owner]
     local_ctx = {t: i for i, t in enumerate(ctx_nodes)}
-    site_specs = []
-    for r in range(pattern.regions):
-        spec = set()
-        for p in region_pos[r]:
-            if p[0] == "r":
-                spec.add(p)
-            else:
-                spec.add(("n", local_ctx[p[1]]))
-        site_specs.append(frozenset(spec))
-    context = build_piece(ctx_nodes, target.regions, ctx_par, site_specs)
-    context = _mk(sig, context.regions, context.sites, context.ctrl,
-                  context.params, context.node_parents, context.site_parents,
-                  context.ports, context.inner,
-                  context.outer | target.outer, context.edges)
+
+    def lift(keys):                             # target place keys -> context's
+        return frozenset(p if p[0] == "r" else ("n", local_ctx[p[1]]) for p in keys)
+
+    context = build_piece(ctx_nodes, target.regions,
+                          lambda t, local: lift(target.node_parents[t]),
+                          [lift(region_pos[r]) for r in range(pattern.regions)],
+                          target.outer)
 
     return context, parts, exposed, tuple(to_close)
 

@@ -26,7 +26,10 @@ DEFAULT_CONTROLS = [
 
 
 def random_ground(rng, sig, max_nodes=8, name_pool=("a", "b", "c"),
-                  max_regions=2, close_prob=0.5):
+                  max_regions=2, close_prob=0.5, share_prob=0.0):
+    """A random ground bigraph. With share_prob > 0 a node sometimes gets a
+    second parent (a place DAG); at 0 no extra random numbers are drawn,
+    so seeded callers see the same cases as without the option."""
     controls = sig.controls()
     n = rng.randint(1, max_nodes)
     r = rng.randint(1, max_regions)
@@ -37,7 +40,7 @@ def random_ground(rng, sig, max_nodes=8, name_pool=("a", "b", "c"),
         ctrl.append(c.name)
         cands = [("r", k) for k in range(r)]
         cands += [("n", j) for j in range(i) if not sig.get(ctrl[j]).atomic]
-        parents.append(frozenset({rng.choice(cands)}))
+        parents.append(_parents(rng, cands, rng.choice(cands), share_prob))
         hs = []
         for _ in range(c.arity):
             x = rng.choice(name_pool)
@@ -52,8 +55,19 @@ def random_ground(rng, sig, max_nodes=8, name_pool=("a", "b", "c"),
     return b
 
 
+def _parents(rng, cands, first, share_prob):
+    """{first}, plus with probability share_prob a second draw from cands."""
+    if share_prob and rng.random() < share_prob:
+        return frozenset({first, rng.choice(cands)})
+    return frozenset({first})
+
+
 def random_solid_pattern(rng, sig, max_nodes=4, name_pool=("a", "b", "c"),
-                         max_regions=2, max_sites=2, close_prob=0.4):
+                         max_regions=2, max_sites=2, close_prob=0.4,
+                         share_prob=0.0):
+    """A random solid pattern. With share_prob > 0 a node sometimes gets a
+    second parent (possibly a second region) and a site a second parent
+    node; at 0 no extra random numbers are drawn."""
     controls = sig.controls()
     r = rng.randint(1, max_regions)
     n = rng.randint(r, max(r, max_nodes))
@@ -62,13 +76,11 @@ def random_solid_pattern(rng, sig, max_nodes=4, name_pool=("a", "b", "c"),
     for i in range(n):
         c = rng.choice(controls)
         ctrl.append(c.name)
-        if i < r:
-            parent = ("r", i)          # every region gets at least one node
-        else:
-            cands = [("r", k) for k in range(r)]
-            cands += [("n", j) for j in range(i) if not sig.get(ctrl[j]).atomic]
-            parent = rng.choice(cands)
-        parents.append(frozenset({parent}))
+        cands = [("r", k) for k in range(r)]
+        cands += [("n", j) for j in range(i) if not sig.get(ctrl[j]).atomic]
+        # every region gets at least one node
+        parent = ("r", i) if i < r else rng.choice(cands)
+        parents.append(_parents(rng, cands, parent, share_prob))
         hs = []
         for _ in range(c.arity):
             x = rng.choice(name_pool)
@@ -77,8 +89,15 @@ def random_solid_pattern(rng, sig, max_nodes=4, name_pool=("a", "b", "c"),
         ports.append(tuple(hs))
     hosts = [i for i in range(n) if not sig.get(ctrl[i]).atomic]
     rng.shuffle(hosts)
-    sites = hosts[:rng.randint(0, max_sites)]
-    site_parents = tuple(frozenset({("n", i)}) for i in sorted(sites))
+    k = rng.randint(0, max_sites)
+    spare = hosts[k:]                  # hosts no site uses, for shared sites
+    site_parents = []
+    for i in sorted(hosts[:k]):
+        ps = {("n", i)}
+        if share_prob and spare and rng.random() < share_prob:
+            ps.add(("n", spare.pop()))
+        site_parents.append(frozenset(ps))
+    site_parents = tuple(site_parents)
     b = _mk(sig, r, len(site_parents), ctrl, ((),) * n, parents, site_parents,
             ports, (), frozenset(used), 0)
     for x in sorted(used):

@@ -81,6 +81,14 @@ def test_seed_env_fallback(monkeypatch, capsys):
     assert out_env == out_seed
 
 
+def test_bad_seed_env_gives_diagnostic(monkeypatch, capsys):
+    monkeypatch.setenv("BIGENGINE_SEED", "abc")
+    assert run_cli(["sim", "-S", "10", str(MODELS / "vault.big")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: BIGENGINE_SEED is not an integer: 'abc'\n"
+    assert captured.out == ""
+
+
 def test_error_exit_and_message(tmp_path, capsys):
     bad = tmp_path / "bad.big"
     bad.write_text("ctrl A = 0;\nbig s0 = A;\nbegin brs init s0; rules = []; end\n")
@@ -98,7 +106,9 @@ def test_error_exit_and_message(tmp_path, capsys):
      "error: line 1, column 1: byte 0xff is not valid UTF-8"),
     (b"ctrl R = 0;\nbig b = " + b"R | " * 1500 + b"R;\nbegin brs init b; rules = []; end\n",
      "error: expression nested too deeply"),
-], ids=["deep-nest", "deep-paren", "not-utf8", "long-merge"])
+    (b"fun ctrl P(x) = 0;\nbig b = P(1.0/0.0);\nbegin brs init b; rules = []; end\n",
+     "error: 1.0 / 0.0 is not a number"),
+], ids=["deep-nest", "deep-paren", "not-utf8", "long-merge", "float-div-zero"])
 def test_hostile_model_gives_diagnostic(tmp_path, capsys, data, message):
     model = tmp_path / "hostile.big"
     model.write_bytes(data)

@@ -218,6 +218,24 @@ def test_matcher_agrees_with_brute_force_link_dense():
     assert found >= 40
 
 
+def test_matcher_agrees_with_brute_force_shared():
+    # place DAGs: targets with multi-parent nodes, patterns with nodes under
+    # two parents (two regions, or a region and a node) and shared sites,
+    # which reach the region-position, parameter-routing and closure checks
+    sig = make_sig([("A", 0, False), ("B", 1, False), ("D", 0, True)])
+    rng = random.Random(31)
+    shared = 0
+    for _ in range(3000):
+        target = random_ground(rng, sig, max_nodes=6, share_prob=0.5)
+        pattern = random_solid_pattern(rng, sig, max_nodes=3, share_prob=0.5)
+        occs = find_occurrences(target, pattern)
+        assert matcher_images(occs) == brute_images(target, pattern)
+        for occ in occs:
+            assert iso_equal(recompose(occ, pattern), target)
+            shared += any(len(target.node_parents[t]) > 1 for t in occ.node_map.values())
+    assert shared >= 100
+
+
 def test_count_zero_iff_predicate_false():
     sig = make_sig(DEFAULT_CONTROLS)
     rng = random.Random(5)
