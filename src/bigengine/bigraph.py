@@ -459,15 +459,6 @@ def _graft(contents: Bigraph, placement: Sequence[Sequence[int]],
                host.outer | contents.outer, host.edges + contents.edges)
 
 
-def renumber_sites(b: Bigraph, new_of_old: Sequence[int]) -> Bigraph:
-    """Permute site indices: old site j becomes new index new_of_old[j]."""
-    sps = [None] * b.sites
-    for old, new in enumerate(new_of_old):
-        sps[new] = b.site_parents[old]
-    return _mk(b.sig, b.regions, b.sites, b.ctrl, b.params, b.node_parents,
-               sps, b.ports, b.inner, b.outer, b.edges)
-
-
 def require_ground(b: Bigraph, what: str = "bigraph") -> None:
     if not b.is_ground():
         raise NotGround("%s is not ground" % what)

@@ -2,32 +2,21 @@
 rules over their declared domains, convert labels for the chosen
 semantics, and validate everything into a BrsSpec ready to execute.
 
-Parameter arithmetic is evaluated here, at elaboration time, so the
+The parser has compiled every expression to a builder; elaboration calls
+each builder with the evaluator below and the rule's parameter binding,
+so parameter arithmetic runs here, inside the builders, and the
 resulting rule set is fully instantiated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from . import language as lang
-from .bigraph import (
-    Bigraph,
-    Control,
-    Signature,
-    close,
-    idle,
-    identity,
-    link_identity,
-    make_atom,
-    merge,
-    nest,
-    one,
-    parallel,
-    share,
-)
+from .bigraph import Bigraph, Control, Signature, make_atom
 from .errors import (
     ActionPartitionError,
     DuplicateDefinition,
@@ -63,76 +52,22 @@ class BrsSpec:
 
 
 class _Evaluator:
+    """What compiled expressions read: the signature, the named bigraphs,
+    and the lookup of an applied identifier."""
+
     def __init__(self, sig: Signature, bigs: dict):
         self.sig = sig
         self.bigs = bigs
 
-    def arith(self, a, env):
-        if isinstance(a, lang.ANum):
-            return a.value
-        if isinstance(a, lang.AStr):
-            return a.value
-        if isinstance(a, lang.AVar):
-            if a.name in env:
-                return env[a.name]
-            raise UnknownIdentifier("unknown parameter %r" % a.name)
-        if isinstance(a, lang.ANeg):
-            v = self.arith(a.operand, env)
-            if isinstance(v, str):
-                raise ElaborationError("cannot negate a string parameter")
-            return -v
-        if isinstance(a, lang.ABin):
-            l = self.arith(a.left, env)
-            r = self.arith(a.right, env)
-            if isinstance(l, str) or isinstance(r, str):
-                raise ElaborationError("arithmetic on string parameters")
-            if a.op == "+":
-                return l + r
-            if a.op == "-":
-                return l - r
-            if a.op == "*":
-                return l * r
-            if isinstance(l, int) and isinstance(r, int):
-                if r == 0 or l % r:
-                    raise ElaborationError("%d / %d is not an integer" % (l, r))
-                return l // r
-            if r == 0:
-                raise ElaborationError("%r / %r is not a number" % (l, r))
-            return l / r
-        raise ElaborationError("bad parameter expression %r" % (a,))
-
-    def bigraph(self, e, env):
-        sig = self.sig
-        if isinstance(e, lang.EOne):
-            return one(sig)
-        if isinstance(e, lang.EId):
-            return identity(sig)
-        if isinstance(e, lang.EIdle):
-            return idle(sig, e.names)
-        if isinstance(e, lang.EIdLink):
-            return link_identity(sig, e.names)
-        if isinstance(e, lang.EApply):
-            if e.name in self.bigs:
-                if e.args is not None or e.names is not None:
-                    raise ElaborationError(
-                        "%s names a bigraph and takes no arguments" % e.name)
-                return self.bigs[e.name]
-            if e.name in sig:
-                params = [self.arith(a, env) for a in (e.args or ())]
-                return make_atom(sig, e.name, params, e.names or ())
-            raise UnknownIdentifier("unknown identifier %r" % e.name)
-        if isinstance(e, lang.EMer):
-            return merge(self.bigraph(e.left, env), self.bigraph(e.right, env))
-        if isinstance(e, lang.EPar):
-            return parallel(self.bigraph(e.left, env), self.bigraph(e.right, env))
-        if isinstance(e, lang.ENest):
-            return nest(self.bigraph(e.head, env), self.bigraph(e.child, env))
-        if isinstance(e, lang.EClose):
-            return close(e.name, self.bigraph(e.body, env))
-        if isinstance(e, lang.EShare):
-            return share(self.bigraph(e.contents, env), list(e.placement),
-                         e.count, self.bigraph(e.host, env))
-        raise ElaborationError("bad bigraph expression %r" % (e,))
+    def apply(self, name: str, args, names, env) -> Bigraph:
+        if name in self.bigs:
+            if args is not None or names is not None:
+                raise ElaborationError("%s names a bigraph and takes no arguments" % name)
+            return self.bigs[name]
+        if name in self.sig:
+            params = [a(self, env) for a in args or ()]
+            return make_atom(self.sig, name, params, names or ())
+        raise UnknownIdentifier("unknown identifier %r" % name)
 
 
 def _make_label(semantics: str, text: str | None, rule_name: str) -> RuleLabel:
@@ -149,6 +84,8 @@ def _make_label(semantics: str, text: str | None, rule_name: str) -> RuleLabel:
         rate = float(text)
         if rate <= 0:
             raise MixedLabelKinds("rate of rule %s must be positive" % rule_name)
+        if rate == math.inf:    # e.g. 1.0e999; the rates would sum to inf
+            raise MixedLabelKinds("rate of rule %s must be positive and finite" % rule_name)
         return RuleLabel("rate", rate=rate)
     weight = Fraction(text)
     if weight <= 0:
@@ -176,21 +113,19 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
     ev = _Evaluator(sig, bigs)
 
     for decl in ast.decls:
-        if isinstance(decl, lang.CtrlDecl):
-            declare(decl.name, decl.line)
-            try:
-                sig.add(Control(decl.name, decl.arity, decl.atomic, decl.params or ()))
-            except SignatureError as exc:
-                raise DuplicateDefinition(str(exc)) from None
-        elif isinstance(decl, lang.BigDef):
-            declare(decl.name, decl.line)
-            bigs[decl.name] = ev.bigraph(decl.expr, {})
-        elif isinstance(decl, lang.ReactDef):
-            declare(decl.name, decl.line)
-            reacts[decl.name] = decl
-        elif isinstance(decl, lang.DomainDecl):
-            declare(decl.name, decl.line)
-            domains[decl.name] = tuple(decl.values)
+        declare(decl.name, decl.line)
+        match decl:
+            case lang.CtrlDecl():
+                try:
+                    sig.add(Control(decl.name, decl.arity, decl.atomic, decl.params or ()))
+                except SignatureError as exc:
+                    raise DuplicateDefinition(str(exc)) from None
+            case lang.BigDef():
+                bigs[decl.name] = decl.expr(ev, {})
+            case lang.ReactDef():
+                reacts[decl.name] = decl
+            case lang.DomainDecl():
+                domains[decl.name] = tuple(decl.values)
 
     block = ast.block
     for d in block.domains:
@@ -210,11 +145,11 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
             action_of[rn] = action
 
     def build_instance(decl: lang.ReactDef, inst_name: str, env: dict) -> ReactionRule:
-        lhs = ev.bigraph(decl.lhs, env)
-        rhs = ev.bigraph(decl.rhs, env)
+        lhs = decl.lhs(ev, env)
+        rhs = decl.rhs(ev, env)
         constraints = []
         for cond in decl.conds:
-            pat = ev.bigraph(cond.pattern, env)
+            pat = cond.pattern(ev, env)
             if pat.inner or not pat.is_solid():
                 raise PatternNotSolid(
                     "condition pattern of rule %s is not solid" % inst_name)
@@ -243,12 +178,8 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
         if ref.args is None or len(ref.args) != len(decl.params):
             raise ElaborationError(
                 "rule %s expects %d argument(s)" % (ref.name, len(decl.params)))
-        pools = []
-        for a in ref.args:
-            if isinstance(a, lang.AVar) and a.name in domains:
-                pools.append(domains[a.name])
-            else:
-                pools.append((ev.arith(a, {}),))
+        pools = [domains[name] if name in domains else (expr(ev, {}),)
+                 for name, expr in ref.args]
         out = []
         for combo in product(*pools):
             env = dict(zip(decl.params, combo))
@@ -277,7 +208,7 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
             if rn not in reacts:
                 raise ActionPartitionError("action lists unknown rule %r" % rn)
 
-    init = ev.bigraph(block.init_expr, {})
+    init = block.init_expr(ev, {})
     if not init.is_ground():
         raise InitNotGround("Init bigraph is not ground")
 

@@ -1,4 +1,5 @@
-"""Lexer and parser for the modelling language.
+"""Lexer and parser for the modelling language, which compiles each
+expression to the function that builds its value.
 
 Source files declare entity types, named bigraphs, reaction rules and a
 single analysis block:
@@ -17,14 +18,21 @@ Operator binding: nesting ``.`` is tightest and takes a single operand
 (parenthesise merges), ``|`` binds tighter than ``||``, and a closure
 ``/x e`` or a ``share ... in e`` scopes maximally over the rest of the
 enclosing expression. ``#`` starts a line comment.
+
+The parser returns declaration records whose expressions are already
+compiled: every bigraph or parameter expression becomes a builder
+``expr(ev, env)`` (see ``elaborate._Evaluator``), so there is no
+expression tree and the elaborator never inspects expression forms.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .bigraph import close, identity, idle, link_identity, merge, nest, one, parallel, share
+from .errors import ElaborationError, ParseError, UnknownIdentifier
 
 KEYWORDS = {
     "ctrl", "atomic", "fun", "big", "react", "begin", "end", "init",
@@ -84,94 +92,74 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
-# -- AST -----------------------------------------------------------------
+# -- compiled expressions -----------------------------------------------
+#
+# Each expression production returns a builder ``expr(ev, env)``: ev is
+# the elaborator's evaluator (signature, named bigraphs, ``apply``) and
+# env binds rule parameters. Operands run left to right, because sorts of
+# parameterised controls are inferred from their first instantiation, and
+# each nesting level costs one Python frame, which bounds the depth that
+# elaboration accepts.
 
-@dataclass(frozen=True)
-class ANum:
-    value: object
-
-
-@dataclass(frozen=True)
-class AStr:
-    value: str
-
-
-@dataclass(frozen=True)
-class AVar:
-    name: str
+def _const(value):
+    return lambda ev, env: value
 
 
-@dataclass(frozen=True)
-class ABin:
-    op: str
-    left: object
-    right: object
+def _var(name):
+    def var(ev, env):
+        if name in env:
+            return env[name]
+        raise UnknownIdentifier("unknown parameter %r" % name)
+    return var
 
 
-@dataclass(frozen=True)
-class ANeg:
-    operand: object
+def _neg(operand):
+    def neg(ev, env):
+        v = operand(ev, env)
+        if isinstance(v, str):
+            raise ElaborationError("cannot negate a string parameter")
+        return -v
+    return neg
 
 
-@dataclass(frozen=True)
-class EOne:
-    pass
+def _divide(l, r):
+    if isinstance(l, int) and isinstance(r, int):
+        if r == 0 or l % r:
+            raise ElaborationError("%d / %d is not an integer" % (l, r))
+        return l // r
+    if r == 0:
+        raise ElaborationError("%r / %r is not a number" % (l, r))
+    return l / r
 
 
-@dataclass(frozen=True)
-class EId:
-    pass
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
 
 
-@dataclass(frozen=True)
-class EIdLink:
-    names: tuple
+def _arith(op, left, right):
+    fn = _ARITH[op]
+
+    def arith(ev, env):
+        l, r = left(ev, env), right(ev, env)
+        if isinstance(l, str) or isinstance(r, str):
+            raise ElaborationError("arithmetic on string parameters")
+        return fn(l, r)
+    return arith
 
 
-@dataclass(frozen=True)
-class EIdle:
-    names: tuple
+def _pair(f, left, right):
+    return lambda ev, env: f(left(ev, env), right(ev, env))
 
 
-@dataclass(frozen=True)
-class EApply:
-    name: str
-    args: tuple | None
-    names: tuple | None
-    line: int = 0
+def _closed(names, body):
+    def closed(ev, env):
+        b = body(ev, env)
+        for name in reversed(names):
+            b = close(name, b)
+        return b
+    return closed
 
 
-@dataclass(frozen=True)
-class EMer:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class EPar:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class ENest:
-    head: object
-    child: object
-
-
-@dataclass(frozen=True)
-class EClose:
-    name: str
-    body: object
-
-
-@dataclass(frozen=True)
-class EShare:
-    contents: object
-    placement: tuple
-    count: int
-    host: object
-
+# -- declarations ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class CondAst:
@@ -219,7 +207,7 @@ class DomainDecl:
 @dataclass(frozen=True)
 class RuleRef:
     name: str
-    args: tuple | None
+    args: tuple | None  # ((name or None, expr), ...), see parse_rule_arg
     line: int
 
 
@@ -323,11 +311,6 @@ class Parser:
         line = self.peek().line
         atomic = bool(self.accept("atomic"))
         fun = bool(self.accept("fun"))
-        if not fun and self.accept("atomic"):
-            atomic = True
-        if self.peek().kind == "fun":
-            self.next()
-            fun = True
         self.expect("ctrl")
         name = self.expect("name", "control name").value
         params = None
@@ -498,7 +481,7 @@ class Parser:
         t = self.expect("name", "rule name")
         args = None
         if self.accept("("):
-            args = self.items(self.parse_arith)
+            args = self.items(self.parse_rule_arg)
             self.expect(")")
         return RuleRef(t.value, tuple(args) if args else None, t.line)
 
@@ -522,8 +505,7 @@ class Parser:
     def parse_bexp(self):
         left = self.parse_mer()
         while self.accept("||"):
-            right = self.parse_mer()
-            left = EPar(left, right)
+            left = _pair(parallel, left, self.parse_mer())
         return left
 
     def parse_mer(self):
@@ -533,8 +515,8 @@ class Parser:
         while self.accept("|"):
             # a closure or share mid-merge scopes maximally over the rest
             if self.peek().kind in ("/", "share"):
-                return EMer(left, self.parse_operand())
-            left = EMer(left, self.parse_nest())
+                return _pair(merge, left, self.parse_operand())
+            left = _pair(merge, left, self.parse_nest())
         return left
 
     def parse_operand(self):
@@ -544,15 +526,11 @@ class Parser:
 
     def parse_closure(self):
         self.expect("/")
-        name = self.expect("name", "link identifier").value
-        names = [name]
+        names = [self.expect("name", "link identifier").value]
         while self.peek().kind == "/":
             self.next()
             names.append(self.expect("name", "link identifier").value)
-        body = self.parse_bexp()
-        for n in reversed(names):
-            body = EClose(n, body)
-        return body
+        return _closed(names, self.parse_bexp())
 
     def parse_share(self):
         self.expect("share")
@@ -567,7 +545,7 @@ class Parser:
         self.expect(")")
         self.expect("in")
         host = self.parse_bexp()
-        return EShare(contents, tuple(placement), count, host)
+        return lambda ev, env: share(contents(ev, env), placement, count, host(ev, env))
 
     def parse_site_set(self):
         self.expect("{")
@@ -578,8 +556,7 @@ class Parser:
     def parse_nest(self):
         head = self.parse_primary()
         if self.accept("."):
-            child = self.parse_nest()
-            return ENest(head, child)
+            return _pair(nest, head, self.parse_nest())
         return head
 
     def parse_primary(self):
@@ -594,14 +571,16 @@ class Parser:
                 raise ParseError("unexpected number %r in bigraph expression" % t.value,
                                  t.line, t.col)
             self.next()
-            return EOne()
+            return lambda ev, env: one(ev.sig)
         if t.kind == "id":
             self.next()
             if self.peek().kind == "{":
-                return EIdLink(tuple(self.parse_name_set()))
-            return EId()
+                names = self.parse_name_set()
+                return lambda ev, env: link_identity(ev.sig, names)
+            return lambda ev, env: identity(ev.sig)
         if t.kind == "{":
-            return EIdle(tuple(self.parse_name_set()))
+            names = self.parse_name_set()
+            return lambda ev, env: idle(ev.sig, names)
         if t.kind == "name":
             self.next()
             args = None
@@ -611,48 +590,57 @@ class Parser:
                 args = self.items(self.parse_arith)
                 self.expect(")")
             if self.peek().kind == "{":
-                names = tuple(self.parse_name_set())
-            return EApply(t.value, tuple(args) if args is not None else None,
-                          names, t.line)
+                names = self.parse_name_set()
+            return lambda ev, env: ev.apply(t.value, args, names, env)
         self.fail("expected a bigraph expression, found %r" % (t.value or "end of input"))
 
     def parse_name_set(self):
         self.expect("{")
         names = self.items(lambda: self.expect("name", "link name").value)
         self.expect("}")
-        return names
+        return tuple(names)
 
     # -- parameter arithmetic --------------------------------------------
+
+    def parse_rule_arg(self):
+        """A rule-family argument as ``(name, expr)``: name is set when
+        the argument is a lone, possibly parenthesised, identifier, which
+        may name a domain to expand over."""
+        start = self.pos
+        expr = self.parse_arith()
+        toks = [t for t in self.tokens[start:self.pos] if t.kind not in ("(", ")")]
+        name = toks[0].value if len(toks) == 1 and toks[0].kind == "name" else None
+        return name, expr
 
     def parse_arith(self):
         left = self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
-            left = ABin(op, left, self.parse_term())
+            left = _arith(op, left, self.parse_term())
         return left
 
     def parse_term(self):
         left = self.parse_factor()
         while self.peek().kind in ("*", "/"):
             op = self.next().kind
-            left = ABin(op, left, self.parse_factor())
+            left = _arith(op, left, self.parse_factor())
         return left
 
     def parse_factor(self):
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return ANum(int(t.value))
+            return _const(int(t.value))
         if t.kind == "float":
             self.next()
-            return ANum(float(t.value))
+            return _const(float(t.value))
         if t.kind == "string":
             self.next()
             raw = t.value[1:-1]
-            return AStr(raw.replace('\\"', '"').replace("\\\\", "\\"))
+            return _const(raw.replace('\\"', '"').replace("\\\\", "\\"))
         if t.kind == "name":
             self.next()
-            return AVar(t.value)
+            return _var(t.value)
         if t.kind == "(":
             self.next()
             e = self.parse_arith()
@@ -660,12 +648,13 @@ class Parser:
             return e
         if t.kind == "-":
             self.next()
-            return ANeg(self.parse_factor())
+            return _neg(self.parse_factor())
         self.fail("expected a parameter expression")
 
 
 def parse(source: str) -> Ast:
-    """Parse a model file into an AST (one begin...end block required).
+    """Parse a model file into its declarations, with every expression
+    compiled to a builder (one begin...end block required).
 
     Expressions nested deeper than Python's recursion limit allows are
     rejected at the token the parser had reached.

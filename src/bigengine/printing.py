@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .bigraph import Bigraph, renumber_sites
+from .bigraph import Bigraph
 from .errors import UnprintableBigraph
 from .export import fmt_number
 from .language import KEYWORDS
@@ -248,17 +248,12 @@ def print_bigraph(b: Bigraph) -> str:
 
 def _print_bigraph(b: Bigraph) -> str:
     named, fresh = _edges_to_names(b)
-    printer = _Printer(named)
-    text, seq = printer.render(named)
+    text, seq = _Printer(named).render(named)
     if seq != list(range(named.sites)):
-        new_of_old = [0] * named.sites
-        for rank, old in enumerate(seq):
-            new_of_old[old] = rank
-        renumbered = renumber_sites(named, new_of_old)
-        text, seq2 = printer.render(renumbered)
-        assert seq2 == list(range(named.sites))
+        # re-parsing numbers the holes of text in textual order, so site k,
+        # emitted at position seq.index(k), goes under that hole
         holes = " || ".join(["id"] * named.sites)
-        placement = ", ".join("{%d}" % new_of_old[j] for j in range(named.sites))
+        placement = ", ".join("{%d}" % seq.index(k) for k in range(named.sites))
         text = "share (%s) by ([%s], %d) in (%s)" % (
             holes, placement, named.sites, text)
     if fresh:

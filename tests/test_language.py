@@ -85,6 +85,12 @@ def test_missing_block_rejected():
         parse("ctrl A = 0;\n")
 
 
+@pytest.mark.parametrize("decl", ["atomic atomic ctrl A = 0;", "atomic fun fun ctrl P(n) = 0;"])
+def test_repeated_ctrl_modifier_rejected(decl):
+    with pytest.raises(ParseError):
+        parse(decl + BLOCK)
+
+
 def test_duplicate_definition():
     with pytest.raises(DuplicateDefinition):
         load("ctrl A = 0;\nctrl A = 1;\nbig start = 1;" + BLOCK)
@@ -152,6 +158,10 @@ end
     src2 = src.replace("-[4]->", "-->").replace("begin brs", "begin pbrs")
     with pytest.raises(MixedLabelKinds):
         load(src2)
+    # an infinite rate makes the total rate inf and every sampling share nan or 0
+    src3 = src.replace("-[4]->", "-[1.0e999]->").replace("begin brs", "begin sbrs")
+    with pytest.raises(MixedLabelKinds, match="positive and finite"):
+        load(src3)
 
 
 def test_init_not_ground_message():
@@ -281,6 +291,12 @@ begin brs init start; rules = []; end
 """
     with pytest.raises(SortMismatch):
         load(src)
+    # operands are evaluated left to right: the first instantiation fixes the sort
+    merged = "atomic fun ctrl Tag(s) = 0;\nbig a = %s;\nbig start = 1;" + BLOCK
+    with pytest.raises(SortMismatch, match="parameter 0 of Tag is int, got string"):
+        load(merged % 'Tag(1) | Tag("x")')
+    with pytest.raises(SortMismatch, match="parameter 0 of Tag is string, got int"):
+        load(merged % 'Tag("x") | Tag(1)')
 
 
 def test_arithmetic_evaluated_at_expansion():
@@ -301,3 +317,12 @@ end
                     for i, p in enumerate(r.rhs.params) if r.rhs.ctrl[i] == "P"
                     and p[0] not in (1, 2))
     assert values == [3, 5]
+
+
+@pytest.mark.parametrize("chain", ["R." * 800 + "A", "A | " * 800 + "A", "A || " * 800 + "A"],
+                         ids=["nest", "merge", "parallel"])
+def test_deep_expressions_load(chain):
+    # one Python frame per nesting level; the limit is about 950 under pytest
+    spec = load("ctrl R = 0;\natomic ctrl A = 0;\nbig probe = %s;\nbig start = 1;%s"
+                % (chain, BLOCK))
+    assert spec.bigs["probe"].n == 801

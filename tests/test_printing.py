@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bigengine import close, iso_equal, make_atom, merge, nest, one, parallel, share
+from bigengine.bigraph import _mk
 from bigengine.elaborate import load, load_file
 from bigengine.errors import UnprintableBigraph
 from bigengine.printing import print_bigraph, print_rule, print_spec
@@ -73,6 +74,17 @@ def test_random_roundtrip():
     for _ in range(100):
         b = random_solid_pattern(rng, sig, max_nodes=5)
         assert iso_equal(reparse(b), b)
+    # place DAGs, and patterns with shuffled sites: the printer wraps a
+    # site order it cannot emit in increasing textual order
+    for _ in range(150):
+        b = random_ground(rng, sig, max_nodes=8, share_prob=0.4)
+        assert iso_equal(reparse(b), b)
+        p = random_solid_pattern(rng, sig, max_nodes=5, max_sites=3, share_prob=0.4)
+        sps = list(p.site_parents)
+        rng.shuffle(sps)
+        p = _mk(sig, p.regions, p.sites, p.ctrl, p.params, p.node_parents, sps,
+                p.ports, p.inner, p.outer, p.edges)
+        assert iso_equal(reparse(p), p)
 
 
 def test_random_shared_roundtrip(building_sig):
