@@ -381,16 +381,6 @@ def close(name: str, b: Bigraph) -> Bigraph:
                b.site_parents, ports, inner, b.outer - {name}, k + 1)
 
 
-def forget(name: str, b: Bigraph) -> Bigraph:
-    """Drop an idle outer name (internal; used when rewiring discards a link)."""
-    if name not in b.outer:
-        raise UnknownName(name)
-    if b.link_points()[("o", name)]:
-        raise UnknownName("name %r is not idle" % name)
-    return _mk(b.sig, b.regions, b.sites, b.ctrl, b.params, b.node_parents,
-               b.site_parents, b.ports, b.inner, b.outer - {name}, b.edges)
-
-
 def rename_outer(b: Bigraph, mapping: dict) -> Bigraph:
     """Rename outer names; mapping two names to one fuses their links."""
     repl = lambda h: ("o", mapping.get(h[1], h[1])) if h[0] == "o" else h

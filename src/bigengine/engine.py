@@ -5,20 +5,27 @@ state-space exploration with predicate labelling.
 States are abstract: successors that are isomorphic are merged, with
 probability (pbrs, abrs) or rate (sbrs) mass summed. Instantaneous
 classes reduce to a fixpoint before a state is ever stored, so no stored
-state has an enabled instantaneous occurrence.
+state has an enabled instantaneous occurrence. The settle's last search
+has then found every class above the enabled one empty and stopped the
+enabled class's search at its first hit; it hands that (``Handoff``) to
+the step from the state, which resumes it rather than search again.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 from .bigraph import Bigraph
 from .canon import StateStore
 from .elaborate import BrsSpec
-from .errors import DivergentInstantaneous, InitNotGround, NonConfluence
-from .matching import _occurrences, check_constraints, find_occurrences, matches_predicate
+from .errors import DivergentInstantaneous, InitNotGround, NonConfluence, RateOverflow
+from .matching import (_distinct, _occurrences, check_constraints, find_occurrences,
+                       matches_predicate)
 from .rules import ReactionRule, apply_at
 
 INSTANTANEOUS_BOUND = 10 ** 6
@@ -59,29 +66,53 @@ class SimTrace:
     times: list | None = None   # cumulative time at each step, sbrs only
 
 
-def enabled_class(state: Bigraph, spec: BrsSpec):
+class Handoff(NamedTuple):
+    """What a settle's last search knows of the settled state: no class
+    before ``ci``, nor rule of class ``ci`` before rule ``ri``, has a
+    constraint-passing occurrence, and ``occs`` is rule ``ri``'s search
+    from its start, suspended after its first passing occurrence. ``ci``
+    is the class count at deadlock."""
+
+    ci: int
+    ri: int = 0
+    occs: Iterable = ()
+
+
+def enabled_class(state: Bigraph, spec: BrsSpec, handoff: Handoff | None = None):
     """Highest-priority class with a constraint-passing occurrence, with
-    all its applications; None at deadlock."""
-    return _enabled(state, spec, False)
+    all its applications; None at deadlock. With the handoff of the
+    settle that produced state, it resumes that settle's search."""
+    return _enabled(state, spec, False, handoff)
 
 
-def _enabled(state, spec, settling):
+def _enabled(state, spec, settling, handoff=None):
     """enabled_class, or when settling: the highest enabled class and its
-    applications if it is instantaneous, else None (the state is settled).
-    Settling stops a normal class at its first application: one shows it
-    is enabled."""
-    for ci, cls in enumerate(spec.classes):
+    applications if it is instantaneous, else the state is settled and
+    this returns the Handoff of the search. Settling stops a normal class
+    at its first application: one shows it is enabled."""
+    start = (0, 0) if handoff is None else handoff[:2]
+    for ci in range(start[0], len(spec.classes)):
+        cls = spec.classes[ci]
         first_only = settling and not cls.instantaneous
         hits = []
-        for rule in cls.rules:
-            for occ in (_occurrences if first_only else find_occurrences)(state, rule.lhs):
+        for ri in range(start[1] if ci == start[0] else 0, len(cls.rules)):
+            rule = cls.rules[ri]
+            if first_only:
+                occs, seen = _occurrences(state, rule.lhs), []
+            elif handoff is not None:       # the first rule searched resumes
+                occs, handoff = _distinct(handoff.occs), None
+            else:
+                occs = find_occurrences(state, rule.lhs)
+            for occ in occs:
+                if first_only:
+                    seen.append(occ)
                 if check_constraints(occ, rule.constraints):
                     if first_only:
-                        return None
+                        return Handoff(ci, ri, chain(seen, occs))
                     hits.append((rule, occ))
         if hits:
             return ci, hits
-    return None
+    return Handoff(len(spec.classes)) if settling else None
 
 
 def reduce_instantaneous(state: Bigraph, spec: BrsSpec,
@@ -89,17 +120,7 @@ def reduce_instantaneous(state: Bigraph, spec: BrsSpec,
     """Apply instantaneous rules (first occurrence in canonical order)
     until the highest-priority enabled class is a normal one, which is
     searched only up to its first constraint-passing occurrence."""
-    steps = 0
-    while True:
-        res = _enabled(state, spec, True)
-        if res is None:
-            return state
-        rule, occ = res[1][0]
-        state = apply_at(state, rule, occ)
-        steps += 1
-        if steps > bound:
-            raise DivergentInstantaneous(
-                "instantaneous classes did not settle within %d reductions" % bound)
+    return _settle(state, spec, False, bound)[0]
 
 
 def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> Bigraph:
@@ -116,7 +137,7 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> Bigraph:
         if not added:
             continue
         res = _enabled(s, spec, True)
-        if res is None:
+        if isinstance(res, Handoff):
             terminals.insert(s)
             continue
         hits = res[1]
@@ -131,12 +152,24 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> Bigraph:
     return settled
 
 
-def _settle(state, spec, check):
+def _settle(state, spec, check, bound=INSTANTANEOUS_BOUND):
+    """reduce_instantaneous or, if check, check_confluent_settle; with the
+    Handoff of the search that found the state settled (None if no
+    search ran or the confluence check settled it)."""
     # with no instantaneous class a state is already settled, and trivially
     # confluent
     if not any(cls.instantaneous for cls in spec.classes):
-        return state
-    return check_confluent_settle(state, spec) if check else reduce_instantaneous(state, spec)
+        return state, None
+    if check:
+        return check_confluent_settle(state, spec), None
+    for _ in range(bound + 1):
+        res = _enabled(state, spec, True)
+        if isinstance(res, Handoff):
+            return state, res
+        rule, occ = res[1][0]
+        state = apply_at(state, rule, occ)
+    raise DivergentInstantaneous(
+        "instantaneous classes did not settle within %d reductions" % bound)
 
 
 @dataclass
@@ -146,6 +179,7 @@ class Successor:
     rule_names: frozenset
     weight: Fraction | float | None = None   # aggregate mass of the group
     members: list = field(default_factory=list)   # (rule, occ) in canonical order
+    handoff: Handoff | None = field(default=None, repr=False)   # dst's settle
 
 
 def _group_results(state, spec, hits, check_confluence=False):
@@ -155,26 +189,27 @@ def _group_results(state, spec, hits, check_confluence=False):
     store = StateStore()
     groups = []
     for rule, occ in hits:
-        dst = _settle(apply_at(state, rule, occ), spec, check_confluence)
+        dst, handoff = _settle(apply_at(state, rule, occ), spec, check_confluence)
         gi, added = store.insert(dst)
         if added:
-            groups.append(Successor(dst=dst, label=None, rule_names=frozenset()))
+            groups.append(Successor(dst=dst, label=None, rule_names=frozenset(),
+                                    handoff=handoff))
         groups[gi].members.append((rule, occ))
     for g in groups:
         g.rule_names = frozenset(r.name for r, _ in g.members)
     return groups
 
 
-def step_distribution(state: Bigraph, spec: BrsSpec,
-                      check_confluence: bool = False) -> list[Successor]:
+def step_distribution(state: Bigraph, spec: BrsSpec, check_confluence: bool = False,
+                      handoff: Handoff | None = None) -> list[Successor]:
     """Successor distribution of an instantaneous-settled state.
 
     brs: one unlabelled successor per distinct result. pbrs: every
     occurrence of rule r contributes weight w_r, normalised over the
     enabled class. sbrs: rates sum per merged successor (race). abrs:
-    weights normalised per (state, action).
+    weights normalised per (state, action). The handoff is enabled_class's.
     """
-    res = enabled_class(state, spec)
+    res = enabled_class(state, spec, handoff)
     if res is None:
         return []
     _, hits = res
@@ -190,6 +225,8 @@ def step_distribution(state: Bigraph, spec: BrsSpec,
                 for r, _ in g.members:
                     g.weight += r.label.rate
                 g.label = g.weight
+            if not math.isfinite(sum(g.weight for g in groups)):
+                raise RateOverflow("the rates leaving a state sum beyond the largest float")
         return groups
     # abrs: group per action, in declaration order
     out = []
@@ -220,21 +257,21 @@ def simulate(spec: BrsSpec, max_steps: int, seed: int) -> SimTrace:
         raise InitNotGround("Init bigraph is not ground")
     rng = random.Random(seed)
     sem = spec.semantics
-    state = _settle(spec.init, spec, False)
+    state, handoff = _settle(spec.init, spec, False)
     steps = [(state, None, None)]
     time = 0.0 if sem == "sbrs" else None
     times = [0.0] if sem == "sbrs" else None
     for _ in range(max_steps):
         if sem == "brs":
-            res = enabled_class(state, spec)
+            res = enabled_class(state, spec, handoff)
             if res is None:
                 break
             _, hits = res
             rule, occ = hits[rng.randrange(len(hits))]
-            state = _settle(apply_at(state, rule, occ), spec, False)
+            state, handoff = _settle(apply_at(state, rule, occ), spec, False)
             steps.append((state, rule.name, None))
             continue
-        groups = step_distribution(state, spec)
+        groups = step_distribution(state, spec, handoff=handoff)
         if not groups:
             break
         if sem == "pbrs":
@@ -252,7 +289,7 @@ def simulate(spec: BrsSpec, max_steps: int, seed: int) -> SimTrace:
                     present.append(block)
             block = present[rng.randrange(len(present))]
             g = _sample(rng, block, [float(x.label[1]) for x in block])
-        state = g.dst
+        state, handoff = g.dst, g.handoff
         steps.append((state, g.members[0][0].name, g.label))
     return SimTrace(steps=steps, seed=seed, time=time, times=times)
 
@@ -283,17 +320,21 @@ def explore(spec: BrsSpec, max_states: int,
     if not spec.init.is_ground():
         raise InitNotGround("Init bigraph is not ground")
     store = StateStore(max(max_states, 1))     # the initial state is always stored
-    store.insert(_settle(spec.init, spec, check_confluence))
+    init, handoff = _settle(spec.init, spec, check_confluence)
+    store.insert(init)
+    handoffs = {0: handoff}          # per stored state, until it is expanded
     transitions: list[Transition] = []
     partial = False
     i = 0
     while i < len(store.states):
         state = store.states[i]
-        for g in step_distribution(state, spec, check_confluence):
-            j, _ = store.insert(g.dst)
+        for g in step_distribution(state, spec, check_confluence, handoffs.pop(i)):
+            j, added = store.insert(g.dst)
             if j is None:
                 partial = True
                 continue
+            if added:
+                handoffs[j] = g.handoff
             transitions.append(Transition(i, j, g.label, g.rule_names))
         i += 1
     return TransitionSystem(states=store.states, transitions=transitions,

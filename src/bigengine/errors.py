@@ -140,6 +140,10 @@ class NonConfluence(BigraphError):
     pass
 
 
+class RateOverflow(BigraphError):
+    """The rates of an sbrs state's transitions sum to more than a float holds."""
+
+
 # -- export ---------------------------------------------------------------------
 
 class PartialSystem(BigraphError):

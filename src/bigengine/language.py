@@ -142,7 +142,10 @@ def _arith(op, left, right):
         l, r = left(ev, env), right(ev, env)
         if isinstance(l, str) or isinstance(r, str):
             raise ElaborationError("arithmetic on string parameters")
-        return fn(l, r)
+        try:
+            return fn(l, r)
+        except OverflowError:
+            raise ElaborationError("arithmetic result out of range") from None
     return arith
 
 

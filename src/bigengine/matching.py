@@ -6,14 +6,18 @@ A valid occurrence decomposes the target into
 
 where the context holds everything above/around the image, and the
 parameter holds one ground bigraph per pattern site (everything the
-sites absorbed). Node injections come from ``bigraph._node_maps``, the
-same iterative search that ``canon.iso_equal`` uses, taken in a
-connectivity-guided order (rarest control first) and pruned by shared
-links; each one then gets the remaining placement checks and its link
-assignments. Occurrences are produced lazily, so ``matches_predicate``
-and the rule guards stop at the first, and each occurrence builds its
-context and parameter only when they are first read (a rewrite or a
-guard); no incremental or SAT machinery.
+sites absorbed). What the search needs of the pattern alone is compiled
+once into a plan cached on it (``_plan``). Each search indexes the
+target's nodes by label (control and parameters), so a pattern node
+filters only the nodes with its label. Node injections come from
+``bigraph._node_maps``, the iterative search ``canon.iso_equal`` uses
+too, in a connectivity-guided order (rarest candidates first) and pruned
+by shared links; each one then gets the remaining placement checks and
+its link assignments. Occurrences are produced lazily, so
+``matches_predicate`` and the rule guards stop at the first, a stopped
+search can be resumed (the engine hands a settle's search to the step),
+and each occurrence builds its context and parameter only when first
+read. No SAT machinery; nothing is carried from one state to the next.
 
 Matching semantics, each condition checked in exactly one place:
 
@@ -40,15 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bigraph import (
     Bigraph,
     Handle,
     _mk,
     _node_maps,
-    close,
-    forget,
     merge,
     nest,
     one,
@@ -133,12 +135,16 @@ def recompose(occ: Occurrence, pattern: Bigraph, fillers=None) -> Bigraph:
     piece = fill_sites(rename_outer(pattern, renaming),
                        occ.parameter if fillers is None else fillers)
     whole = nest(occ.context, piece)
-    for w in occ.to_close:
-        if whole.link_points()[("o", w)]:
-            whole = close(w, whole)
-        else:
-            whole = forget(w, whole)
-    return whole
+    # close the names in to_close at once, numbering the closed edges in
+    # that order, and drop those left idle
+    used = {h for hs in whole.ports for h in hs}.union(h for _, h in whole.inner)
+    live = [("o", w) for w in occ.to_close if ("o", w) in used]
+    edges = {h: ("e", whole.edges + k) for k, h in enumerate(live)}
+    ports = [tuple(edges.get(h, h) for h in hs) for hs in whole.ports]
+    inner = [(x, edges.get(h, h)) for x, h in whole.inner]
+    return _mk(whole.sig, whole.regions, whole.sites, whole.ctrl, whole.params,
+               whole.node_parents, whole.site_parents, ports, inner,
+               whole.outer.difference(occ.to_close), whole.edges + len(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +155,15 @@ def recompose(occ: Occurrence, pattern: Bigraph, fillers=None) -> Bigraph:
 def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
     """Every occurrence of pattern in target, one per node and link image,
     sorted by image."""
+    return _distinct(_occurrences(target, pattern))
+
+
+def _distinct(stream) -> list[Occurrence]:
+    """The first occurrence of each node and link image in stream, sorted
+    by image: ``find_occurrences`` over a search, fresh or resumed."""
     occurrences: list[Occurrence] = []
     seen_images: set = set()
-    for occ in _occurrences(target, pattern):
+    for occ in stream:
         key = (frozenset(occ.node_map.values()), frozenset(occ.link_map.values()))
         if key not in seen_images:
             seen_images.add(key)
@@ -160,74 +172,94 @@ def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
     return occurrences
 
 
+class _Plan(NamedTuple):
+    """What matching needs of a pattern alone, built once per pattern by
+    ``_plan``. Per node: its candidate filter (label, node parents, has a
+    region parent, node children, has a site child), the nodes it shares
+    a parent edge or a link with, and its region parents. The site each
+    parent set names. Per link handle, closed edges first: its (node,
+    ports on it) pairs."""
+
+    filters: tuple
+    adj: tuple
+    region_parents: tuple
+    site_of_parents: dict
+    links: tuple
+
+
+def _plan(pattern: Bigraph) -> _Plan:
+    got = pattern._cache.get("plan")
+    if got is not None:
+        return got
+    if pattern.inner:
+        raise UnsupportedPattern("patterns with inner names are not supported")
+    if not pattern.is_solid():
+        raise PatternNotSolid("pattern is not solid")
+    p_kids = pattern.children()
+    filters = tuple(((pattern.ctrl[u], pattern.params[u]),
+                     sum(p[0] == "n" for p in ps), any(p[0] == "r" for p in ps),
+                     sum(c[0] == "n" for c in p_kids[("n", u)]),
+                     any(c[0] == "s" for c in p_kids[("n", u)]))
+                    for u, ps in enumerate(pattern.node_parents))
+    adj: list[set[int]] = [set() for _ in range(pattern.n)]
+    for u, ps in enumerate(pattern.node_parents):
+        for p in ps:
+            if p[0] == "n":
+                adj[u].add(p[1])
+                adj[p[1]].add(u)
+    users: dict = {}
+    for u, hs in enumerate(pattern.ports):
+        for h in hs:
+            row = users.setdefault(h, {})
+            row[u] = row.get(u, 0) + 1
+    for row in users.values():
+        for u in row:
+            adj[u].update(v for v in row if v != u)
+    got = pattern._cache["plan"] = _Plan(
+        filters, tuple(adj),
+        tuple(tuple(p[1] for p in ps if p[0] == "r") for ps in pattern.node_parents),
+        {frozenset(ps): s for s, ps in enumerate(pattern.site_parents)},
+        tuple((h, tuple(users[h].items())) for h in sorted(users)))   # ("e", k) < ("o", x)
+    return got
+
+
 def _occurrences(target: Bigraph, pattern: Bigraph):
     """Occurrences in search order, one per node map and link assignment
     (images may repeat)."""
     if not target.is_ground():
         raise TargetNotGround("match target must be ground")
-    if pattern.inner:
-        raise UnsupportedPattern("patterns with inner names are not supported")
-    if not pattern.is_solid():
-        raise PatternNotSolid("pattern is not solid")
-
-    pn, tn = pattern.n, target.n
+    plan = _plan(pattern)
+    pn = pattern.n
     t_kids = target.children()
-    p_kids = pattern.children()
 
-    # candidate target nodes per pattern node, with cheap degree filters
+    # candidate target nodes per pattern node: same label, then the
+    # parent and child counts the pattern node admits
+    by_label: dict = {f[0]: [] for f in plan.filters}
+    for t, label in enumerate(zip(target.ctrl, target.params)):
+        row = by_label.get(label)
+        if row is not None:
+            row.append((t, len(target.node_parents[t]), len(t_kids[("n", t)])))
     cand: list[list[int]] = []
-    for u in range(pn):
-        np_nodes = sum(1 for p in pattern.node_parents[u] if p[0] == "n")
-        has_region = any(p[0] == "r" for p in pattern.node_parents[u])
-        n_kids = sum(1 for c in p_kids[("n", u)] if c[0] == "n")
-        has_site = any(c[0] == "s" for c in p_kids[("n", u)])
-        row = []
-        for t in range(tn):
-            if target.ctrl[t] != pattern.ctrl[u] or target.params[t] != pattern.params[u]:
-                continue
-            tp = len(target.node_parents[t])
-            if has_region:
-                if tp < np_nodes + 1:
-                    continue
-            elif tp != np_nodes:
-                continue
-            tk = len(t_kids[("n", t)])
-            if has_site:
-                if tk < n_kids:
-                    continue
-            elif tk != n_kids:
-                continue
-            row.append(t)
+    for label, np_nodes, has_region, n_kids, has_site in plan.filters:
+        row = [t for t, tp, tk in by_label[label]
+               if (tp > np_nodes if has_region else tp == np_nodes)
+               and (tk >= n_kids if has_site else tk == n_kids)]
         if not row:
             return
         cand.append(row)
 
-    # adjacency for a connectivity-guided ordering
-    adj: list[set[int]] = [set() for _ in range(pn)]
-    for u in range(pn):
-        for p in pattern.node_parents[u]:
-            if p[0] == "n":
-                adj[u].add(p[1])
-                adj[p[1]].add(u)
-    for pts in pattern.link_points().values():
-        us = {pt[1] for pt in pts if pt[0] == "p"}
-        for u in us:
-            adj[u] |= us - {u}
-
+    # a connectivity-guided ordering, rarest candidates first
     order: list[int] = []
-    placed = set()
     while len(order) < pn:
-        frontier = [u for u in range(pn) if u not in placed and adj[u] & placed]
-        pool = frontier or [u for u in range(pn) if u not in placed]
-        nxt = min(pool, key=lambda u: (len(cand[u]), u))
-        order.append(nxt)
-        placed.add(nxt)
+        rest = [u for u in range(pn) if u not in order]
+        pool = [u for u in rest if not plan.adj[u].isdisjoint(order)] or rest
+        order.append(min(pool, key=lambda u: (len(cand[u]), u)))
 
     for fwd in _node_maps(pattern, target, order, cand.__getitem__):
-        yield from _finalize(target, pattern, dict(fwd))
+        yield from _finalize(target, pattern, plan, dict(fwd))
 
 
-def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]):
+def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int]):
     """Placement checks left after the node map, then link assignment;
     yields one occurrence per link assignment.
 
@@ -243,9 +275,9 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]):
 
     # --- region positions: the parents of a top node outside the image -----
     region_pos: dict[int, frozenset] = {}
-    multi: list[tuple[list[int], frozenset]] = []
+    multi: list[tuple[tuple[int, ...], frozenset]] = []
     for u, t in fwd.items():
-        rs = [p[1] for p in pattern.node_parents[u] if p[0] == "r"]
+        rs = plan.region_parents[u]
         if not rs:
             continue
         extra = frozenset(p for p in target.node_parents[t]
@@ -263,7 +295,6 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]):
         return
 
     # --- parameter routing: each top's parents name one pattern site -------
-    site_of_parents = {frozenset(ps): s for s, ps in enumerate(pattern.site_parents)}
     t_kids = target.children()
     inv = {t: u for u, t in fwd.items()}
     param_tops: dict[int, int] = {}            # target node -> pattern site
@@ -275,7 +306,7 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]):
             pars = target.node_parents[w]
             if any(p[0] != "n" or p[1] not in image for p in pars):
                 return
-            s = site_of_parents.get(frozenset(("n", inv[p[1]]) for p in pars))
+            s = plan.site_of_parents.get(frozenset(("n", inv[p[1]]) for p in pars))
             if s is None:
                 return
             param_tops[w] = s
@@ -307,67 +338,40 @@ def _finalize(target: Bigraph, pattern: Bigraph, fwd: dict[int, int]):
                 return                         # parameter content escapes its part
 
     # --- link assignment -----------------------------------------------------
-    for assign in _link_assignments(target, pattern, fwd, image):
+    for assign in _link_assignments(target, plan, fwd, image):
         yield Occurrence(fwd, assign, lambda assign=assign: _decompose(
             target, pattern, fwd, assign, param_tops, part_nodes, owner, region_pos))
 
 
-def _link_assignments(target, pattern, fwd, image):
+def _link_assignments(target, plan, fwd, image):
     """All maps pattern-link -> target-link compatible with the node map."""
-    p_handles = sorted({h for hs in pattern.ports for h in hs})
-    p_handles.sort(key=lambda h: h[0])         # edges before names
-    pcnt = {u: pattern.node_handle_counts(u) for u in fwd}
-    remaining = {t: dict(target.node_handle_counts(t)) for t in fwd.values()}
+    remaining = {t: target.node_handle_counts(t) for t in fwd.values()}
     t_points = target.link_points()
-
-    def edge_ports_on_image(h):
-        return all(pt[0] == "p" and pt[1] in image for pt in t_points[h])
-
-    p_edge_size = {h: pattern.port_count(h) for h in p_handles if h[0] == "e"}
-
     solutions: list[dict] = []
     assign: dict = {}
-    used_edges: set = set()
-
-    def feasible(L, tl) -> bool:
-        for u, t in fwd.items():
-            need = pcnt[u].get(L, 0)
-            if need and remaining[t].get(tl, 0) < need:
-                return False
-        return True
-
-    def apply(L, tl, sign):
-        for u, t in fwd.items():
-            need = pcnt[u].get(L, 0)
-            if need:
-                remaining[t][tl] = remaining[t].get(tl, 0) - sign * need
 
     def backtrack(i):
-        if i == len(p_handles):
+        if i == len(plan.links):
             if all(v == 0 for rem in remaining.values() for v in rem.values()):
                 solutions.append(dict(assign))
             return
-        L = p_handles[i]
-        anchor = next(u for u in fwd if pcnt[u].get(L, 0))
-        cands = sorted(set(target.ports[fwd[anchor]]))
-        for tl in cands:
-            if L[0] == "e":
-                if tl[0] != "e" or tl in used_edges:
-                    continue
-                if target.port_count(tl) != p_edge_size[L]:
-                    continue
-                if not edge_ports_on_image(tl):
-                    continue
-            if not feasible(L, tl):
+        L, users = plan.links[i]
+        rems = [(remaining[fwd[u]], need) for u, need in users]
+        for tl in sorted(rems[0][0]):          # the links on one user's image
+            # a closed edge takes an unused closed edge of the same size,
+            # wholly on the image (edges are assigned first)
+            if L[0] == "e" and (tl[0] != "e" or tl in assign.values()
+                                or target.port_count(tl) != sum(n for _, n in users)
+                                or any(pt[1] not in image for pt in t_points[tl])):
+                continue
+            if any(rem.get(tl, 0) < need for rem, need in rems):
                 continue
             assign[L] = tl
-            if L[0] == "e":
-                used_edges.add(tl)
-            apply(L, tl, +1)
+            for rem, need in rems:
+                rem[tl] -= need
             backtrack(i + 1)
-            apply(L, tl, -1)
-            if L[0] == "e":
-                used_edges.discard(tl)
+            for rem, need in rems:
+                rem[tl] += need
             del assign[L]
 
     backtrack(0)

@@ -157,3 +157,30 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+OVERFLOWING_RATES = b"""atomic ctrl A = 0;
+atomic ctrl B = 0;
+react r = A -[1.0e308]-> B;
+react s = A -[1.0e308]-> A | A;
+big start = A;
+begin sbrs
+  init start;
+  rules = [ {r, s} ];
+end
+"""
+
+
+@pytest.mark.parametrize("argv", [["sim", "-S", "3", "--seed", "1"],
+                                  ["full", "-M", "4", "--allow-partial", "-p", "{tra}"]],
+                         ids=["sim", "full"])
+def test_overflowing_rates_give_diagnostic(tmp_path, capsys, argv):
+    # each rate is finite, their sum is not: no trace or .tra may show `inf`
+    model = tmp_path / "rates.big"
+    model.write_bytes(OVERFLOWING_RATES)
+    argv = [a.format(tra=tmp_path / "t.tra") for a in argv]
+    assert run_cli(argv + [str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "inf" not in captured.out
+    assert not (tmp_path / "t.tra").exists()

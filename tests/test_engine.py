@@ -1,8 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from bigengine import iso_equal, make_atom, merge, nest, one
+from bigengine import engine, iso_equal, make_atom, merge, nest, one
 from bigengine.elaborate import load, load_file
 from bigengine.engine import (
     check_confluent_settle,
@@ -377,3 +378,55 @@ end
     ts = explore(spec, 20)
     for state in ts.states:
         assert "Raw" not in state.ctrl      # never stored unsettled
+
+
+def _hits_view(res):
+    if res is None:
+        return None
+    ci, hits = res
+    return ci, [(rule, occ.sort_key(), occ.node_map, occ.link_map) for rule, occ in hits]
+
+
+# After cook, the search of `pair` yields each image twice (its two A are
+# interchangeable) and not in image order, so a resumed search must still
+# dedupe and sort.
+SYMMETRIC_PAIRS = """
+atomic ctrl A = 0;
+atomic ctrl B = 0;
+atomic ctrl C = 0;
+react cook = C --> A;
+react pair = B | A | A --> B | C;
+big s0 = A | B | B | A | C;
+begin brs
+  init s0;
+  rules = [ (cook), {pair} ];
+end
+"""
+
+
+def test_settle_handoff_is_invisible(monkeypatch):
+    # every step that starts from a settle's handoff uses exactly the hits
+    # a fresh search of a cache-free copy of the state finds
+    fresh = engine.enabled_class
+    resumed = 0
+
+    def checked(state, spec, handoff=None):
+        nonlocal resumed
+        res = fresh(state, spec, handoff)
+        if handoff is not None:
+            resumed += 1
+            want = fresh(dataclasses.replace(state, _cache={}), spec)
+            assert _hits_view(res) == _hits_view(want)
+        return res
+
+    monkeypatch.setattr(engine, "enabled_class", checked)
+    models = sorted(MODELS.glob("*.big"))
+    assert len(models) == 22
+    for path in models + [SYMMETRIC_PAIRS]:
+        spec = load_file(path) if path in models else load(path)
+        resumed = 0
+        for seed in (1, 2, 3):
+            simulate(spec, 30, seed)
+        explore(spec, 60)
+        # only a settle that searched hands off
+        assert (resumed > 0) == any(cls.instantaneous for cls in spec.classes), path

@@ -5,6 +5,7 @@ from bigengine.elaborate import load, load_file
 from bigengine.errors import (
     ActionPartitionError,
     DuplicateDefinition,
+    ElaborationError,
     InitNotGround,
     MixedLabelKinds,
     ParseError,
@@ -317,6 +318,14 @@ end
                     for i, p in enumerate(r.rhs.params) if r.rhs.ctrl[i] == "P"
                     and p[0] not in (1, 2))
     assert values == [3, 5]
+
+
+@pytest.mark.parametrize("op", ["* 1.5", "/ 7.0"], ids=["mul", "div"])
+def test_arithmetic_overflow_is_a_diagnostic(op):
+    # a float from an int beyond the float range raised OverflowError
+    src = "atomic fun ctrl P(x) = 0;\nbig b = P(%s %s);\nbig start = 1;%s" % ("9" * 400, op, BLOCK)
+    with pytest.raises(ElaborationError, match="arithmetic result out of range"):
+        load(src)
 
 
 @pytest.mark.parametrize("chain", ["R." * 800 + "A", "A | " * 800 + "A", "A || " * 800 + "A"],

@@ -17,7 +17,7 @@ from bigengine import (
     one,
     parallel,
 )
-from bigengine.bigraph import Control, Signature
+from bigengine.bigraph import Control, Signature, close, idle, well_formed
 from bigengine.elaborate import load_file
 from bigengine.errors import PatternNotSolid, TargetNotGround
 from bigengine.matching import recompose
@@ -305,3 +305,28 @@ def test_recomposition_on_corpus_states():
                     assert iso_equal(recompose(occ, rule.lhs), state)
                     checked += 1
         assert checked
+
+
+def test_recompose_closes_links_in_one_pass():
+    # four names to close: three links stay in use, numbered in order, and
+    # one (the edge K and P shared) is left idle by the right side
+    sig = Signature([Control("K", 4, atomic=True), Control("J", 3, atomic=True),
+                     Control("P", 1, atomic=True), Control("L", 1, atomic=True),
+                     Control("M", 1, atomic=True), Control("N", 1, atomic=True)])
+
+    def atoms(*specs):
+        return reduce(merge, [make_atom(sig, c, names=ns) for c, ns in specs])
+
+    def closed(names, b):
+        return reduce(lambda acc, x: close(x, acc), names, b)
+
+    target = closed("wxyz", atoms(("K", "wxyz"), ("P", "y"), ("L", "w"),
+                                  ("M", "x"), ("N", "z")))
+    (occ,) = find_occurrences(target, atoms(("K", "abcd"), ("P", "c")))
+    assert len(occ.to_close) == 4
+    result = recompose(occ, merge(atoms(("J", "abd")), idle(sig, ["c"])))
+    assert well_formed(result)
+    assert result.edges == 3 and not result.outer
+    assert result.ports[result.ctrl.index("J")] == (("e", 0), ("e", 1), ("e", 2))
+    expected = closed("wxz", atoms(("J", "wxz"), ("L", "w"), ("M", "x"), ("N", "z")))
+    assert iso_equal(result, expected)
