@@ -212,28 +212,17 @@ class Bigraph:
         (iv)  no outer name is linked to an inner name
         """
         kids = self.children()
-        for k in range(self.regions):
-            cs = kids[("r", k)]
-            if not any(c[0] == "n" for c in cs):
-                return False
-            if any(c[0] == "s" for c in cs):
-                return False
-        points = self.link_points()
-        for x in self.outer:
-            if not points[("o", x)]:
-                return False
-        for a in range(self.sites):
-            for b in range(a + 1, self.sites):
-                if self.site_parents[a] & self.site_parents[b]:
-                    return False
-        by_handle: dict = {}
-        for x, h in self.inner:
-            if h[0] == "o":
-                return False
-            if h in by_handle:
-                return False
-            by_handle[h] = x
-        return True
+        if not all(any(c[0] == "n" for c in kids[("r", k)]) for k in range(self.regions)):
+            return False
+        if any(c[0] == "s" for k in range(self.regions) for c in kids[("r", k)]):
+            return False
+        if not all(self.link_points()[("o", x)] for x in self.outer):
+            return False
+        if any(self.site_parents[a] & self.site_parents[b]
+               for a in range(self.sites) for b in range(a)):
+            return False
+        handles = [h for _, h in self.inner]
+        return all(h[0] == "e" for h in handles) and len(set(handles)) == len(handles)
 
 
 # ---------------------------------------------------------------------------

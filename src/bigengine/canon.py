@@ -1,21 +1,26 @@
-"""Isomorphism-aware equality and canonical state keys.
+"""Isomorphism-aware equality, canonical state keys and orbits of occurrences.
 
-Two routes are kept deliberately separate: ``canonical_key`` is a
-colour-refinement hash over the combined place and link structure
-(equal on isomorphic bigraphs, collisions possible), while ``iso_equal``
-is exact. It runs ``bigraph._node_maps``, the node-map search the
-matcher uses too, with candidates drawn from each node's colour class,
-and accepts the first full map that passes one exact check of controls,
-parameters, open names, parents and closed edges, so a colour collision
-cannot make it wrong. ``StateStore.insert`` is the one place that merges
-states: it buckets them by key and confirms a bucket hit with the exact
-check.
+``canonical_key`` is a colour-refinement hash over the combined place
+and link structure (equal on isomorphic bigraphs, collisions possible);
+``iso_equal`` is exact. It runs ``bigraph._node_maps``, the node-map
+search the matcher uses too, with candidates drawn from each node's
+colour class, and accepts the first full map that passes one exact check
+(``_full_map_ok``), so a colour collision cannot make it wrong.
+``StateStore.insert`` is the one place that merges states: it buckets
+them by key and confirms a bucket hit with the exact check.
+``same_orbit`` runs the same search and check on (state, state), with
+one occurrence's image nodes pinned to another's, and asks that the map
+carry each pattern link's image onto the other's too: an automorphism
+of the state that maps one occurrence onto the other.
 
-Refinement stops at the stable partition: the first round that splits
-no colour class. Bigraphs are immutable, so each one's refined colours
-and key are computed once and cached on it (``Bigraph._cache``); a
-state's key and every ``iso_equal`` it takes part in share one
-refinement.
+Colours are ints: a node is seeded from a stable, memoised digest of its
+label and of its fixed neighbours, and each round recolours with the
+built-in ``hash`` of a tuple of ints. No ``str`` is ever hashed, so
+colours and keys are the same in every process whatever
+``PYTHONHASHSEED`` is. Refinement stops at the stable partition: the
+first round that splits no colour class. Bigraphs are immutable, so each
+one's colours, colour classes and key are computed once and cached on it
+(``Bigraph._cache``).
 
 Regions, sites, outer and inner names are fixed points of any
 isomorphism (compared by index / by name); only nodes, closed edges and
@@ -25,56 +30,54 @@ port pairings may be permuted.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 from .bigraph import Bigraph, _node_maps, require_ground
 
 
-def _h(*parts) -> bytes:
-    return hashlib.blake2b(repr(parts).encode(), digest_size=12).digest()
+@lru_cache(maxsize=1 << 16)
+def _digest(key) -> int:
+    """Stable 64-bit digest of a tagged label: ``("n", ctrl, params)`` for
+    a node label, ``("o", x)`` / ``("i", x)`` for an outer / inner name,
+    ``("r", k)`` / ``("s", k)`` for a region / site. The tags keep a name
+    from colliding with a control."""
+    return int.from_bytes(hashlib.blake2b(repr(key).encode(), digest_size=8).digest(), "big")
 
 
-def _refine(b: Bigraph) -> tuple[list[bytes], list[bytes]]:
+def _refine(b: Bigraph) -> tuple[list[int], list[int]]:
     """Colours of the stable partition of nodes and edges, seeded by
     structure-invariant data; computed once per bigraph and cached.
 
-    A round recolours each node and edge from its own colour and its
-    neighbours' colours, so it can only split classes. Refinement stops
-    at the first round after which the number of node plus edge classes
-    has not grown: that partition is stable. The round count depends only
-    on the isomorphism class, so isomorphic bigraphs get equal colours.
+    A node's seed covers its label, region parents, site children and
+    open names; an edge's, its inner names. A round recolours each node
+    from its own colour and the sorted colours of its node parents, node
+    children and edges, and each edge from its own and its ports' nodes',
+    so it can only split classes. Refinement stops at the first round
+    after which the number of node plus edge classes has not grown: that
+    partition is stable. The round count depends only on the isomorphism
+    class, so isomorphic bigraphs get equal colours.
     """
     got = b._cache.get("colours")
     if got is not None:
         return got
-    ncol = [_h("n", b.ctrl[i], b.params[i]) for i in range(b.n)]
-    ecol = [_h("e",) for _ in range(b.edges)]
     kids = b.children()
-    points = b.link_points()
-
-    def place_colour(p):
-        if p[0] == "n":
-            return ncol[p[1]]
-        return _h(p)                      # regions/sites fixed by index
-
-    def handle_colour(h):
-        if h[0] == "e":
-            return ecol[h[1]]
-        return _h(h)                      # outer names fixed by identity
+    nodes, ncol = [], []
+    for i in range(b.n):
+        around = (b.node_parents[i], kids[("n", i)], b.ports[i])
+        nodes.append(tuple([x[1] for x in xs if x[0] in "ne"] for xs in around))
+        fixed = sorted(_digest(x) for xs in around for x in xs if x[0] in "rso")
+        ncol.append(hash((_digest(("n", b.ctrl[i], b.params[i])), *fixed)))
+    points = [b.link_points()[("e", k)] for k in range(b.edges)]
+    ends = [[pt[1] for pt in pts if pt[0] == "p"] for pts in points]
+    ecol = [hash(tuple(sorted(_digest(pt) for pt in pts if pt[0] == "i"))) for pts in points]
 
     classes = len(set(ncol)) + len(set(ecol))
     while True:
-        sig_n = []
-        for i in range(b.n):
-            parents = sorted(place_colour(p) for p in b.node_parents[i])
-            children = sorted(place_colour(c) for c in kids[("n", i)])
-            links = sorted(handle_colour(h) for h in b.ports[i])
-            sig_n.append(_h(ncol[i], parents, children, links))
-        sig_e = []
-        for k in range(b.edges):
-            inc = sorted(
-                ncol[pt[1]] if pt[0] == "p" else _h("i", pt[1])
-                for pt in points[("e", k)])
-            sig_e.append(_h(ecol[k], inc))
+        col = ncol.__getitem__
+        sig_n = [hash((c, tuple(sorted(map(col, ps))), tuple(sorted(map(col, cs))),
+                       tuple(sorted(map(ecol.__getitem__, es)))))
+                 for c, (ps, cs, es) in zip(ncol, nodes)]
+        sig_e = [hash((c, *sorted(map(col, ns)))) for c, ns in zip(ecol, ends)]
         ncol, ecol = sig_n, sig_e
         refined = len(set(ncol)) + len(set(ecol))
         if refined <= classes:
@@ -84,29 +87,78 @@ def _refine(b: Bigraph) -> tuple[list[bytes], list[bytes]]:
     return ncol, ecol
 
 
-def canonical_key(b: Bigraph) -> bytes:
-    """Hash equal on isomorphic ground bigraphs; collisions need iso_equal.
+def _classes(b: Bigraph) -> dict:
+    """Node colour -> the nodes of that colour in index order; cached on
+    ``b`` with its colours."""
+    got = b._cache.get("classes")
+    if got is None:
+        got = b._cache["classes"] = {}
+        for i, c in enumerate(_refine(b)[0]):
+            got.setdefault(c, []).append(i)
+    return got
 
-    Built from the stable colours of ``_refine`` and cached on ``b``.
+
+def canonical_key(b: Bigraph) -> int:
+    """An int, equal on isomorphic ground bigraphs and the same in every
+    process; collisions need iso_equal.
+
+    Built from the stable colours of ``_refine`` (which already carry
+    each node's region and open names), the region count and the outer
+    names, and cached on ``b``.
     """
     got = b._cache.get("key")
     if got is not None:
         return got
     require_ground(b)
     ncol, ecol = _refine(b)
-    kids = b.children()
-    points = b.link_points()
-
-    def place_colour(p):
-        return ncol[p[1]] if p[0] == "n" else _h(p)
-
-    per_region = [sorted(place_colour(c) for c in kids[("r", k)])
-                  for k in range(b.regions)]
-    per_name = [(x, sorted(ncol[pt[1]] for pt in points[("o", x)] if pt[0] == "p"))
-                for x in sorted(b.outer)]
-    got = _h("key", b.regions, sorted(ncol), sorted(ecol), per_region, per_name)
-    b._cache["key"] = got
+    got = b._cache["key"] = hash((b.regions, tuple(sorted(ncol)), tuple(sorted(ecol)),
+                                  tuple(sorted(_digest(("o", x)) for x in b.outer))))
     return got
+
+
+def _edge_signature(big: Bigraph, k: int, trans) -> tuple:
+    """Closed edge k's points, nodes renamed by trans, as a sorted tuple."""
+    return tuple(sorted(("p", trans(pt[1])) if pt[0] == "p" else ("i", pt[1])
+                        for pt in big.link_points()[("e", k)]))
+
+
+def _full_map_ok(a: Bigraph, b: Bigraph, fwd: dict, b_edges: list) -> bool:
+    """The exact check of a full node map: controls, parameters, open
+    names and parents of every node and site agree, and closed edges
+    correspond (b_edges: b's own edge signatures)."""
+    def mapped(ps):
+        return frozenset(("n", fwd[p[1]]) if p[0] == "n" else p for p in ps)
+
+    def label(big, i):
+        return big.ctrl[i], big.params[i], sorted(h for h in big.ports[i] if h[0] == "o")
+
+    if any(label(a, i) != label(b, j) or mapped(a.node_parents[i]) != b.node_parents[j]
+           for i, j in fwd.items()):
+        return False
+    if any(mapped(a.site_parents[k]) != b.site_parents[k] for k in range(a.sites)):
+        return False
+    return sorted(_edge_signature(a, k, fwd.__getitem__) for k in range(a.edges)) == b_edges
+
+
+def _full_maps(a: Bigraph, b: Bigraph, pins: dict):
+    """Every node map a -> b that sends each pinned node i to pins[i] and
+    passes ``_full_map_ok``; the one search of iso_equal and same_orbit.
+    Candidates share i's colour; pinned nodes go first, then the most
+    constrained colour classes."""
+    acol, bcol = _refine(a)[0], _refine(b)[0]
+    by_colour = _classes(b)
+
+    def candidates(i):
+        j = pins.get(i)
+        if j is None:
+            return by_colour.get(acol[i], ())
+        return (j,) if bcol[j] == acol[i] else ()
+
+    order = sorted(range(a.n), key=lambda i: (i not in pins,
+                                               len(by_colour.get(acol[i], ())), i))
+    b_edges = sorted(_edge_signature(b, k, lambda j: j) for k in range(b.edges))
+    return (fwd for fwd in _node_maps(a, b, order, candidates)
+            if _full_map_ok(a, b, fwd, b_edges))
 
 
 def iso_equal(a: Bigraph, b: Bigraph) -> bool:
@@ -118,61 +170,43 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
     """
     if (a.regions, a.sites, a.n, a.edges) != (b.regions, b.sites, b.n, b.edges):
         return False
-    if a.outer != b.outer:
-        return False
-    if {x for x, _ in a.inner} != {x for x, _ in b.inner}:
-        return False
-    acol, _ = _refine(a)
-    bcol, _ = _refine(b)
-    if sorted(acol) != sorted(bcol):
+    if a.outer != b.outer or {x for x, _ in a.inner} != {x for x, _ in b.inner}:
         return False
     # inner names wired to outer names must agree exactly
-    a_inner = dict(a.inner)
-    b_inner = dict(b.inner)
-    for x, h in a_inner.items():
-        hb = b_inner[x]
-        if (h[0] == "o") != (hb[0] == "o"):
-            return False
-        if h[0] == "o" and h != hb:
-            return False
+    if {xh for xh in a.inner if xh[1][0] == "o"} != {xh for xh in b.inner if xh[1][0] == "o"}:
+        return False
+    if sorted(_refine(a)[0]) != sorted(_refine(b)[0]):
+        return False
+    return any(True for _ in _full_maps(a, b, {}))
 
-    by_colour: dict[bytes, list[int]] = {}
-    for j in range(b.n):
-        by_colour.setdefault(bcol[j], []).append(j)
 
-    def open_counts(big, i):
-        return {h: c for h, c in big.node_handle_counts(i).items() if h[0] == "o"}
+def same_orbit(state: Bigraph, h1, h2) -> bool:
+    """True when an automorphism of state maps occurrence h1 onto h2 (two
+    occurrences of one pattern): h1's image of each pattern node onto
+    h2's, and h1's image of each pattern link onto h2's (open names
+    fixed, closed edges carried by the node map). Only occurrences whose
+    images have equal colours, node by node and link by link, are
+    searched."""
+    ncol, ecol = _refine(state)
 
-    def mapped(fwd, ps):
-        return frozenset(("n", fwd[p[1]]) if p[0] == "n" else p for p in ps)
+    def colour_image(h):
+        return ([ncol[t] for _, t in sorted(h.node_map.items())],
+                [ecol[t[1]] if t[0] == "e" else t for _, t in sorted(h.link_map.items())])
 
-    def edge_signatures(big, trans):
-        points = big.link_points()
-        return sorted(
-            tuple(sorted(("p", trans(pt[1])) if pt[0] == "p" else ("i", pt[1])
-                         for pt in points[("e", k)]))
-            for k in range(big.edges))
-
-    b_edges = edge_signatures(b, lambda j: j)
-
-    def complete(fwd) -> bool:
-        """The exact check of a full node map; colours only pick candidates."""
-        for i, j in fwd.items():
-            if (a.ctrl[i], a.params[i]) != (b.ctrl[j], b.params[j]):
-                return False
-            if open_counts(a, i) != open_counts(b, j):
-                return False
-            if mapped(fwd, a.node_parents[i]) != b.node_parents[j]:
-                return False
-        for k in range(a.sites):
-            if mapped(fwd, a.site_parents[k]) != b.site_parents[k]:
-                return False
-        return edge_signatures(a, fwd.__getitem__) == b_edges
-
-    # most constrained colour classes first; candidates share i's colour
-    order = sorted(range(a.n), key=lambda i: (len(by_colour.get(acol[i], ())), i))
-    return any(complete(fwd) for fwd in
-               _node_maps(a, b, order, lambda i: by_colour.get(acol[i], ())))
+    if colour_image(h1) != colour_image(h2):    # also keeps outer names fixed
+        return False
+    pairs = {(t1, h2.link_map[h]) for h, t1 in h1.link_map.items()}
+    if not len(pairs) == len(dict(pairs)) == len({t2 for _, t2 in pairs}):
+        return False                      # one joins links the other keeps apart
+    edges = [(t1[1], _edge_signature(state, t2[1], lambda j: j))
+             for t1, t2 in pairs if t1[0] == "e"]
+    pins = {t1: h2.node_map[u] for u, t1 in h1.node_map.items()}
+    # edges with equal signatures are interchangeable, so a map carrying
+    # each edge's signature onto its partner's extends to one carrying
+    # the edges themselves
+    return any(all(_edge_signature(state, k, fwd.__getitem__) == want
+                   for k, want in edges)
+               for fwd in _full_maps(state, state, pins))
 
 
 class StateStore:
@@ -184,7 +218,7 @@ class StateStore:
     def __init__(self, max_states: int | None = None):
         self.states: list[Bigraph] = []
         self.max_states = max_states
-        self._buckets: dict[bytes, list[int]] = {}
+        self._buckets: dict[int, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.states)

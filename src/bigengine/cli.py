@@ -25,6 +25,16 @@ from .errors import BigraphError
 from .export import fmt_label, write_dot, write_labels, write_tra
 
 
+def _at_least(low):
+    """argparse type: an integer no smaller than low."""
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %s" % (low, text))
+        return int(text)
+    parse.__name__ = "int"                # argparse names the type in its errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bigengine",
@@ -35,16 +45,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("model")
 
     p_sim = sub.add_parser("sim", help="run a single simulation trace")
-    p_sim.add_argument("-S", "--max-steps", type=int, default=1000,
-                       help="maximum number of steps (default 1000)")
+    p_sim.add_argument("-S", "--max-steps", type=_at_least(0), default=1000,
+                       help="maximum number of steps, at least 0 (default 1000)")
     p_sim.add_argument("-l", "--labels", metavar="PATH",
                        help="write the predicate label map for the trace states")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("model")
 
     p_full = sub.add_parser("full", help="explore the full transition system")
-    p_full.add_argument("-M", "--max-states", type=int, default=10000,
-                        help="maximum number of stored states (default 10000)")
+    p_full.add_argument("-M", "--max-states", type=_at_least(1), default=10000,
+                        help="maximum number of stored states, at least 1 (default 10000)")
     p_full.add_argument("-l", "--labels", metavar="PATH")
     p_full.add_argument("-p", "--transitions", metavar="PATH",
                         help="write the transition table")

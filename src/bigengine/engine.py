@@ -9,6 +9,8 @@ state has an enabled instantaneous occurrence. The settle's last search
 has then found every class above the enabled one empty and stopped the
 enabled class's search at its first hit; it hands that (``Handoff``) to
 the step from the state, which resumes it rather than search again.
+A step applies a hit only if no automorphism of the state maps it onto
+an earlier hit whose settle fired nothing (``_group_results``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .bigraph import Bigraph
-from .canon import StateStore
+from .canon import StateStore, same_orbit
 from .elaborate import BrsSpec
 from .errors import DivergentInstantaneous, InitNotGround, NonConfluence, RateOverflow
 from .matching import (_distinct, _occurrences, check_constraints, find_occurrences,
@@ -185,15 +187,30 @@ class Successor:
 def _group_results(state, spec, hits, check_confluence=False):
     """Apply every hit, settle, and merge isomorphic successors in
     first-seen order. Returns the groups, each listing its hits as
-    members; labels and weights are left to the caller."""
+    members; labels and weights are left to the caller.
+
+    A head is a hit whose settle fired no instantaneous rule. A later hit
+    of the same rule that an automorphism of state maps onto a head
+    (``canon.same_orbit``) joins the head's group unapplied: its result
+    is isomorphic to the head's, so it too would settle to itself and be
+    merged into that group. A settle that fired picks by image index, so
+    hits mapped onto its hit may settle elsewhere: they are applied.
+    """
     store = StateStore()
     groups = []
+    heads: dict = {}            # rule -> [(head occ, group index)]
     for rule, occ in hits:
-        dst, handoff = _settle(apply_at(state, rule, occ), spec, check_confluence)
-        gi, added = store.insert(dst)
-        if added:
-            groups.append(Successor(dst=dst, label=None, rule_names=frozenset(),
-                                    handoff=handoff))
+        gi = next((gi for head, gi in heads.get(id(rule), ())
+                   if same_orbit(state, head, occ)), None)
+        if gi is None:
+            applied = apply_at(state, rule, occ)
+            dst, handoff = _settle(applied, spec, check_confluence)
+            gi, added = store.insert(dst)
+            if added:
+                groups.append(Successor(dst=dst, label=None, rule_names=frozenset(),
+                                        handoff=handoff))
+            if dst is applied:
+                heads.setdefault(id(rule), []).append((occ, gi))
         groups[gi].members.append((rule, occ))
     for g in groups:
         g.rule_names = frozenset(r.name for r, _ in g.members)

@@ -275,21 +275,27 @@ def matcher_images(occurrences) -> set:
 
 
 def brute_iso(a: Bigraph, b: Bigraph) -> bool:
+    return any(True for _ in brute_isomorphisms(a, b))
+
+
+def _brute_points(big, k, f):
+    """Closed edge k's points, nodes renamed by f, as a sorted tuple."""
+    return tuple(sorted(("p", f[pt[1]]) if pt[0] == "p" else ("i", pt[1])
+                        for pt in big.link_points()[("e", k)]))
+
+
+def brute_isomorphisms(a: Bigraph, b: Bigraph):
+    """Every node permutation f that makes a isomorphic to b, by trying
+    all of them."""
     from itertools import permutations
 
     if (a.regions, a.sites, a.n, a.edges) != (b.regions, b.sites, b.n, b.edges):
-        return False
+        return
     if a.outer != b.outer or dict(a.inner).keys() != dict(b.inner).keys():
-        return False
+        return
 
-    def edge_sigs(big, trans):
-        sigs = []
-        for k in range(big.edges):
-            inc = []
-            for pt in big.link_points()[("e", k)]:
-                inc.append(("p", trans(pt[1])) if pt[0] == "p" else ("i", pt[1]))
-            sigs.append(tuple(sorted(inc)))
-        return sorted(sigs)
+    def edge_sigs(big, f):
+        return sorted(_brute_points(big, k, f) for k in range(big.edges))
 
     for perm in permutations(range(b.n)):
         f = {i: perm[i] for i in range(a.n)}
@@ -325,6 +331,26 @@ def brute_iso(a: Bigraph, b: Bigraph) -> bool:
                 break
         if not ok:
             continue
-        if edge_sigs(a, lambda i: f[i]) == edge_sigs(b, lambda j: j):
-            return True
+        if edge_sigs(a, f) == edge_sigs(b, dict(enumerate(range(b.n)))):
+            yield f
+
+
+def brute_same_orbit(state: Bigraph, o1, o2) -> bool:
+    """Whether some automorphism of state, a node permutation together
+    with an edge permutation that carries each closed edge's points onto
+    its image's, maps o1's node and link images onto o2's; by trying
+    every pair of permutations."""
+    from itertools import permutations
+
+    ident = dict(enumerate(range(state.n)))
+    for f in brute_isomorphisms(state, state):
+        if any(f[o1.node_map[u]] != o2.node_map[u] for u in o1.node_map):
+            continue
+        for perm in permutations(range(state.edges)):
+            if any(_brute_points(state, k, f) != _brute_points(state, perm[k], ident)
+                   for k in range(state.edges)):
+                continue
+            g = lambda h: ("e", perm[h[1]]) if h[0] == "e" else h
+            if all(g(o1.link_map[h]) == o2.link_map[h] for h in o1.link_map):
+                return True
     return False

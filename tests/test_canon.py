@@ -1,15 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from itertools import permutations
 
-from bigengine import canonical_key, close, iso_equal, make_atom, merge, nest
+from bigengine import canonical_key, close, find_occurrences, iso_equal, make_atom, merge, nest
 from bigengine.bigraph import Control, Signature, _mk
-from bigengine.canon import StateStore
+from bigengine.canon import StateStore, same_orbit
 from bigengine.errors import NotGround
 
 import pytest
 
-from genutil import DEFAULT_CONTROLS, brute_iso, make_sig, random_ground
+from conftest import MODELS
+from genutil import (DEFAULT_CONTROLS, brute_iso, brute_same_orbit, make_sig,
+                     random_ground, random_solid_pattern)
 
 
 def room_with(sig, *children):
@@ -285,3 +291,59 @@ def test_iso_equal_deep_flat_state():
     b = flat(["A"] * (n - 1) + ["B"])
     assert canonical_key(a) == canonical_key(b)
     assert iso_equal(a, b)
+
+
+@pytest.mark.parametrize("refined", [True, False], ids=["refined", "one-colour"])
+def test_same_orbit_agrees_with_brute_force(monkeypatch, refined):
+    # for every ordered pair of occurrences of one pattern, same_orbit
+    # must find an automorphism carrying one onto the other exactly when
+    # an exhaustive search over node and edge permutations does
+    if not refined:
+        from bigengine import canon
+        monkeypatch.setattr(canon, "_refine", lambda b: ([0] * b.n, [0] * b.edges))
+    sig = make_sig(DEFAULT_CONTROLS)
+    rng = random.Random(20261019)
+    draws = [(random_ground(rng, sig, max_nodes=6, name_pool=("a", "b")),
+              random_solid_pattern(rng, sig, max_nodes=2, name_pool=("x", "y")))
+             for _ in range(600)]
+    # random draws seldom need the link images: here the two C are
+    # interchangeable, but x lands on the B link of one and not of the other
+    region = frozenset({("r", 0)})
+    draws.append((_mk(sig, 1, 0, "CBCB", ((),) * 4, (region,) * 4, (),
+                      [(("e", 0), ("e", 1)), (("e", 0),), (("e", 3), ("e", 2)), (("e", 3),)],
+                      (), frozenset(), 4),
+                  _mk(sig, 1, 0, "C", ((),), (region,), (), [(("o", "x"), ("o", "y"))],
+                      (), frozenset("xy"), 0)))
+    outcomes = []
+    for state, pattern in draws:
+        for h1, h2 in permutations(find_occurrences(state, pattern), 2):
+            same = same_orbit(state, h1, h2)
+            assert same == brute_same_orbit(state, h1, h2)
+            outcomes.append(same)
+    assert outcomes.count(True) >= 30 and outcomes.count(False) >= 30
+
+
+KEYS_OF_STATES = """
+import sys
+from bigengine.canon import canonical_key
+from bigengine.elaborate import load_file
+from bigengine.engine import explore
+for path in sys.argv[1:]:
+    print(path, [canonical_key(s) for s in explore(load_file(path), 60).states])
+"""
+
+
+def test_keys_do_not_depend_on_the_process():
+    # keys hash only ints, so string hashing's per-process seed cannot
+    # reach them
+    src = str(MODELS.parent / "src")
+    models = [str(MODELS / "secure_building.big"), str(MODELS / "pbrs_detect.big")]
+    outputs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", KEYS_OF_STATES] + models,
+                              capture_output=True, text=True, env=env, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2 and "[]" not in outputs[0]

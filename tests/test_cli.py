@@ -184,3 +184,24 @@ def test_overflowing_rates_give_diagnostic(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert "inf" not in captured.out
     assert not (tmp_path / "t.tra").exists()
+
+
+@pytest.mark.parametrize("argv", [["full", "-M", "-3"], ["full", "-M", "0"],
+                                  ["sim", "-S", "-1"]],
+                         ids=["full-negative", "full-zero", "sim-negative"])
+def test_senseless_bounds_are_usage_errors(capsys, argv):
+    # a bound that admits no run is refused before the model is read
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + [str(MODELS / "secure_building.big")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and argv[1] in captured.err
+
+
+def test_smallest_bounds_run(capsys):
+    assert run_cli(["full", "-M", "1", "--allow-partial",
+                    str(MODELS / "secure_building.big")]) == 0
+    assert "1 state(s)" in capsys.readouterr().out
+    assert run_cli(["sim", "-S", "0", str(MODELS / "secure_building.big")]) == 0
+    assert capsys.readouterr().out == "0\t-\t-\t-\n"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bigengine import engine, iso_equal, make_atom, merge, nest, one
+from bigengine import canon, engine, iso_equal, make_atom, merge, nest, one
 from bigengine.elaborate import load, load_file
 from bigengine.engine import (
     check_confluent_settle,
@@ -430,3 +430,143 @@ def test_settle_handoff_is_invisible(monkeypatch):
         explore(spec, 60)
         # only a settle that searched hands off
         assert (resumed > 0) == any(cls.instantaneous for cls in spec.classes), path
+
+
+# Models where a careless orbit skip would merge successors that differ.
+# K under a 3-cycle or a 4-cycle of C: colour refinement cannot tell the
+# cycles apart, so only the pinned search keeps the two kinds of hit apart.
+CYCLES = """
+ctrl C = 2;
+atomic ctrl K = 0;
+atomic ctrl L = 0;
+react mark = K --> L;
+big s0 = /a/b/c (C{a,b}.K | C{b,c}.K | C{c,a}.K)
+       | /d/e/f/g (C{d,e}.K | C{e,f}.K | C{f,g}.K | C{g,d}.K);
+begin brs
+  init s0;
+  rules = [ {mark} ];
+end
+"""
+
+# The two A are interchangeable, but the search gives x the lower
+# numbered of the links on A: the C link of one A and the B link of the
+# other. Only the link images tell the two hits apart.
+PORT_ORDER = """
+atomic ctrl A = 2;
+atomic ctrl B = 1;
+atomic ctrl C = 1;
+atomic ctrl M = 1;
+atomic ctrl N = 1;
+react split = A{x,y} --> M{x} | N{y};
+big s0 = /b1/c1 (A{b1,c1} | B{b1} | C{c1}) | /c2/b2 (A{b2,c2} | B{b2} | C{c2});
+begin brs
+  init s0;
+  rules = [ {split} ];
+end
+"""
+
+# The two go hits are interchangeable, but take then picks the lower
+# numbered B, which is linked to the untouched A after one hit and to
+# the new X after the other: the settled results differ.
+SETTLE_PICKS = """
+ctrl Room = 0;
+atomic ctrl A = 1;
+atomic ctrl B = 1;
+atomic ctrl D = 1;
+atomic ctrl X = 1;
+atomic ctrl Tok = 0;
+react go = A{x} --> X{x} | Tok;
+react take = B{x} | Tok --> D{x};
+big s0 = Room.(/l1/l2 (A{l1} | A{l2} | B{l2} | B{l1}));
+begin brs
+  init s0;
+  rules = [ (take), {go} ];
+end
+"""
+
+# Two interchangeable atoms: the second hit is never applied.
+TWINS = """
+ctrl Room = 0;
+atomic ctrl A = 0;
+atomic ctrl B = 0;
+react go = A --> B;
+big s0 = Room.(A | A);
+begin brs
+  init s0;
+  rules = [ {go} ];
+end
+"""
+
+
+def _counting_apply(monkeypatch):
+    """Count engine.apply_at calls per rule name."""
+    counts = {}
+    real = engine.apply_at
+
+    def counted(state, rule, occ):
+        counts[rule.name] = counts.get(rule.name, 0) + 1
+        return real(state, rule, occ)
+
+    monkeypatch.setattr(engine, "apply_at", counted)
+    return counts
+
+
+@pytest.mark.parametrize("refined", [True, False], ids=["refined", "one-colour"])
+def test_orbit_skipping_is_invisible(monkeypatch, refined):
+    # every member of every group, applied and settled afresh, lands in
+    # its group's state, whether or not the step applied it; with one
+    # colour class the exact check alone must keep the inline models right
+    real_apply, real_settle, real_step = engine.apply_at, engine._settle, engine.step_distribution
+    settles = members = applied = 0
+
+    def counted(*args):
+        nonlocal settles
+        settles += 1
+        return real_settle(*args)
+
+    def checked(state, spec, check_confluence=False, handoff=None):
+        nonlocal members, applied
+        before = settles
+        groups = real_step(state, spec, check_confluence, handoff)
+        applied += settles - before           # one settle per applied hit
+        for g in groups:
+            for rule, occ in g.members:
+                members += 1
+                dst = real_settle(real_apply(state, rule, occ), spec, False)[0]
+                assert iso_equal(dst, g.dst), rule.name
+        return groups
+
+    monkeypatch.setattr(engine, "_settle", counted)
+    monkeypatch.setattr(engine, "step_distribution", checked)
+    models = sorted(MODELS.glob("*.big"))
+    assert len(models) == 22
+    inline = [TWINS, CYCLES, PORT_ORDER, SETTLE_PICKS]
+    if not refined:             # CYCLES gains nothing here, as refinement cannot split it
+        monkeypatch.setattr(canon, "_refine", lambda b: ([0] * b.n, [0] * b.edges))
+        models, inline = [], [TWINS, PORT_ORDER, SETTLE_PICKS]
+    for path in models + inline:
+        spec = load_file(path) if path in models else load(path)
+        explore(spec, 60)
+    assert applied < members
+
+
+def test_orbit_mates_are_not_applied(monkeypatch):
+    # two identical atoms in one room: one application, one group of two
+    spec = load(TWINS)
+    applied = _counting_apply(monkeypatch)
+    groups = step_distribution(spec.init, spec)
+    assert [len(g.members) for g in groups] == [2]
+    assert applied == {"go": 1}
+    applied.clear()
+    assert len(explore(spec, 10).states) == 3
+    assert applied == {"go": 2}               # of 2 + 1 hits
+
+
+def test_orbit_mates_of_settling_heads_are_applied(monkeypatch):
+    # a head whose settle fired an instantaneous rule vouches for nothing:
+    # its orbit-mate is applied and here settles elsewhere
+    spec = load(SETTLE_PICKS)
+    applied = _counting_apply(monkeypatch)
+    groups = step_distribution(spec.init, spec)
+    assert applied["go"] == 2 == sum(len(g.members) for g in groups)
+    assert len(groups) == 2
