@@ -164,14 +164,30 @@ def _settle(state, spec, check, bound=INSTANTANEOUS_BOUND):
         return state, None
     if check:
         return check_confluent_settle(state, spec), None
-    for _ in range(bound + 1):
+    # the settle is a function of the state, so meeting a state again means
+    # it cycles; comparing with the state after 2^k - 1 reductions finds
+    # any cycle within about three times its start plus its length, in
+    # constant memory (Brent)
+    for i in range(bound + 1):
         res = _enabled(state, spec, True)
         if isinstance(res, Handoff):
             return state, res
         rule, occ = res[1][0]
+        if i & (i + 1) == 0:
+            mark = _fields(state)
         state = apply_at(state, rule, occ)
+        if _fields(state) == mark:
+            raise DivergentInstantaneous(
+                "instantaneous rule %s revisits a state, so the classes never settle"
+                % rule.name)
     raise DivergentInstantaneous(
         "instantaneous classes did not settle within %d reductions" % bound)
+
+
+def _fields(b: Bigraph) -> tuple:
+    """Every field of b that equality compares (its signature is shared)."""
+    return (b.regions, b.sites, b.ctrl, b.params, b.node_parents, b.site_parents,
+            b.ports, b.inner, b.outer, b.edges)
 
 
 @dataclass

@@ -15,9 +15,11 @@ too, in a connectivity-guided order (rarest candidates first) and pruned
 by shared links; each one then gets the remaining placement checks and
 its link assignments. Occurrences are produced lazily, so
 ``matches_predicate`` and the rule guards stop at the first, a stopped
-search can be resumed (the engine hands a settle's search to the step),
-and each occurrence builds its context and parameter only when first
-read. No SAT machinery; nothing is carried from one state to the next.
+search can be resumed (the engine hands a settle's search to the step).
+A rewrite (``recompose``) splices the new part into the target in one
+pass and builds neither piece; an occurrence builds its context or
+parameter only when a guard reads it. No SAT machinery; nothing is
+carried from one state to the next.
 
 Matching semantics, each condition checked in exactly one place:
 
@@ -36,27 +38,20 @@ Matching semantics, each condition checked in exactly one place:
   same ports. An open pattern name matches any target link, open or
   closed; distinct names may land on the same link
   (``_link_assignments``).
-* Occurrences whose node and link images coincide are counted once, so
-  pattern automorphisms do not multiply matches (``find_occurrences``).
+* Occurrences with the same node image set, the same target link for
+  each open name and the same closed-edge image set are counted once, so
+  pattern automorphisms (which fix open names) do not multiply matches,
+  while occurrences that rewrite differently all count
+  (``find_occurrences``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .bigraph import (
-    Bigraph,
-    Handle,
-    _mk,
-    _node_maps,
-    merge,
-    nest,
-    one,
-    parallel,
-    rename_outer,
-)
+from .bigraph import Bigraph, Handle, _mk, _node_maps, merge, one
 from .errors import PatternNotSolid, TargetNotGround, UnsupportedPattern
 
 
@@ -74,24 +69,34 @@ class MatchConstraint:
             raise ValueError("bad constraint kind %r" % self.kind)
 
 
-_PARTS = ("context", "parameter", "exposed", "to_close")
-
-
 @dataclass
 class Occurrence:
-    """One match of a pattern in a target. Its decomposition, built on
-    first access and then kept, is ``context``, ``parameter`` (one ground
-    bigraph per site) and the wiring recompose uses: ``exposed`` (target
-    handle -> shared name) and ``to_close`` (names of closed links)."""
+    """One match of a pattern in a target: the node and link maps, and
+    what ``_finalize`` found of the rest of the target (``image``,
+    parameter tops, parts and owners, region positions). Built on first
+    read and then kept: ``exposed`` (target link -> the name it carries
+    across the pieces) and ``to_close`` (the fresh names of closed links)
+    by ``_wiring``; ``context`` and ``parameter`` (one ground bigraph per
+    site), which only guards read."""
 
     node_map: dict[int, int]
     link_map: dict[Handle, Handle]
-    _build: Callable = field(repr=False, compare=False)
+    target: Bigraph = field(repr=False, compare=False)
+    image: set = field(repr=False, compare=False)
+    param_tops: dict = field(repr=False, compare=False)  # node -> pattern site
+    part_nodes: dict = field(repr=False, compare=False)  # site -> its part's nodes
+    owner: dict = field(repr=False, compare=False)       # part node -> its site
+    region_pos: dict = field(repr=False, compare=False)  # region -> target parents
 
     def __getattr__(self, name):          # reached only before the build
-        if name not in _PARTS:
+        if name in ("exposed", "to_close"):
+            self.exposed, self.to_close = _wiring(self)
+        elif name == "context":
+            self.context = _context(self)
+        elif name == "parameter":
+            self.parameter = _parameter(self)
+        else:
             raise AttributeError(name)
-        self.__dict__.update(zip(_PARTS, self._build()))
         return self.__dict__[name]
 
     def sort_key(self):
@@ -99,21 +104,11 @@ class Occurrence:
                 tuple(sorted(self.link_map.values())))
 
 
-def _nothing(sig) -> Bigraph:
-    """Width-0 empty bigraph, the unit of parallel product."""
-    return _mk(sig, 0, 0, (), (), (), (), (), (), frozenset(), 0)
-
-
-def fill_sites(b: Bigraph, fillers: list[Bigraph]) -> Bigraph:
-    """Plug fillers (one region each, in site order) into b's sites."""
-    filler = reduce(parallel, fillers, _nothing(b.sig))
-    return nest(b, filler)
-
-
 def ground_context(occ: Occurrence) -> Bigraph:
     """The context with every hole plugged by an empty region (for matching)."""
     ctx = occ.context
-    return fill_sites(ctx, [one(ctx.sig)] * ctx.sites)
+    return _mk(ctx.sig, ctx.regions, 0, ctx.ctrl, ctx.params, ctx.node_parents, (),
+               ctx.ports, (), ctx.outer, ctx.edges)
 
 
 def merged_parameter(occ: Occurrence, sig) -> Bigraph:
@@ -123,28 +118,148 @@ def merged_parameter(occ: Occurrence, sig) -> Bigraph:
     return reduce(merge, occ.parameter)
 
 
-def recompose(occ: Occurrence, pattern: Bigraph, fillers=None) -> Bigraph:
-    """Put pattern, its sites filled by fillers (default: the matched
-    parameter), in the matched part's place; with the matched pattern the
-    result is iso_equal to the target, with a rule's right side it is the
-    rewrite."""
-    renaming = {}
-    for lh, th in occ.link_map.items():
-        if lh[0] == "o":
-            renaming[lh[1]] = occ.exposed[th]
-    piece = fill_sites(rename_outer(pattern, renaming),
-                       occ.parameter if fillers is None else fillers)
-    whole = nest(occ.context, piece)
-    # close the names in to_close at once, numbering the closed edges in
-    # that order, and drop those left idle
-    used = {h for hs in whole.ports for h in hs}.union(h for _, h in whole.inner)
-    live = [("o", w) for w in occ.to_close if ("o", w) in used]
-    edges = {h: ("e", whole.edges + k) for k, h in enumerate(live)}
-    ports = [tuple(edges.get(h, h) for h in hs) for hs in whole.ports]
-    inner = [(x, edges.get(h, h)) for x, h in whole.inner]
-    return _mk(whole.sig, whole.regions, whole.sites, whole.ctrl, whole.params,
-               whole.node_parents, whole.site_parents, ports, inner,
-               whole.outer.difference(occ.to_close), whole.edges + len(edges))
+def recompose(occ: Occurrence, pattern: Bigraph, entries=None) -> Bigraph:
+    """Put pattern in the matched part's place, its site k filled by a
+    copy of parameter part entries[k] (default: part k); with the matched
+    pattern the result is iso_equal to the target, with a rule's right
+    side and instantiation it is the rewrite.
+
+    One pass over the target, numbered as the algebra would number
+    context o (pattern || parts): nodes are the context's (ascending),
+    pattern's, then each copy's (ascending); edges the context's own,
+    pattern's, each copy's own (fresh per copy), then the names in
+    ``to_close`` that something still uses, in that order."""
+    exposed = occ.exposed
+    rows = ([], [], [], [])                    # ctrl, params, parents, ports
+    edges, regions = _lay_context(occ, rows)
+    ctrl, params, parents, ports = rows
+    base = len(ctrl)
+
+    def place(keys):                           # pattern place keys -> result's
+        out = set()
+        for p in keys:
+            if p[0] == "n":
+                out.add(("n", base + p[1]))
+            else:
+                out.update(regions[p[1]])
+        return frozenset(out)
+
+    names = {lh[1]: exposed[th] for lh, th in occ.link_map.items() if lh[0] == "o"}
+    ctrl.extend(pattern.ctrl)
+    params.extend(pattern.params)
+    parents.extend(place(ps) for ps in pattern.node_parents)
+    ports.extend(tuple(("o", names[h[1]]) if h[0] == "o" else ("e", edges + h[1])
+                       for h in hs) for hs in pattern.ports)
+    edges += pattern.edges
+    for k, s in enumerate(range(pattern.sites) if entries is None else entries):
+        edges += _lay(occ, sorted(occ.part_nodes[s]), place(pattern.site_parents[k]),
+                      rows, edges)[1]
+    # close the names in to_close that are still used, numbering the
+    # closed edges in that order
+    if occ.to_close:
+        used = set().union(*ports)
+        live = [("o", w) for w in occ.to_close if ("o", w) in used]
+        closing = {h: ("e", edges + k) for k, h in enumerate(live)}
+        ports = [tuple(closing.get(h, h) for h in hs) for hs in ports]
+        edges += len(live)
+    return _mk(occ.target.sig, occ.target.regions, 0, ctrl, params, parents, (), ports,
+               (), occ.target.outer, edges)
+
+
+def _wiring(occ: Occurrence) -> tuple:
+    """``exposed`` and ``to_close``: an open target link keeps its name; a
+    closed one that a pattern name lands on, or whose ports lie in more
+    than one piece (context, image, a parameter part), gets a fresh name
+    to close again after the rewrite. Other closed links stay inside
+    their piece (or are consumed by a pattern edge)."""
+    target, image = occ.target, occ.image
+    t_points = target.link_points()
+    edges_mapped = {tl for L, tl in occ.link_map.items() if L[0] == "e"}
+    names_onto = {tl for L, tl in occ.link_map.items() if L[0] == "o"}
+    exposed: dict[Handle, str] = {}
+    to_close: list[str] = []
+    taken = set(target.outer)
+    counter = 0
+    for h in sorted(t_points):
+        if h[0] == "o":
+            exposed[h] = h[1]
+            continue
+        if h in edges_mapped:
+            continue
+        # pieces the edge touches (a ground target has only port points)
+        tags = {"img" if pt[1] in image else occ.owner.get(pt[1], "ctx")
+                for pt in t_points[h]}
+        if h in names_onto or len(tags) > 1:
+            while "w%d" % counter in taken:
+                counter += 1
+            w = "w%d" % counter
+            counter += 1
+            taken.add(w)
+            exposed[h] = w
+            to_close.append(w)
+    return exposed, tuple(to_close)
+
+
+def _lay(occ: Occurrence, nodes, top, rows, edges: int) -> tuple:
+    """Append target nodes, in order, to rows (ctrl, params, parents,
+    ports) after those already there. A parameter top gets the parents
+    top, any other node its own, renumbered; exposed links carry their
+    name, and the closed links inside the nodes are numbered from edges
+    on in first-seen order. Returns the renumbering and that edge count."""
+    target, exposed, tops = occ.target, occ.exposed, occ.param_tops
+    ctrl, params, parents, ports = rows
+    where = {t: len(ctrl) + i for i, t in enumerate(nodes)}
+    own: dict[Handle, Handle] = {}
+    for t in nodes:
+        ctrl.append(target.ctrl[t])
+        params.append(target.params[t])
+        parents.append(top if t in tops else _lift(where, target.node_parents[t]))
+        row = []
+        for h in target.ports[t]:
+            if h in exposed:
+                row.append(("o", exposed[h]))
+            else:
+                row.append(own.setdefault(h, ("e", edges + len(own))))
+        ports.append(tuple(row))
+    return where, len(own)
+
+
+def _lift(where, keys) -> frozenset:
+    """Target place keys, nodes renumbered by where."""
+    return frozenset(p if p[0] == "r" else ("n", where[p[1]]) for p in keys)
+
+
+def _lay_context(occ: Occurrence, rows) -> tuple:
+    """Lay the context's nodes (neither image nor parameter) into empty
+    rows; returns its edge count and each pattern region's position."""
+    nodes = [t for t in range(occ.target.n) if t not in occ.image and t not in occ.owner]
+    where, edges = _lay(occ, nodes, None, rows, 0)
+    return edges, [_lift(where, occ.region_pos[r]) for r in range(len(occ.region_pos))]
+
+
+def _piece(sig, regions, sites, rows, edges, outer=()) -> Bigraph:
+    ctrl, params, parents, ports = rows
+    names = {h[1] for hs in ports for h in hs if h[0] == "o"}
+    return _mk(sig, regions, len(sites), ctrl, params, parents, sites, ports, (),
+               names.union(outer), edges)
+
+
+def _context(occ: Occurrence) -> Bigraph:
+    """The target's original regions around one hole per pattern region."""
+    rows = ([], [], [], [])
+    edges, regions = _lay_context(occ, rows)
+    return _piece(occ.target.sig, occ.target.regions, regions, rows, edges,
+                  occ.target.outer)
+
+
+def _parameter(occ: Occurrence) -> list[Bigraph]:
+    """One ground bigraph per pattern site: what the site absorbed."""
+    parts = []
+    for s in range(len(occ.part_nodes)):
+        rows = ([], [], [], [])
+        _, edges = _lay(occ, sorted(occ.part_nodes[s]), frozenset({("r", 0)}), rows, 0)
+        parts.append(_piece(occ.target.sig, 1, (), rows, edges))
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +274,18 @@ def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
 
 
 def _distinct(stream) -> list[Occurrence]:
-    """The first occurrence of each node and link image in stream, sorted
-    by image: ``find_occurrences`` over a search, fresh or resumed."""
+    """The first occurrence of each image in stream, sorted by image:
+    ``find_occurrences`` over a search, fresh or resumed. An image is the
+    node image set, the link each open name lands on, and the closed
+    edge image set; pattern automorphisms fix open names, so they still
+    collapse, while two occurrences that send the names to different
+    links rewrite differently and are both kept."""
     occurrences: list[Occurrence] = []
     seen_images: set = set()
     for occ in stream:
-        key = (frozenset(occ.node_map.values()), frozenset(occ.link_map.values()))
+        key = (frozenset(occ.node_map.values()),
+               frozenset((L[1], tl) for L, tl in occ.link_map.items() if L[0] == "o"),
+               frozenset(tl for L, tl in occ.link_map.items() if L[0] == "e"))
         if key not in seen_images:
             seen_images.add(key)
             occurrences.append(occ)
@@ -339,8 +460,8 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
 
     # --- link assignment -----------------------------------------------------
     for assign in _link_assignments(target, plan, fwd, image):
-        yield Occurrence(fwd, assign, lambda assign=assign: _decompose(
-            target, pattern, fwd, assign, param_tops, part_nodes, owner, region_pos))
+        yield Occurrence(fwd, assign, target, image, param_tops, part_nodes, owner,
+                         region_pos)
 
 
 def _link_assignments(target, plan, fwd, image):
@@ -378,99 +499,6 @@ def _link_assignments(target, plan, fwd, image):
     return solutions
 
 
-def _decompose(target, pattern, fwd, assign, param_tops, part_nodes, owner,
-               region_pos) -> tuple:
-    """An occurrence's parts, in ``_PARTS`` order."""
-    sig = target.sig
-    image = set(fwd.values())
-    t_points = target.link_points()
-
-    edges_mapped = {tl for L, tl in assign.items() if L[0] == "e"}
-    names_onto = {tl for L, tl in assign.items() if L[0] == "o"}
-
-    exposed: dict[Handle, str] = {}
-    to_close: list[str] = []
-    taken = set(target.outer)
-    counter = 0
-    for h in sorted(t_points):
-        if h[0] == "o":
-            exposed[h] = h[1]
-            continue
-        if h in edges_mapped:
-            continue                            # consumed exactly by a pattern edge
-        # pieces the edge touches (a ground target has only port points)
-        tags = {"img" if pt[1] in image else owner.get(pt[1], "ctx") for pt in t_points[h]}
-        if h in names_onto or len(tags) > 1 or tags == {"img"}:
-            while "w%d" % counter in taken:
-                counter += 1
-            w = "w%d" % counter
-            counter += 1
-            taken.add(w)
-            exposed[h] = w
-            to_close.append(w)
-        # else: edge internal to a single non-image piece, kept closed there
-
-    def build_piece(nodes, regions, parents_of, site_specs, outer=()):
-        """Assemble a sub-bigraph from target nodes.
-
-        parents_of(t) gives translated parent keys; site_specs is a list of
-        parent-key frozensets for the piece's sites; outer names are added
-        to those its ports use.
-        """
-        local = {t: i for i, t in enumerate(nodes)}
-        internal_edges: dict[Handle, int] = {}
-        for t in nodes:
-            for h in target.ports[t]:
-                if h[0] == "e" and h not in exposed and h not in edges_mapped:
-                    internal_edges.setdefault(h, len(internal_edges))
-        ports = []
-        outer = set(outer)
-        for t in nodes:
-            row = []
-            for h in target.ports[t]:
-                if h in exposed:
-                    row.append(("o", exposed[h]))
-                    outer.add(exposed[h])
-                elif h[0] == "o":
-                    row.append(("o", h[1]))
-                    outer.add(h[1])
-                else:
-                    row.append(("e", internal_edges[h]))
-            ports.append(tuple(row))
-        return _mk(sig, regions, len(site_specs),
-                   tuple(target.ctrl[t] for t in nodes),
-                   tuple(target.params[t] for t in nodes),
-                   tuple(parents_of(t, local) for t in nodes),
-                   tuple(site_specs), tuple(ports), (), frozenset(outer),
-                   len(internal_edges))
-
-    # parameter parts, one ground bigraph per pattern site
-    parts = []
-    for s in range(pattern.sites):
-        nodes = sorted(part_nodes[s])
-
-        def par(t, local, s=s):
-            if param_tops.get(t) == s:
-                return frozenset({("r", 0)})
-            return frozenset(("n", local[p[1]]) for p in target.node_parents[t])
-
-        parts.append(build_piece(nodes, 1, par, []))
-
-    # the context: original regions, one hole per pattern region
-    ctx_nodes = [t for t in range(target.n) if t not in image and t not in owner]
-    local_ctx = {t: i for i, t in enumerate(ctx_nodes)}
-
-    def lift(keys):                             # target place keys -> context's
-        return frozenset(p if p[0] == "r" else ("n", local_ctx[p[1]]) for p in keys)
-
-    context = build_piece(ctx_nodes, target.regions,
-                          lambda t, local: lift(target.node_parents[t]),
-                          [lift(region_pos[r]) for r in range(pattern.regions)],
-                          target.outer)
-
-    return context, parts, exposed, tuple(to_close)
-
-
 # ---------------------------------------------------------------------------
 # derived operations
 # ---------------------------------------------------------------------------
@@ -488,7 +516,7 @@ def check_constraints(occ: Occurrence, constraints) -> bool:
     Names in constraint patterns are independent of the rule's names."""
     if not constraints:
         return True
-    sig = occ.context.sig
+    sig = occ.target.sig
     merged = None
     grounded = None
     for c in constraints:

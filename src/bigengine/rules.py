@@ -116,7 +116,9 @@ def validate_rule(rule: ReactionRule) -> None:
 
 
 def apply_at(state: Bigraph, rule: ReactionRule, occ: Occurrence) -> Bigraph:
-    """Replace the matched left side by the right side at one occurrence.
+    """Replace the matched left side by the right side at one occurrence,
+    in one pass over the state (``matching.recompose``); only the guards
+    build a context or parameter.
 
     Parameters are duplicated or discarded per the instantiation map:
     copies share their open links (and any link exposed to the rest of
@@ -124,7 +126,7 @@ def apply_at(state: Bigraph, rule: ReactionRule, occ: Occurrence) -> Bigraph:
     """
     if not check_constraints(occ, rule.constraints):
         raise ConstraintViolated("conditions of rule %s fail at this occurrence" % rule.name)
-    return recompose(occ, rule.rhs, [occ.parameter[j] for j in rule.inst.entries])
+    return recompose(occ, rule.rhs, rule.inst.entries)
 
 
 def all_applications(state: Bigraph, rule: ReactionRule):

@@ -1,17 +1,20 @@
-"""Shared test helpers: seeded random bigraph generators and a
-brute-force occurrence enumerator used as the matcher oracle.
+"""Shared test helpers: seeded random bigraph generators, a
+brute-force occurrence enumerator used as the matcher oracle, and the
+rewrite by the algebra (``reference_recompose``) used as the oracle of
+the one-pass ``matching.recompose``.
 
-The oracle enumerates every injective node map and every anchored link
-assignment and checks the embedding conditions written out directly; it
-shares no code with the search in bigengine.matching.
+The matcher oracle enumerates every injective node map and every
+anchored link assignment and checks the embedding conditions written out
+directly; it shares no code with the search in bigengine.matching.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import product
 
-from bigengine.bigraph import Bigraph, Signature, _mk, close
+from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, nest, parallel, rename_outer
 
 
 def make_sig(controls):
@@ -354,3 +357,25 @@ def brute_same_orbit(state: Bigraph, o1, o2) -> bool:
             if all(g(o1.link_map[h]) == o2.link_map[h] for h in o1.link_map):
                 return True
     return False
+
+
+def reference_recompose(occ, pattern: Bigraph, fillers=None) -> Bigraph:
+    """The rewrite by the algebra, from an occurrence's context,
+    parameter and wiring: rename pattern's names to the exposed ones,
+    nest the fillers (default: the matched parameter) into its sites,
+    nest that into the context, then close the names in ``to_close``
+    that are still used, numbering the closed edges in that order and
+    dropping the idle ones. ``matching.recompose`` must equal it field by
+    field."""
+    renaming = {lh[1]: occ.exposed[th] for lh, th in occ.link_map.items() if lh[0] == "o"}
+    fillers = occ.parameter if fillers is None else fillers
+    filler = reduce(parallel, fillers, idle(pattern.sig, ()))
+    whole = nest(occ.context, nest(rename_outer(pattern, renaming), filler))
+    used = {h for hs in whole.ports for h in hs}.union(h for _, h in whole.inner)
+    live = [("o", w) for w in occ.to_close if ("o", w) in used]
+    edges = {h: ("e", whole.edges + k) for k, h in enumerate(live)}
+    ports = [tuple(edges.get(h, h) for h in hs) for hs in whole.ports]
+    inner = [(x, edges.get(h, h)) for x, h in whole.inner]
+    return _mk(whole.sig, whole.regions, whole.sites, whole.ctrl, whole.params,
+               whole.node_parents, whole.site_parents, ports, inner,
+               whole.outer.difference(occ.to_close), whole.edges + len(edges))

@@ -205,3 +205,15 @@ def test_smallest_bounds_run(capsys):
     assert "1 state(s)" in capsys.readouterr().out
     assert run_cli(["sim", "-S", "0", str(MODELS / "secure_building.big")]) == 0
     assert capsys.readouterr().out == "0\t-\t-\t-\n"
+
+
+def test_settle_that_revisits_a_state_gives_diagnostic(tmp_path, capsys):
+    # an instantaneous rule that rewrites a state to itself never settles
+    model = tmp_path / "spin.big"
+    model.write_text("atomic ctrl A = 0;\natomic ctrl B = 0;\nreact spin = A --> A;\n"
+                     "react grow = B --> A | B;\nbig s0 = A | B;\n"
+                     "begin brs init s0; rules = [ (spin), {grow} ]; end\n")
+    assert run_cli(["sim", "-S", "3", "--seed", "1", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "revisits a state" in captured.err
+    assert captured.out == ""

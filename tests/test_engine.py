@@ -15,6 +15,7 @@ from bigengine.engine import (
 )
 from bigengine.errors import DivergentInstantaneous, NonConfluence
 from bigengine.matching import matches_predicate
+from bigengine.rules import apply_at
 
 from conftest import MODELS
 
@@ -57,8 +58,7 @@ end
     assert len(ts.states) == 1 and len(ts.transitions) == 0
 
 
-def test_instantaneous_divergence():
-    src = """
+PING_PONG = """
 atomic ctrl A = 0;
 atomic ctrl B = 0;
 react ping = A --> B;
@@ -69,9 +69,70 @@ begin brs
   rules = [ (ping, pong) ];
 end
 """
-    spec = load(src)
+
+SPIN = """
+atomic ctrl A = 0;
+atomic ctrl B = 0;
+react spin = A --> A;
+react grow = B --> A | B;
+big s0 = A | B;
+begin brs
+  init s0;
+  rules = [ (spin), {grow} ];
+end
+"""
+
+
+def test_instantaneous_divergence():
+    spec = load(PING_PONG)
     with pytest.raises(DivergentInstantaneous):
         reduce_instantaneous(spec.init, spec, bound=50)
+
+
+@pytest.mark.parametrize("src", [SPIN, PING_PONG], ids=["spin", "ping-pong"])
+def test_settle_stops_at_a_revisited_state(monkeypatch, src):
+    # a settle is a function of its state, so once it meets a state again
+    # it cannot end: it stops a few reductions later, not at the default
+    # reduction bound
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 100, "the settle ran past a revisited state"
+        return apply_at(*args)
+
+    monkeypatch.setattr(engine, "apply_at", counted)
+    spec = load(src)
+    with pytest.raises(DivergentInstantaneous, match="revisits a state"):
+        reduce_instantaneous(spec.init, spec)
+    assert len(calls) <= 3
+
+
+SPLIT = """
+atomic ctrl A = 2;
+atomic ctrl B = 1;
+atomic ctrl C = 1;
+atomic ctrl M = 1;
+atomic ctrl N = 1;
+react split = A{x,y} --> M{x} | N{y};
+big s0 = %s;
+begin brs
+  init s0;
+  rules = [ {split} ];
+end
+"""
+
+
+def test_isomorphic_states_have_isomorphic_successors():
+    # the inits differ only in how their closed edges are numbered; x may
+    # land on the B link or on the C link, and both rewrites are kept
+    a, b = (load(SPLIT % init) for init in ("/b/c (A{b,c} | B{b} | C{c})",
+                                            "/c/b (A{b,c} | B{b} | C{c})"))
+    assert iso_equal(a.init, b.init)
+    succ_a, succ_b = ([g.dst for g in step_distribution(s.init, s)] for s in (a, b))
+    assert len(succ_a) == len(succ_b) == 2
+    assert not iso_equal(*succ_a)
+    assert all(sum(iso_equal(x, y) for y in succ_b) == 1 for x in succ_a)
 
 
 def test_confluence_check_accepts_commuting():

@@ -18,12 +18,21 @@ from bigengine import (
     parallel,
 )
 from bigengine.bigraph import Control, Signature, close, idle, well_formed
-from bigengine.elaborate import load_file
+from bigengine.elaborate import load, load_file
+from bigengine.engine import explore
 from bigengine.errors import PatternNotSolid, TargetNotGround
 from bigengine.matching import recompose
 
 from conftest import MODELS
-from genutil import DEFAULT_CONTROLS, brute_images, make_sig, matcher_images, random_ground, random_solid_pattern
+from genutil import (
+    DEFAULT_CONTROLS,
+    brute_images,
+    make_sig,
+    matcher_images,
+    random_ground,
+    random_solid_pattern,
+    reference_recompose,
+)
 
 
 @pytest.fixture
@@ -322,7 +331,11 @@ def test_recompose_closes_links_in_one_pass():
 
     target = closed("wxyz", atoms(("K", "wxyz"), ("P", "y"), ("L", "w"),
                                   ("M", "x"), ("N", "z")))
-    (occ,) = find_occurrences(target, atoms(("K", "abcd"), ("P", "c")))
+    occs = find_occurrences(target, atoms(("K", "abcd"), ("P", "c")))
+    assert len(occs) == 6                  # a, b and d permute over w, x and z
+    # the occurrence with a, b, c, d on w, x, y, z (closed in that order)
+    (occ,) = [o for o in occs
+              if [o.link_map[("o", x)] for x in "abcd"] == [("e", k) for k in range(4)]]
     assert len(occ.to_close) == 4
     result = recompose(occ, merge(atoms(("J", "abd")), idle(sig, ["c"])))
     assert well_formed(result)
@@ -330,3 +343,72 @@ def test_recompose_closes_links_in_one_pass():
     assert result.ports[result.ctrl.index("J")] == (("e", 0), ("e", 1), ("e", 2))
     expected = closed("wxz", atoms(("J", "wxz"), ("L", "w"), ("M", "x"), ("N", "z")))
     assert iso_equal(result, expected)
+
+
+def assert_splice_is_the_algebra(occ, pattern, entries=None):
+    fillers = None if entries is None else [occ.parameter[j] for j in entries]
+    assert recompose(occ, pattern, entries) == reference_recompose(occ, pattern, fillers)
+
+
+def test_splice_is_the_algebra_on_bundled_models():
+    checked = 0
+    for path in sorted(MODELS.glob("*.big")):
+        spec = load_file(path)
+        for state in explore(spec, 60).states:
+            for rule in spec.rules():
+                for occ in find_occurrences(state, rule.lhs):
+                    assert_splice_is_the_algebra(occ, rule.rhs, rule.inst.entries)
+                    checked += 1
+    assert checked > 500
+
+
+# an unwrap (a site right under a region) whose right side has its own
+# closed link, a duplicate and a discard of parameters that a closed link
+# crosses, a closed link inside one part, one inside the context, and a
+# discard that leaves a closed link idle
+SPLICE_MODEL = """
+ctrl A = 0;
+ctrl Box = 0;
+atomic ctrl L = 1;
+atomic ctrl K = 1;
+atomic ctrl Tag = 1;
+react unwrap = A.(id) --> /z (K{z} | L{z}) | id;
+react dup = Box.(id) || Box.(id) --> Box.(id) || Box.(id) @[0,0];
+react drop = Box.(id) || Box.(id) --> Box.(id) || Box.(id) @[1,1];
+react cut = A.(Tag{x} | id) --> {x} | A.(1) @[];
+big s0 = /x/c (K{c} | K{c} | Box.(L{x} | /y (L{y} | K{y}))
+            || Box.(L{x} | A.(K{x} | /t (Tag{t} | A.(L{t})))));
+begin brs
+  init s0;
+  rules = [ {unwrap, dup, drop, cut} ];
+end
+"""
+
+
+def test_splice_is_the_algebra_on_copies_and_crossing_links():
+    spec = load(SPLICE_MODEL)
+    ts = explore(spec, 60)
+    assert not ts.partial and len(ts.states) > 30
+    applied = set()
+    for state in ts.states:
+        for rule in spec.rules():
+            for occ in find_occurrences(state, rule.lhs):
+                assert_splice_is_the_algebra(occ, rule.rhs, rule.inst.entries)
+                applied.add(rule.name)
+    assert applied == {"unwrap", "dup", "drop", "cut"}
+
+
+def test_splice_is_the_algebra_random():
+    sig = make_sig(DEFAULT_CONTROLS)
+    rng = random.Random(2024)
+    checked = 0
+    for k in range(300):
+        share = 0.5 if k % 2 else 0.0
+        # names the pattern lacks close links inside the context
+        target = random_ground(rng, sig, max_nodes=8, name_pool=tuple("abcde"),
+                               share_prob=share)
+        pattern = random_solid_pattern(rng, sig, max_nodes=3, share_prob=share)
+        for occ in find_occurrences(target, pattern):
+            assert_splice_is_the_algebra(occ, pattern)
+            checked += 1
+    assert checked > 50

@@ -20,7 +20,8 @@ from bigengine import (
     validate_rule,
 )
 from bigengine.bigraph import Control, Signature
-from bigengine.elaborate import load_file
+from bigengine import matching
+from bigengine.elaborate import load, load_file
 from bigengine.errors import (
     ConstraintViolated,
     InnerInterfaceMismatch,
@@ -233,3 +234,41 @@ def test_dropped_name_stays_idle_or_vanishes():
     out_closed = all_applications(state_closed, rule)[0][1]
     assert out_closed.outer == frozenset() and out_closed.edges == 0
     assert out_closed.ctrl == ("B",)
+
+
+PIECES = """
+ctrl Room = 0;
+atomic ctrl P = 0;
+atomic ctrl Q = 0;
+atomic ctrl Lamp = 0;
+react plain = Room.(P | id) --> Room.(Q | id);
+react absent = Room.(P | id) --> Room.(Q | id) if !Lamp in param;
+react present = Room.(P | id) --> Room.(Q | id) if Q in param;
+react around = Room.(P | id) --> Room.(Q | id) if Lamp in ctx;
+big s0 = Room.(P | Q) | Lamp;
+begin brs
+  init s0;
+  rules = [ {plain, absent, present, around} ];
+end
+"""
+
+
+@pytest.mark.parametrize("name, built", [
+    ("plain", []), ("absent", ["_parameter"]), ("present", ["_parameter"]),
+    ("around", ["_context"]),
+], ids=["unguarded", "absent_param", "present_param", "ctx"])
+def test_pieces_are_built_only_when_read(monkeypatch, name, built):
+    # a rewrite reads neither the context nor the parameter; a guard reads
+    # only the piece it names
+    got = []
+    for builder in ("_context", "_parameter"):
+        real = getattr(matching, builder)
+        monkeypatch.setattr(matching, builder,
+                            lambda occ, real=real, builder=builder:
+                            got.append(builder) or real(occ))
+    spec = load(PIECES)
+    rule = next(r for r in spec.rules() if r.name == name)
+    (occ,) = find_occurrences(spec.init, rule.lhs)
+    result = apply_at(spec.init, rule, occ)
+    assert sorted(result.ctrl) == ["Lamp", "Q", "Q", "Room"]
+    assert got == built
