@@ -23,7 +23,7 @@ from .matching import (
     find_occurrences,
     matches_predicate,
 )
-from .rules import InstMap, PriorityClass, ReactionRule, RuleLabel, all_applications, apply_at, validate_rule
+from .rules import InstMap, PriorityClass, ReactionRule, RuleLabel, apply_at, validate_rule
 from .elaborate import BrsSpec, elaborate, load, load_file
 from .engine import SimTrace, Transition, TransitionSystem, explore, simulate
 from .export import write_dot, write_labels, write_tra
@@ -38,7 +38,7 @@ __all__ = [
     "Occurrence", "MatchConstraint", "find_occurrences",
     "matches_predicate", "check_constraints",
     "InstMap", "RuleLabel", "ReactionRule", "PriorityClass",
-    "validate_rule", "apply_at", "all_applications",
+    "validate_rule", "apply_at",
     "parse", "elaborate", "load", "load_file", "BrsSpec",
     "Transition", "TransitionSystem", "SimTrace", "explore", "simulate",
     "write_tra", "write_labels", "write_dot", "pretty_print",

@@ -370,16 +370,6 @@ def close(name: str, b: Bigraph) -> Bigraph:
                b.site_parents, ports, inner, b.outer - {name}, k + 1)
 
 
-def rename_outer(b: Bigraph, mapping: dict) -> Bigraph:
-    """Rename outer names; mapping two names to one fuses their links."""
-    repl = lambda h: ("o", mapping.get(h[1], h[1])) if h[0] == "o" else h
-    ports = tuple(tuple(repl(h) for h in hs) for hs in b.ports)
-    inner = tuple((x, repl(h)) for x, h in b.inner)
-    outer = frozenset(mapping.get(x, x) for x in b.outer)
-    return _mk(b.sig, b.regions, b.sites, b.ctrl, b.params, b.node_parents,
-               b.site_parents, ports, inner, outer, b.edges)
-
-
 def share(contents: Bigraph, placement: Sequence[Iterable[int]], site_count: int,
           host: Bigraph) -> Bigraph:
     """share contents by (placement, site_count) in host.
@@ -504,51 +494,3 @@ def _node_maps(a: Bigraph, b: Bigraph, order: Sequence[int], candidates):
             stack.append(iter(candidates(order[pos + 1])))
         else:
             yield fwd
-
-
-def well_formed(b: Bigraph) -> bool:
-    """Structural sanity: used by tests, not on hot paths."""
-    for i in range(b.n):
-        if len(b.ports[i]) != b.control(i).arity:
-            return False
-        if not b.node_parents[i]:
-            return False
-        for p in b.node_parents[i]:
-            if p[0] == "n":
-                if not (0 <= p[1] < b.n) or b.control(p[1]).atomic:
-                    return False
-            elif not (0 <= p[1] < b.regions):
-                return False
-    for ps in b.site_parents:
-        if not ps:
-            return False
-        for p in ps:
-            if p[0] == "n" and b.control(p[1]).atomic:
-                return False
-    # acyclic place structure
-    seen: dict = {}
-
-    def visit(i, stack):
-        if i in stack:
-            return False
-        if i in seen:
-            return True
-        stack.add(i)
-        for p in b.node_parents[i]:
-            if p[0] == "n" and not visit(p[1], stack):
-                return False
-        stack.discard(i)
-        seen[i] = True
-        return True
-
-    for i in range(b.n):
-        if not visit(i, set()):
-            return False
-    # every port/inner on a known handle, closed edges non-empty
-    points = b.link_points()
-    for h, pts in points.items():
-        if h[0] == "e" and not pts:
-            return False
-        if h[0] == "o" and h[1] not in b.outer:
-            return False
-    return True

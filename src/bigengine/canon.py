@@ -1,26 +1,36 @@
-"""Isomorphism-aware equality, canonical state keys and orbits of occurrences.
+"""State identity: certificates, canonical keys, exact isomorphism and
+orbits of occurrences.
 
-``canonical_key`` is a colour-refinement hash over the combined place
-and link structure (equal on isomorphic bigraphs, collisions possible);
-``iso_equal`` is exact. It runs ``bigraph._node_maps``, the node-map
-search the matcher uses too, with candidates drawn from each node's
-colour class, and accepts the first full map that passes one exact check
-(``_full_map_ok``), so a colour collision cannot make it wrong.
-``StateStore.insert`` is the one place that merges states: it buckets
-them by key and confirms a bucket hit with the exact check.
-``same_orbit`` runs the same search and check on (state, state), with
-one occurrence's image nodes pinned to another's, and asks that the map
-carry each pattern link's image onto the other's too: an automorphism
-of the state that maps one occurrence onto the other.
+Colour refinement (``_refine``) colours the nodes and closed edges of
+the combined place and link structure; equal on isomorphic bigraphs.
+Twins, childless nodes with equal label, parents and port multiset, are
+interchangeable: swapping two is an automorphism that fixes every edge.
+When each colour is one twin class, the colours order the nodes up to
+twins, and ``certificate`` renumbers the state in that order: a hashable
+tuple equal exactly on isomorphic states, found with no search.
+``StateStore.insert`` is the one place that merges states: a dict from
+certificate to index, and for the rare state with no certificate a
+bucket by ``canonical_key`` (a hash of the colours, collisions possible)
+whose hits are confirmed by ``iso_equal``. That exact check runs
+``bigraph._node_maps``, the node-map search the matcher uses too, with
+candidates drawn from each node's colour class, and accepts the first
+full map that passes one exact check (``_full_map_ok``), so a colour
+collision cannot make it wrong. ``same_orbit`` asks whether an
+automorphism of a state maps one occurrence onto another. On a state
+with a certificate the automorphisms permute only twins and closed
+edges with the same ports, so it compares the two images; otherwise it
+runs the same search and check on (state, state), with one occurrence's
+image nodes pinned to the other's.
 
 Colours are ints: a node is seeded from a stable, memoised digest of its
 label and of its fixed neighbours, and each round recolours with the
 built-in ``hash`` of a tuple of ints. No ``str`` is ever hashed, so
 colours and keys are the same in every process whatever
-``PYTHONHASHSEED`` is. Refinement stops at the stable partition: the
-first round that splits no colour class. Bigraphs are immutable, so each
-one's colours, colour classes and key are computed once and cached on it
-(``Bigraph._cache``).
+``PYTHONHASHSEED`` is. Refinement stops once the colours order the nodes
+up to twins and each closed edge has its own colour, or at the stable
+partition: the first round that splits no colour class. Bigraphs are
+immutable, so each one's colours, colour classes, certificate and key
+are computed once and cached on it (``Bigraph._cache``).
 
 Regions, sites, outer and inner names are fixed points of any
 isomorphism (compared by index / by name); only nodes, closed edges and
@@ -44,47 +54,62 @@ def _digest(key) -> int:
     return int.from_bytes(hashlib.blake2b(repr(key).encode(), digest_size=8).digest(), "big")
 
 
-def _refine(b: Bigraph) -> tuple[list[int], list[int]]:
-    """Colours of the stable partition of nodes and edges, seeded by
-    structure-invariant data; computed once per bigraph and cached.
+def _refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
+    """Colours of nodes and edges, seeded by structure-invariant data and
+    refined until they order the nodes up to twins or are stable; and
+    whether they do order them (each node colour is one twin class).
+    Computed once per bigraph and cached.
 
-    A node's seed covers its label, region parents, site children and
-    open names; an edge's, its inner names. A round recolours each node
-    from its own colour and the sorted colours of its node parents, node
-    children and edges, and each edge from its own and its ports' nodes',
-    so it can only split classes. Refinement stops at the first round
-    after which the number of node plus edge classes has not grown: that
-    partition is stable. The round count depends only on the isomorphism
-    class, so isomorphic bigraphs get equal colours.
+    Twins are childless nodes with equal label, parents and port
+    multiset: swapping two is an automorphism that fixes every edge, so
+    they get equal colours in every round and each twin class is
+    recoloured once. A node's seed covers its label, region parents,
+    site children and open names; an edge's, its inner names. A round
+    recolours each node from its own colour and the sorted colours of its
+    node parents, node children (every twin listed) and edges, and each
+    edge from its own and its ports' nodes', so it can only split
+    classes. Refinement stops once each colour is one twin class and each
+    closed edge has its own colour, or at the first round after which the
+    number of node plus edge classes has not grown: that partition is
+    stable. The round count depends only on the isomorphism class, so
+    isomorphic bigraphs get equal colours.
     """
     got = b._cache.get("colours")
     if got is not None:
         return got
     kids = b.children()
-    nodes, ncol = [], []
-    for i in range(b.n):
-        around = (b.node_parents[i], kids[("n", i)], b.ports[i])
-        nodes.append(tuple([x[1] for x in xs if x[0] in "ne"] for xs in around))
-        fixed = sorted(_digest(x) for xs in around for x in xs if x[0] in "rso")
-        ncol.append(hash((_digest(("n", b.ctrl[i], b.params[i])), *fixed)))
+    twins: dict = {}                             # twin key -> twin class
+    cls, first = [], []                          # node -> its class; class -> first node
+    for i, ps in enumerate(b.node_parents):
+        c = twins.setdefault(i if kids[("n", i)] else (b.ctrl[i], b.params[i], ps,
+                                                       tuple(sorted(b.ports[i]))), len(first))
+        if c == len(first):
+            first.append(i)
+        cls.append(c)
+    around, ccol = [], []                        # per twin class, from its first node
+    for i in first:
+        xss = (b.node_parents[i], kids[("n", i)], b.ports[i])
+        around.append(tuple([cls[x[1]] if x[0] == "n" else x[1] for x in xs if x[0] in "ne"]
+                            for xs in xss))
+        fixed = sorted(_digest(x) for xs in xss for x in xs if x[0] in "rso")
+        ccol.append(hash((_digest(("n", b.ctrl[i], b.params[i])), *fixed)))
     points = [b.link_points()[("e", k)] for k in range(b.edges)]
-    ends = [[pt[1] for pt in pts if pt[0] == "p"] for pts in points]
+    ends = [[cls[pt[1]] for pt in pts if pt[0] == "p"] for pts in points]
     ecol = [hash(tuple(sorted(_digest(pt) for pt in pts if pt[0] == "i"))) for pts in points]
 
-    classes = len(set(ncol)) + len(set(ecol))
-    while True:
-        col = ncol.__getitem__
-        sig_n = [hash((c, tuple(sorted(map(col, ps))), tuple(sorted(map(col, cs))),
-                       tuple(sorted(map(ecol.__getitem__, es)))))
-                 for c, (ps, cs, es) in zip(ncol, nodes)]
-        sig_e = [hash((c, *sorted(map(col, ns)))) for c, ns in zip(ecol, ends)]
-        ncol, ecol = sig_n, sig_e
-        refined = len(set(ncol)) + len(set(ecol))
-        if refined <= classes:
+    counts = (len(set(ccol)), len(set(ecol)))
+    while counts != (len(first), b.edges):
+        col = ccol.__getitem__
+        ccol = [hash((c, tuple(sorted(map(col, ps))), tuple(sorted(map(col, cs))),
+                      tuple(sorted(map(ecol.__getitem__, es)))))
+                for c, (ps, cs, es) in zip(ccol, around)]
+        ecol = [hash((c, *sorted(map(col, ns)))) for c, ns in zip(ecol, ends)]
+        refined = (len(set(ccol)), len(set(ecol)))
+        stable, counts = sum(refined) <= sum(counts), refined
+        if stable:
             break
-        classes = refined
-    b._cache["colours"] = (ncol, ecol)
-    return ncol, ecol
+    got = b._cache["colours"] = ([ccol[c] for c in cls], ecol, counts[0] == len(first))
+    return got
 
 
 def _classes(b: Bigraph) -> dict:
@@ -102,17 +127,61 @@ def canonical_key(b: Bigraph) -> int:
     """An int, equal on isomorphic ground bigraphs and the same in every
     process; collisions need iso_equal.
 
-    Built from the stable colours of ``_refine`` (which already carry
-    each node's region and open names), the region count and the outer
-    names, and cached on ``b``.
+    Built from the colours of ``_refine`` (which already carry each
+    node's region and open names), the region count and the outer names,
+    and cached on ``b``; ``StateStore`` reads it only for states with no
+    certificate.
     """
     got = b._cache.get("key")
     if got is not None:
         return got
     require_ground(b)
-    ncol, ecol = _refine(b)
+    ncol, ecol, _ = _refine(b)
     got = b._cache["key"] = hash((b.regions, tuple(sorted(ncol)), tuple(sorted(ecol)),
                                   tuple(sorted(_digest(("o", x)) for x in b.outer))))
+    return got
+
+
+def certificate(b: Bigraph) -> tuple | None:
+    """Ground b renumbered in colour order, as a hashable tuple equal
+    exactly on isomorphic bigraphs; None when the colours do not order
+    b's nodes up to twins. Cached on b.
+
+    Each colour class, a twin class, takes the next block of positions
+    and is written once: its size, control, parameters, parents (region
+    k as ~k, a node as its position: a parent has children, so it is no
+    twin) and open names. Each closed edge is the sorted positions of its
+    ports, every twin of a class listed; sorting the edges drops their
+    numbering. Swapping two twins changes nothing here."""
+    if "certificate" in b._cache:
+        return b._cache["certificate"]
+    require_ground(b)
+    ncol, _, ordered = _refine(b)
+    got = None
+    if ordered:
+        classes = _classes(b)
+        colours = sorted(classes)
+        start, p = {}, 0
+        for c in colours:
+            start[c] = p
+            p += len(classes[c])
+        ends: list[list[int]] = [[] for _ in range(b.edges)]
+        rows = []
+        for c in colours:
+            i, k, p = classes[c][0], len(classes[c]), start[c]
+            names = []
+            for h in b.ports[i]:
+                if h[0] == "e":
+                    ends[h[1]].extend(range(p, p + k))
+                else:
+                    names.append(h[1])
+            rows.append((k, b.ctrl[i], b.params[i],
+                         tuple(sorted(start[ncol[x[1]]] if x[0] == "n" else ~x[1]
+                                      for x in b.node_parents[i])),
+                         tuple(sorted(names))))
+        got = (b.regions, tuple(sorted(b.outer)), tuple(rows),
+               tuple(sorted(tuple(sorted(e)) for e in ends)))
+    b._cache["certificate"] = got
     return got
 
 
@@ -185,9 +254,9 @@ def same_orbit(state: Bigraph, h1, h2) -> bool:
     occurrences of one pattern): h1's image of each pattern node onto
     h2's, and h1's image of each pattern link onto h2's (open names
     fixed, closed edges carried by the node map). Only occurrences whose
-    images have equal colours, node by node and link by link, are
-    searched."""
-    ncol, ecol = _refine(state)
+    images have equal colours, node by node and link by link, and whose
+    link images pair off one to one, are compared further."""
+    ncol, ecol, ordered = _refine(state)
 
     def colour_image(h):
         return ([ncol[t] for _, t in sorted(h.node_map.items())],
@@ -200,6 +269,11 @@ def same_orbit(state: Bigraph, h1, h2) -> bool:
         return False                      # one joins links the other keeps apart
     edges = [(t1[1], _edge_signature(state, t2[1], lambda j: j))
              for t1, t2 in pairs if t1[0] == "e"]
+    if ordered:
+        # the automorphisms permute twins, which keeps every edge's
+        # points, and edges with equal points: the node images already
+        # agree up to twins, and each edge must have its partner's points
+        return all(_edge_signature(state, k, lambda j: j) == want for k, want in edges)
     pins = {t1: h2.node_map[u] for u, t1 in h1.node_map.items()}
     # edges with equal signatures are interchangeable, so a map carrying
     # each edge's signature onto its partner's extends to one carrying
@@ -210,15 +284,17 @@ def same_orbit(state: Bigraph, h1, h2) -> bool:
 
 
 class StateStore:
-    """Insert-if-absent store of ground states: a state is new unless it
-    is iso_equal to a stored state with the same canonical_key. Indices
-    are assigned densely in insertion order; at most max_states states
-    are stored (None: no bound)."""
+    """Insert-if-absent store of ground states: a state is new unless its
+    certificate is stored or, when it has none, it is iso_equal to a
+    stored state with the same canonical_key. Indices are assigned
+    densely in insertion order; at most max_states states are stored
+    (None: no bound)."""
 
     def __init__(self, max_states: int | None = None):
         self.states: list[Bigraph] = []
         self.max_states = max_states
-        self._buckets: dict[int, list[int]] = {}
+        self._certificates: dict[tuple, int] = {}
+        self._buckets: dict[int, list[int]] = {}      # states with no certificate
 
     def __len__(self) -> int:
         return len(self.states)
@@ -226,13 +302,22 @@ class StateStore:
     def insert(self, b: Bigraph) -> tuple[int | None, bool]:
         """Return (index, added); (None, False) for a new state when the
         store is full."""
-        key = canonical_key(b)
-        for idx in self._buckets.get(key, ()):
-            if iso_equal(self.states[idx], b):
+        cert = certificate(b)
+        if cert is not None:
+            idx = self._certificates.get(cert)
+            if idx is not None:
                 return idx, False
+        else:
+            key = canonical_key(b)
+            for idx in self._buckets.get(key, ()):
+                if iso_equal(self.states[idx], b):
+                    return idx, False
         if self.max_states is not None and len(self.states) >= self.max_states:
             return None, False
         idx = len(self.states)
         self.states.append(b)
-        self._buckets.setdefault(key, []).append(idx)
+        if cert is not None:
+            self._certificates[cert] = idx
+        else:
+            self._buckets.setdefault(key, []).append(idx)
         return idx, True

@@ -5,10 +5,10 @@ state-space exploration with predicate labelling.
 States are abstract: successors that are isomorphic are merged, with
 probability (pbrs, abrs) or rate (sbrs) mass summed. Instantaneous
 classes reduce to a fixpoint before a state is ever stored, so no stored
-state has an enabled instantaneous occurrence. The settle's last search
-has then found every class above the enabled one empty and stopped the
-enabled class's search at its first hit; it hands that (``Handoff``) to
-the step from the state, which resumes it rather than search again.
+state has an enabled instantaneous occurrence. The settle stops at the
+first normal class that is enabled or that no instantaneous class
+follows, and hands its index to the step from the state, which starts
+its search there: every class above it is known empty.
 A step applies a hit only if no automorphism of the state maps it onto
 an earlier hit whose settle fired nothing (``_group_results``).
 """
@@ -19,15 +19,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, NamedTuple
 
 from .bigraph import Bigraph
 from .canon import StateStore, same_orbit
 from .elaborate import BrsSpec
 from .errors import DivergentInstantaneous, InitNotGround, NonConfluence, RateOverflow
-from .matching import (_distinct, _occurrences, check_constraints, find_occurrences,
-                       matches_predicate)
+from .matching import _occurrences, check_constraints, find_occurrences, matches_predicate
 from .rules import ReactionRule, apply_at
 
 INSTANTANEOUS_BOUND = 10 ** 6
@@ -68,60 +65,41 @@ class SimTrace:
     times: list | None = None   # cumulative time at each step, sbrs only
 
 
-class Handoff(NamedTuple):
-    """What a settle's last search knows of the settled state: no class
-    before ``ci``, nor rule of class ``ci`` before rule ``ri``, has a
-    constraint-passing occurrence, and ``occs`` is rule ``ri``'s search
-    from its start, suspended after its first passing occurrence. ``ci``
-    is the class count at deadlock."""
-
-    ci: int
-    ri: int = 0
-    occs: Iterable = ()
-
-
-def enabled_class(state: Bigraph, spec: BrsSpec, handoff: Handoff | None = None):
+def enabled_class(state: Bigraph, spec: BrsSpec, handoff: int | None = None):
     """Highest-priority class with a constraint-passing occurrence, with
     all its applications; None at deadlock. With the handoff of the
-    settle that produced state, it resumes that settle's search."""
-    return _enabled(state, spec, False, handoff)
+    settle that produced state, the search starts at that class: the
+    settle showed every class before it empty."""
+    return _enabled(state, spec, False, handoff or 0)
 
 
-def _enabled(state, spec, settling, handoff=None):
-    """enabled_class, or when settling: the highest enabled class and its
-    applications if it is instantaneous, else the state is settled and
-    this returns the Handoff of the search. Settling stops a normal class
-    at its first application: one shows it is enabled."""
-    start = (0, 0) if handoff is None else handoff[:2]
-    for ci in range(start[0], len(spec.classes)):
-        cls = spec.classes[ci]
-        first_only = settling and not cls.instantaneous
-        hits = []
-        for ri in range(start[1] if ci == start[0] else 0, len(cls.rules)):
-            rule = cls.rules[ri]
-            if first_only:
-                occs, seen = _occurrences(state, rule.lhs), []
-            elif handoff is not None:       # the first rule searched resumes
-                occs, handoff = _distinct(handoff.occs), None
-            else:
-                occs = find_occurrences(state, rule.lhs)
-            for occ in occs:
-                if first_only:
-                    seen.append(occ)
-                if check_constraints(occ, rule.constraints):
-                    if first_only:
-                        return Handoff(ci, ri, chain(seen, occs))
-                    hits.append((rule, occ))
+def _enabled(state, spec, settling, start=0):
+    """enabled_class from class start on, or when settling: the highest
+    enabled class and its applications if it is instantaneous, else the
+    state is settled and this returns its handoff, the first class the
+    step must search. Settling stops at a normal class that no
+    instantaneous class follows, unsearched; it searches one that an
+    instantaneous class follows only up to its first application."""
+    classes = spec.classes
+    for ci in range(start, len(classes)):
+        cls = classes[ci]
+        if settling and not cls.instantaneous:
+            if not any(c.instantaneous for c in classes[ci + 1:]) or any(
+                    check_constraints(occ, rule.constraints)
+                    for rule in cls.rules for occ in _occurrences(state, rule.lhs)):
+                return ci
+            continue
+        hits = [(rule, occ) for rule in cls.rules for occ in find_occurrences(state, rule.lhs)
+                if check_constraints(occ, rule.constraints)]
         if hits:
             return ci, hits
-    return Handoff(len(spec.classes)) if settling else None
+    return len(classes) if settling else None
 
 
 def reduce_instantaneous(state: Bigraph, spec: BrsSpec,
                          bound: int = INSTANTANEOUS_BOUND) -> Bigraph:
     """Apply instantaneous rules (first occurrence in canonical order)
-    until the highest-priority enabled class is a normal one, which is
-    searched only up to its first constraint-passing occurrence."""
+    until the highest-priority enabled class, if any, is a normal one."""
     return _settle(state, spec, False, bound)[0]
 
 
@@ -139,7 +117,7 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> Bigraph:
         if not added:
             continue
         res = _enabled(s, spec, True)
-        if isinstance(res, Handoff):
+        if isinstance(res, int):
             terminals.insert(s)
             continue
         hits = res[1]
@@ -156,7 +134,7 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> Bigraph:
 
 def _settle(state, spec, check, bound=INSTANTANEOUS_BOUND):
     """reduce_instantaneous or, if check, check_confluent_settle; with the
-    Handoff of the search that found the state settled (None if no
+    handoff of the search that found the state settled (None if no
     search ran or the confluence check settled it)."""
     # with no instantaneous class a state is already settled, and trivially
     # confluent
@@ -170,7 +148,7 @@ def _settle(state, spec, check, bound=INSTANTANEOUS_BOUND):
     # constant memory (Brent)
     for i in range(bound + 1):
         res = _enabled(state, spec, True)
-        if isinstance(res, Handoff):
+        if isinstance(res, int):
             return state, res
         rule, occ = res[1][0]
         if i & (i + 1) == 0:
@@ -197,7 +175,7 @@ class Successor:
     rule_names: frozenset
     weight: Fraction | float | None = None   # aggregate mass of the group
     members: list = field(default_factory=list)   # (rule, occ) in canonical order
-    handoff: Handoff | None = field(default=None, repr=False)   # dst's settle
+    handoff: int | None = field(default=None, repr=False)   # dst's settle
 
 
 def _group_results(state, spec, hits, check_confluence=False):
@@ -234,7 +212,7 @@ def _group_results(state, spec, hits, check_confluence=False):
 
 
 def step_distribution(state: Bigraph, spec: BrsSpec, check_confluence: bool = False,
-                      handoff: Handoff | None = None) -> list[Successor]:
+                      handoff: int | None = None) -> list[Successor]:
     """Successor distribution of an instantaneous-settled state.
 
     brs: one unlabelled successor per distinct result. pbrs: every

@@ -127,26 +127,3 @@ def write_dot(ts: TransitionSystem) -> str:
         lines.append("  %d -> %d%s;" % (t.src, t.dst, attr))
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def read_tra(data: bytes, semantics: str):
-    """Parse a transition file back into (num_states, rows); rows are
-    (src, dst, value) or (src, choice, dst, prob, action|None)."""
-    lines = data.decode().splitlines()
-    header = lines[0].split()
-    rows = []
-    if semantics in ("brs", "pbrs", "sbrs"):
-        n, m = int(header[0]), int(header[1])
-        for line in lines[1:]:
-            src, dst, value = line.split()
-            rows.append((int(src), int(dst), float(value)))
-        assert len(rows) == m
-        return n, rows
-    n, _, m = int(header[0]), int(header[1]), int(header[2])
-    for line in lines[1:]:
-        parts = line.split()
-        action = parts[4] if len(parts) > 4 else None
-        rows.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                     float(parts[3]), action))
-    assert len(rows) == m
-    return n, rows

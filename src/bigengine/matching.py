@@ -14,12 +14,11 @@ filters only the nodes with its label. Node injections come from
 too, in a connectivity-guided order (rarest candidates first) and pruned
 by shared links; each one then gets the remaining placement checks and
 its link assignments. Occurrences are produced lazily, so
-``matches_predicate`` and the rule guards stop at the first, a stopped
-search can be resumed (the engine hands a settle's search to the step).
-A rewrite (``recompose``) splices the new part into the target in one
-pass and builds neither piece; an occurrence builds its context or
-parameter only when a guard reads it. No SAT machinery; nothing is
-carried from one state to the next.
+``matches_predicate``, the rule guards and the engine's settle stop at
+the first. A rewrite (``recompose``) splices the new part into the
+target in one pass and builds neither piece; an occurrence builds its
+context or parameter only when a guard reads it. No SAT machinery;
+nothing is carried from one state to the next.
 
 Matching semantics, each condition checked in exactly one place:
 
@@ -268,21 +267,14 @@ def _parameter(occ: Occurrence) -> list[Bigraph]:
 
 
 def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
-    """Every occurrence of pattern in target, one per node and link image,
-    sorted by image."""
-    return _distinct(_occurrences(target, pattern))
-
-
-def _distinct(stream) -> list[Occurrence]:
-    """The first occurrence of each image in stream, sorted by image:
-    ``find_occurrences`` over a search, fresh or resumed. An image is the
-    node image set, the link each open name lands on, and the closed
-    edge image set; pattern automorphisms fix open names, so they still
-    collapse, while two occurrences that send the names to different
-    links rewrite differently and are both kept."""
+    """Every occurrence of pattern in target, one per image, sorted by
+    image. An image is the node image set, the link each open name lands
+    on, and the closed edge image set; pattern automorphisms fix open
+    names, so they still collapse, while two occurrences that send the
+    names to different links rewrite differently and are both kept."""
     occurrences: list[Occurrence] = []
     seen_images: set = set()
-    for occ in stream:
+    for occ in _occurrences(target, pattern):
         key = (frozenset(occ.node_map.values()),
                frozenset((L[1], tl) for L, tl in occ.link_map.items() if L[0] == "o"),
                frozenset(tl for L, tl in occ.link_map.items() if L[0] == "e"))

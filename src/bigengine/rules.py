@@ -23,7 +23,6 @@ from .matching import (
     MatchConstraint,
     Occurrence,
     check_constraints,
-    find_occurrences,
     recompose,
 )
 
@@ -127,12 +126,3 @@ def apply_at(state: Bigraph, rule: ReactionRule, occ: Occurrence) -> Bigraph:
     if not check_constraints(occ, rule.constraints):
         raise ConstraintViolated("conditions of rule %s fail at this occurrence" % rule.name)
     return recompose(occ, rule.rhs, rule.inst.entries)
-
-
-def all_applications(state: Bigraph, rule: ReactionRule):
-    """Every constraint-passing occurrence with its rewrite result."""
-    out = []
-    for occ in find_occurrences(state, rule.lhs):
-        if check_constraints(occ, rule.constraints):
-            out.append((occ, apply_at(state, rule, occ)))
-    return out

@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -5,6 +6,15 @@ import pytest
 from bigengine.bigraph import Control, Signature
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+
+try:
+    from hypothesis import settings
+except ImportError:              # the property tests skip themselves
+    pass
+else:
+    # CI selects "ci", so a property failure seen there reproduces locally
+    settings.register_profile("ci", derandomize=True, deadline=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -1,7 +1,11 @@
-"""Shared test helpers: seeded random bigraph generators, a
-brute-force occurrence enumerator used as the matcher oracle, and the
-rewrite by the algebra (``reference_recompose``) used as the oracle of
-the one-pass ``matching.recompose``.
+"""Shared test helpers: seeded random bigraph generators, random
+renumbering (``permuted``) and port swaps (``swapped``), a brute-force occurrence enumerator used as
+the matcher oracle, two isomorphism oracles (``brute_iso`` and, over
+``networkx``, ``nx_iso``), the rewrite by the algebra
+(``reference_recompose``) used as the oracle of the one-pass
+``matching.recompose``, a structural sanity check (``well_formed``),
+every application of a rule (``all_applications``) and a parser of
+``.tra`` files (``read_tra``).
 
 The matcher oracle enumerates every injective node map and every
 anchored link assignment and checks the embedding conditions written out
@@ -14,7 +18,9 @@ from collections import Counter
 from functools import reduce
 from itertools import product
 
-from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, nest, parallel, rename_outer
+from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, nest, parallel
+from bigengine.matching import check_constraints, find_occurrences
+from bigengine.rules import apply_at
 
 
 def make_sig(controls):
@@ -108,6 +114,76 @@ def random_solid_pattern(rng, sig, max_nodes=4, name_pool=("a", "b", "c"),
             b = close(x, b)
     assert b.is_solid()
     return b
+
+
+def permuted(b, rng):
+    """The same bigraph with its nodes and closed edges renumbered at random."""
+    perm = list(range(b.n))
+    rng.shuffle(perm)
+    eperm = list(range(b.edges))
+    rng.shuffle(eperm)
+    place = lambda p: ("n", perm[p[1]]) if p[0] == "n" else p
+    handle = lambda h: ("e", eperm[h[1]]) if h[0] == "e" else h
+    ctrl, params, parents, ports = ([None] * b.n for _ in range(4))
+    for i in range(b.n):
+        j = perm[i]
+        ctrl[j], params[j] = b.ctrl[i], b.params[i]
+        parents[j] = frozenset(place(p) for p in b.node_parents[i])
+        ports[j] = tuple(handle(h) for h in b.ports[i])
+    site_parents = [frozenset(place(p) for p in ps) for ps in b.site_parents]
+    inner = [(x, handle(h)) for x, h in b.inner]
+    return _mk(b.sig, b.regions, b.sites, ctrl, params, parents, site_parents,
+               ports, inner, b.outer, b.edges)
+
+
+def swapped(b, rng):
+    """b with the differing controls or ports of two nodes of equal arity
+    exchanged: same sizes, controls and names, often not isomorphic."""
+    ctrl, ports = list(b.ctrl), list(b.ports)
+    row = ctrl if rng.random() < 0.5 else ports
+    pairs = [(i, j) for i in range(b.n) for j in range(i)
+             if len(ports[i]) == len(ports[j]) and row[i] != row[j]]
+    if pairs:
+        i, j = rng.choice(pairs)
+        row[i], row[j] = row[j], row[i]
+    return _mk(b.sig, b.regions, b.sites, ctrl, b.params, b.node_parents,
+               b.site_parents, ports, b.inner, b.outer, b.edges)
+
+
+def nx_graph(nx, b):
+    """Labelled digraph of the place and link graphs: regions, sites, outer
+    and inner names keep their identity as labels; nodes carry control
+    and parameters; closed edges are anonymous."""
+    g = nx.DiGraph()
+    for k in range(b.regions):
+        g.add_node(("r", k), label=("r", k))
+    for k in range(b.sites):
+        g.add_node(("s", k), label=("s", k))
+    for i in range(b.n):
+        g.add_node(("n", i), label=("n", b.ctrl[i], b.params[i]))
+    for x in b.outer:
+        g.add_node(("o", x), label=("o", x))
+    for k in range(b.edges):
+        g.add_node(("e", k), label=("e",))
+    for i, ps in enumerate(b.node_parents):
+        for p in ps:
+            g.add_edge(p, ("n", i), kind="place")
+    for k, ps in enumerate(b.site_parents):
+        for p in ps:
+            g.add_edge(p, ("s", k), kind="place")
+    for i in range(b.n):
+        for h, c in Counter(b.ports[i]).items():
+            g.add_edge(("n", i), h, kind=("ports", c))
+    for x, h in b.inner:
+        g.add_node(("i", x), label=("i", x))
+        g.add_edge(("i", x), h, kind="inner")
+    return g
+
+
+def nx_iso(nx, a, b):
+    return nx.is_isomorphic(nx_graph(nx, a), nx_graph(nx, b),
+                            node_match=lambda u, v: u["label"] == v["label"],
+                            edge_match=lambda u, v: u["kind"] == v["kind"])
 
 
 # ---------------------------------------------------------------------------
@@ -379,3 +455,94 @@ def reference_recompose(occ, pattern: Bigraph, fillers=None) -> Bigraph:
     return _mk(whole.sig, whole.regions, whole.sites, whole.ctrl, whole.params,
                whole.node_parents, whole.site_parents, ports, inner,
                whole.outer.difference(occ.to_close), whole.edges + len(edges))
+
+
+def rename_outer(b: Bigraph, mapping: dict) -> Bigraph:
+    """Rename outer names; mapping two names to one fuses their links."""
+    repl = lambda h: ("o", mapping.get(h[1], h[1])) if h[0] == "o" else h
+    ports = tuple(tuple(repl(h) for h in hs) for hs in b.ports)
+    inner = tuple((x, repl(h)) for x, h in b.inner)
+    outer = frozenset(mapping.get(x, x) for x in b.outer)
+    return _mk(b.sig, b.regions, b.sites, b.ctrl, b.params, b.node_parents,
+               b.site_parents, ports, inner, outer, b.edges)
+
+
+def well_formed(b: Bigraph) -> bool:
+    """Structural sanity: arities, parents, an acyclic place graph and
+    links on known handles."""
+    for i in range(b.n):
+        if len(b.ports[i]) != b.control(i).arity:
+            return False
+        if not b.node_parents[i]:
+            return False
+        for p in b.node_parents[i]:
+            if p[0] == "n":
+                if not (0 <= p[1] < b.n) or b.control(p[1]).atomic:
+                    return False
+            elif not (0 <= p[1] < b.regions):
+                return False
+    for ps in b.site_parents:
+        if not ps:
+            return False
+        for p in ps:
+            if p[0] == "n" and b.control(p[1]).atomic:
+                return False
+    # acyclic place structure
+    seen: dict = {}
+
+    def visit(i, stack):
+        if i in stack:
+            return False
+        if i in seen:
+            return True
+        stack.add(i)
+        for p in b.node_parents[i]:
+            if p[0] == "n" and not visit(p[1], stack):
+                return False
+        stack.discard(i)
+        seen[i] = True
+        return True
+
+    for i in range(b.n):
+        if not visit(i, set()):
+            return False
+    # every port/inner on a known handle, closed edges non-empty
+    points = b.link_points()
+    for h, pts in points.items():
+        if h[0] == "e" and not pts:
+            return False
+        if h[0] == "o" and h[1] not in b.outer:
+            return False
+    return True
+
+
+def all_applications(state: Bigraph, rule: ReactionRule):
+    """Every constraint-passing occurrence with its rewrite result."""
+    out = []
+    for occ in find_occurrences(state, rule.lhs):
+        if check_constraints(occ, rule.constraints):
+            out.append((occ, apply_at(state, rule, occ)))
+    return out
+
+
+def read_tra(data: bytes, semantics: str):
+    """Parse a transition file back into (num_states, rows); rows are
+    (src, dst, value) or (src, choice, dst, prob, action|None)."""
+    lines = data.decode().splitlines()
+    header = lines[0].split()
+    rows = []
+    if semantics in ("brs", "pbrs", "sbrs"):
+        n, m = int(header[0]), int(header[1])
+        for line in lines[1:]:
+            src, dst, value = line.split()
+            rows.append((int(src), int(dst), float(value)))
+        assert len(rows) == m
+        return n, rows
+    n, _, m = int(header[0]), int(header[1]), int(header[2])
+    for line in lines[1:]:
+        parts = line.split()
+        action = parts[4] if len(parts) > 4 else None
+        rows.append((int(parts[0]), int(parts[1]), int(parts[2]),
+                     float(parts[3]), action))
+    assert len(rows) == m
+    return n, rows

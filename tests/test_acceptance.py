@@ -13,19 +13,20 @@ from bigengine.cli import run_cli
 from bigengine.elaborate import load_file
 from bigengine.engine import enabled_class, explore
 from bigengine.errors import BigraphError
-from bigengine.export import read_tra
 from bigengine.matching import find_occurrences, matches_predicate
 from bigengine.printing import print_bigraph
-from bigengine.rules import all_applications
 
 from conftest import MODELS
 from genutil import (
     DEFAULT_CONTROLS,
+    all_applications,
     brute_images,
     make_sig,
     matcher_images,
     random_ground,
     random_solid_pattern,
+    read_tra,
+    rename_outer,
 )
 
 LISTED_MODELS = [
@@ -291,7 +292,6 @@ def test_criterion_08_algebraic_property_suite():
         if not live:
             continue
         x = live[rng.randrange(len(live))]
-        from bigengine.bigraph import rename_outer
         renamed = rename_outer(b, {x: "fresh_name"})
         assert iso_equal(close(x, b), close("fresh_name", renamed))
         done += 1

@@ -12,7 +12,6 @@ from bigengine import (
     parallel,
     share,
 )
-from bigengine.bigraph import well_formed
 from bigengine.errors import (
     ArityMismatch,
     AtomicViolation,
@@ -21,6 +20,8 @@ from bigengine.errors import (
     UnknownName,
     WidthMismatch,
 )
+
+from genutil import well_formed
 
 
 def test_make_atom_interface(building_sig):

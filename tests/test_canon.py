@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 import time
-from collections import Counter
 from itertools import permutations
 
 from bigengine import canonical_key, close, find_occurrences, iso_equal, make_atom, merge, nest
@@ -14,8 +13,8 @@ from bigengine.errors import NotGround
 import pytest
 
 from conftest import MODELS
-from genutil import (DEFAULT_CONTROLS, brute_iso, brute_same_orbit, make_sig,
-                     random_ground, random_solid_pattern)
+from genutil import (DEFAULT_CONTROLS, brute_iso, brute_same_orbit, make_sig, nx_iso,
+                     permuted, random_ground, random_solid_pattern, swapped)
 
 
 def room_with(sig, *children):
@@ -118,62 +117,6 @@ def test_params_distinguish_states():
     assert canonical_key(a) == canonical_key(c) and iso_equal(a, c)
 
 
-def permuted(b, rng):
-    """The same bigraph with its nodes and closed edges renumbered at random."""
-    perm = list(range(b.n))
-    rng.shuffle(perm)
-    eperm = list(range(b.edges))
-    rng.shuffle(eperm)
-    place = lambda p: ("n", perm[p[1]]) if p[0] == "n" else p
-    handle = lambda h: ("e", eperm[h[1]]) if h[0] == "e" else h
-    ctrl, params, parents, ports = ([None] * b.n for _ in range(4))
-    for i in range(b.n):
-        j = perm[i]
-        ctrl[j], params[j] = b.ctrl[i], b.params[i]
-        parents[j] = frozenset(place(p) for p in b.node_parents[i])
-        ports[j] = tuple(handle(h) for h in b.ports[i])
-    site_parents = [frozenset(place(p) for p in ps) for ps in b.site_parents]
-    inner = [(x, handle(h)) for x, h in b.inner]
-    return _mk(b.sig, b.regions, b.sites, ctrl, params, parents, site_parents,
-               ports, inner, b.outer, b.edges)
-
-
-def nx_graph(nx, b):
-    """Labelled digraph of the place and link graphs: regions, sites, outer
-    and inner names keep their identity as labels; nodes carry control
-    and parameters; closed edges are anonymous."""
-    g = nx.DiGraph()
-    for k in range(b.regions):
-        g.add_node(("r", k), label=("r", k))
-    for k in range(b.sites):
-        g.add_node(("s", k), label=("s", k))
-    for i in range(b.n):
-        g.add_node(("n", i), label=("n", b.ctrl[i], b.params[i]))
-    for x in b.outer:
-        g.add_node(("o", x), label=("o", x))
-    for k in range(b.edges):
-        g.add_node(("e", k), label=("e",))
-    for i, ps in enumerate(b.node_parents):
-        for p in ps:
-            g.add_edge(p, ("n", i), kind="place")
-    for k, ps in enumerate(b.site_parents):
-        for p in ps:
-            g.add_edge(p, ("s", k), kind="place")
-    for i in range(b.n):
-        for h, c in Counter(b.ports[i]).items():
-            g.add_edge(("n", i), h, kind=("ports", c))
-    for x, h in b.inner:
-        g.add_node(("i", x), label=("i", x))
-        g.add_edge(("i", x), h, kind="inner")
-    return g
-
-
-def nx_iso(nx, a, b):
-    return nx.is_isomorphic(nx_graph(nx, a), nx_graph(nx, b),
-                            node_match=lambda u, v: u["label"] == v["label"],
-                            edge_match=lambda u, v: u["kind"] == v["kind"])
-
-
 def random_cycles(rng, sig, n):
     """n arity-2 atoms in one region, their 2n ports paired at random into
     n closed edges: a union of cycles. Colour refinement gives every node
@@ -246,25 +189,11 @@ def test_iso_equal_cycles_pruned_by_links():
     assert time.perf_counter() - start < 1.0
 
 
-def swapped(b, rng):
-    """b with the differing controls or ports of two nodes of equal arity
-    exchanged: same sizes, controls and names, often not isomorphic."""
-    ctrl, ports = list(b.ctrl), list(b.ports)
-    row = ctrl if rng.random() < 0.5 else ports
-    pairs = [(i, j) for i in range(b.n) for j in range(i)
-             if len(ports[i]) == len(ports[j]) and row[i] != row[j]]
-    if pairs:
-        i, j = rng.choice(pairs)
-        row[i], row[j] = row[j], row[i]
-    return _mk(b.sig, b.regions, b.sites, ctrl, b.params, b.node_parents,
-               b.site_parents, ports, b.inner, b.outer, b.edges)
-
-
 def test_iso_equal_exact_without_colours(monkeypatch):
     # colours only pick candidates: with every node in one colour class
     # the check of a full node map alone must keep iso_equal exact
     from bigengine import canon
-    monkeypatch.setattr(canon, "_refine", lambda b: ([b""] * b.n, [b""] * b.edges))
+    monkeypatch.setattr(canon, "_refine", lambda b: ([b""] * b.n, [b""] * b.edges, False))
     sig = make_sig(DEFAULT_CONTROLS)
     rng = random.Random(20261018)
     outcomes = []
@@ -293,6 +222,24 @@ def test_iso_equal_deep_flat_state():
     assert iso_equal(a, b)
 
 
+def test_store_merges_large_flat_state_quickly():
+    # one B and 20,000 A atoms, numbered two ways: the A are twins, so the
+    # colours order the nodes up to twins and the certificates merge the
+    # two with no node-map search
+    sig = Signature([Control("A", 0, atomic=True), Control("B", 0, atomic=True)])
+    n = 20001
+
+    def flat(ctrl):
+        return _mk(sig, 1, 0, ctrl, ((),) * n, (frozenset({("r", 0)}),) * n,
+                   (), ((),) * n, (), frozenset(), 0)
+
+    start = time.perf_counter()
+    store = StateStore()
+    assert store.insert(flat(["B"] + ["A"] * (n - 1))) == (0, True)
+    assert store.insert(flat(["A"] * (n - 1) + ["B"])) == (0, False)
+    assert time.perf_counter() - start < 2.0
+
+
 @pytest.mark.parametrize("refined", [True, False], ids=["refined", "one-colour"])
 def test_same_orbit_agrees_with_brute_force(monkeypatch, refined):
     # for every ordered pair of occurrences of one pattern, same_orbit
@@ -300,7 +247,7 @@ def test_same_orbit_agrees_with_brute_force(monkeypatch, refined):
     # an exhaustive search over node and edge permutations does
     if not refined:
         from bigengine import canon
-        monkeypatch.setattr(canon, "_refine", lambda b: ([0] * b.n, [0] * b.edges))
+        monkeypatch.setattr(canon, "_refine", lambda b: ([0] * b.n, [0] * b.edges, False))
     sig = make_sig(DEFAULT_CONTROLS)
     rng = random.Random(20261019)
     draws = [(random_ground(rng, sig, max_nodes=6, name_pool=("a", "b")),
@@ -314,6 +261,11 @@ def test_same_orbit_agrees_with_brute_force(monkeypatch, refined):
                       (), frozenset(), 4),
                   _mk(sig, 1, 0, "C", ((),), (region,), (), [(("o", "x"), ("o", "y"))],
                       (), frozenset("xy"), 0)))
+    # two twin C on two parallel closed edges: x and y may swap edges, as
+    # the automorphism that swaps the edges and fixes every node shows
+    draws.append((_mk(sig, 1, 0, "CCD", ((),) * 3, (region,) * 3, (),
+                      [(("e", 0), ("e", 1)), (("e", 1), ("e", 0)), ()], (), frozenset(), 2),
+                  draws[-1][1]))
     outcomes = []
     for state, pattern in draws:
         for h1, h2 in permutations(find_occurrences(state, pattern), 2):

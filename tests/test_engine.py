@@ -18,6 +18,7 @@ from bigengine.matching import matches_predicate
 from bigengine.rules import apply_at
 
 from conftest import MODELS
+from genutil import all_applications
 
 BLOCK_TAIL = "end\n"
 
@@ -324,7 +325,6 @@ def test_explore_spawn_chain():
 
 
 def test_trace_steps_are_single_applications():
-    from bigengine.rules import all_applications
     spec = load_file(MODELS / "secure_building.big")
     trace = simulate(spec, 12, seed=2)
     rules = {r.name: r for r in spec.rules()}
@@ -371,7 +371,6 @@ def test_sense_requires_ctx_phase():
     spec = load_file(MODELS / "turntaking.big")
     rules = {r.name: r for r in spec.rules()}
     from bigengine import make_atom, merge, nest
-    from bigengine.rules import all_applications
     sig = spec.signature
     room = nest(make_atom(sig, "Room"),
                 merge(make_atom(sig, "Camera"),
@@ -449,8 +448,8 @@ def _hits_view(res):
 
 
 # After cook, the search of `pair` yields each image twice (its two A are
-# interchangeable) and not in image order, so a resumed search must still
-# dedupe and sort.
+# interchangeable) and not in image order, so a step started from the
+# settle's handoff must still dedupe and sort.
 SYMMETRIC_PAIRS = """
 atomic ctrl A = 0;
 atomic ctrl B = 0;
@@ -465,32 +464,50 @@ end
 """
 
 
+# A normal class above an instantaneous one: the settle must search go,
+# and reduce tidy only once go is disabled.
+NORMAL_ABOVE_INSTANTANEOUS = """
+atomic ctrl A = 0;
+atomic ctrl B = 0;
+atomic ctrl C = 0;
+react go = A --> B;
+react tidy = B --> C;
+big s0 = A | A;
+begin brs
+  init s0;
+  rules = [ {go}, (tidy) ];
+end
+"""
+
+
 def test_settle_handoff_is_invisible(monkeypatch):
-    # every step that starts from a settle's handoff uses exactly the hits
-    # a fresh search of a cache-free copy of the state finds
+    # every step that starts from a settle's handoff, the first class the
+    # settle did not show empty, gets exactly the hits a fresh search of a
+    # cache-free copy of the state gets, and they are never instantaneous
     fresh = engine.enabled_class
-    resumed = 0
+    handed = 0
 
     def checked(state, spec, handoff=None):
-        nonlocal resumed
+        nonlocal handed
         res = fresh(state, spec, handoff)
         if handoff is not None:
-            resumed += 1
+            handed += 1
             want = fresh(dataclasses.replace(state, _cache={}), spec)
             assert _hits_view(res) == _hits_view(want)
+            assert res is None or not spec.classes[res[0]].instantaneous
         return res
 
     monkeypatch.setattr(engine, "enabled_class", checked)
     models = sorted(MODELS.glob("*.big"))
     assert len(models) == 22
-    for path in models + [SYMMETRIC_PAIRS]:
+    for path in models + [SYMMETRIC_PAIRS, NORMAL_ABOVE_INSTANTANEOUS]:
         spec = load_file(path) if path in models else load(path)
-        resumed = 0
+        handed = 0
         for seed in (1, 2, 3):
             simulate(spec, 30, seed)
         explore(spec, 60)
         # only a settle that searched hands off
-        assert (resumed > 0) == any(cls.instantaneous for cls in spec.classes), path
+        assert (handed > 0) == any(cls.instantaneous for cls in spec.classes), path
 
 
 # Models where a careless orbit skip would merge successors that differ.
@@ -603,7 +620,7 @@ def test_orbit_skipping_is_invisible(monkeypatch, refined):
     assert len(models) == 22
     inline = [TWINS, CYCLES, PORT_ORDER, SETTLE_PICKS]
     if not refined:             # CYCLES gains nothing here, as refinement cannot split it
-        monkeypatch.setattr(canon, "_refine", lambda b: ([0] * b.n, [0] * b.edges))
+        monkeypatch.setattr(canon, "_refine", lambda b: ([0] * b.n, [0] * b.edges, False))
         models, inline = [], [TWINS, PORT_ORDER, SETTLE_PICKS]
     for path in models + inline:
         spec = load_file(path) if path in models else load(path)

@@ -3,7 +3,9 @@ import pytest
 from bigengine.elaborate import load, load_file
 from bigengine.engine import explore
 from bigengine.errors import PartialSystem
-from bigengine.export import read_tra, write_dot, write_labels, write_tra
+from bigengine.export import write_dot, write_labels, write_tra
+
+from genutil import read_tra
 
 from conftest import MODELS
 

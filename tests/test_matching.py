@@ -17,7 +17,7 @@ from bigengine import (
     one,
     parallel,
 )
-from bigengine.bigraph import Control, Signature, close, idle, well_formed
+from bigengine.bigraph import Control, Signature, close, idle
 from bigengine.elaborate import load, load_file
 from bigengine.engine import explore
 from bigengine.errors import PatternNotSolid, TargetNotGround
@@ -32,6 +32,7 @@ from genutil import (
     random_ground,
     random_solid_pattern,
     reference_recompose,
+    well_formed,
 )
 
 

@@ -5,7 +5,6 @@ import pytest
 from bigengine import (
     InstMap,
     ReactionRule,
-    all_applications,
     apply_at,
     close,
     find_occurrences,
@@ -31,7 +30,7 @@ from bigengine.errors import (
 )
 
 from conftest import MODELS
-from genutil import DEFAULT_CONTROLS, make_sig, random_ground
+from genutil import DEFAULT_CONTROLS, all_applications, make_sig, random_ground
 
 
 @pytest.fixture
