@@ -47,11 +47,20 @@ from .bigraph import Bigraph, _node_maps, require_ground
 
 @lru_cache(maxsize=1 << 16)
 def _digest(key) -> int:
-    """Stable 64-bit digest of a tagged label: ``("n", ctrl, params)`` for
+    """Stable 64-bit digest of a tagged label: ``("n", _label(b, i))`` for
     a node label, ``("o", x)`` / ``("i", x)`` for an outer / inner name,
     ``("r", k)`` / ``("s", k)`` for a region / site. The tags keep a name
     from colliding with a control."""
     return int.from_bytes(hashlib.blake2b(repr(key).encode(), digest_size=8).digest(), "big")
+
+
+def _label(b: Bigraph, i: int) -> str:
+    """Node i's control and parameters as text, the one identity of a
+    node label: it keeps ``0.0`` and ``-0.0`` apart, which compare equal
+    but print differently, and matches a ``nan`` with another. A node
+    with no parameters is its control name, which has no parenthesis."""
+    params = b.params[i]
+    return repr((b.ctrl[i], params)) if params else b.ctrl[i]
 
 
 def _refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
@@ -79,20 +88,22 @@ def _refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
         return got
     kids = b.children()
     twins: dict = {}                             # twin key -> twin class
-    cls, first = [], []                          # node -> its class; class -> first node
+    cls, first, labels = [], [], []              # node -> its class; class -> first node, label
     for i, ps in enumerate(b.node_parents):
-        c = twins.setdefault(i if kids[("n", i)] else (b.ctrl[i], b.params[i], ps,
-                                                       tuple(sorted(b.ports[i]))), len(first))
+        label = _label(b, i)
+        c = twins.setdefault(i if kids[("n", i)] else (label, ps, tuple(sorted(b.ports[i]))),
+                             len(first))
         if c == len(first):
             first.append(i)
+            labels.append(label)
         cls.append(c)
     around, ccol = [], []                        # per twin class, from its first node
-    for i in first:
+    for i, label in zip(first, labels):
         xss = (b.node_parents[i], kids[("n", i)], b.ports[i])
         around.append(tuple([cls[x[1]] if x[0] == "n" else x[1] for x in xs if x[0] in "ne"]
                             for xs in xss))
         fixed = sorted(_digest(x) for xs in xss for x in xs if x[0] in "rso")
-        ccol.append(hash((_digest(("n", b.ctrl[i], b.params[i])), *fixed)))
+        ccol.append(hash((_digest(("n", label)), *fixed)))
     points = [b.link_points()[("e", k)] for k in range(b.edges)]
     ends = [[cls[pt[1]] for pt in pts if pt[0] == "p"] for pts in points]
     ecol = [hash(tuple(sorted(_digest(pt) for pt in pts if pt[0] == "i"))) for pts in points]
@@ -148,7 +159,7 @@ def certificate(b: Bigraph) -> tuple | None:
     b's nodes up to twins. Cached on b.
 
     Each colour class, a twin class, takes the next block of positions
-    and is written once: its size, control, parameters, parents (region
+    and is written once: its size, label (``_label``), parents (region
     k as ~k, a node as its position: a parent has children, so it is no
     twin) and open names. Each closed edge is the sorted positions of its
     ports, every twin of a class listed; sorting the edges drops their
@@ -175,7 +186,7 @@ def certificate(b: Bigraph) -> tuple | None:
                     ends[h[1]].extend(range(p, p + k))
                 else:
                     names.append(h[1])
-            rows.append((k, b.ctrl[i], b.params[i],
+            rows.append((k, _label(b, i),
                          tuple(sorted(start[ncol[x[1]]] if x[0] == "n" else ~x[1]
                                       for x in b.node_parents[i])),
                          tuple(sorted(names))))
@@ -199,7 +210,7 @@ def _full_map_ok(a: Bigraph, b: Bigraph, fwd: dict, b_edges: list) -> bool:
         return frozenset(("n", fwd[p[1]]) if p[0] == "n" else p for p in ps)
 
     def label(big, i):
-        return big.ctrl[i], big.params[i], sorted(h for h in big.ports[i] if h[0] == "o")
+        return _label(big, i), sorted(h for h in big.ports[i] if h[0] == "o")
 
     if any(label(a, i) != label(b, j) or mapped(a.node_parents[i]) != b.node_parents[j]
            for i, j in fwd.items()):

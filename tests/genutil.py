@@ -153,14 +153,15 @@ def swapped(b, rng):
 def nx_graph(nx, b):
     """Labelled digraph of the place and link graphs: regions, sites, outer
     and inner names keep their identity as labels; nodes carry control
-    and parameters; closed edges are anonymous."""
+    and printed parameters (so 0.0 and -0.0 differ); closed edges are
+    anonymous."""
     g = nx.DiGraph()
     for k in range(b.regions):
         g.add_node(("r", k), label=("r", k))
     for k in range(b.sites):
         g.add_node(("s", k), label=("s", k))
     for i in range(b.n):
-        g.add_node(("n", i), label=("n", b.ctrl[i], b.params[i]))
+        g.add_node(("n", i), label=("n", b.ctrl[i], repr(b.params[i])))
     for x in b.outer:
         g.add_node(("o", x), label=("o", x))
     for k in range(b.edges):
@@ -378,7 +379,7 @@ def brute_isomorphisms(a: Bigraph, b: Bigraph):
 
     for perm in permutations(range(b.n)):
         f = {i: perm[i] for i in range(a.n)}
-        if any(a.ctrl[i] != b.ctrl[f[i]] or a.params[i] != b.params[f[i]]
+        if any(a.ctrl[i] != b.ctrl[f[i]] or repr(a.params[i]) != repr(b.params[f[i]])
                for i in range(a.n)):
             continue
         ok = True
