@@ -237,6 +237,14 @@ def _mk(sig, regions, sites, ctrl, params, node_parents, site_parents, ports,
                    tuple(sorted(inner)), frozenset(outer), edges)
 
 
+def exact_fields(b: Bigraph) -> tuple:
+    """Every field that equality compares (the signature is shared), the
+    parameters as printed: ``0.0`` and ``-0.0`` compare equal, but match
+    and identify states apart."""
+    return (b.regions, b.sites, b.ctrl, repr(b.params), b.node_parents, b.site_parents,
+            b.ports, b.inner, b.outer, b.edges)
+
+
 def one(sig: Signature) -> Bigraph:
     """The empty region, written 1."""
     return _mk(sig, 1, 0, (), (), (), (), (), (), frozenset(), 0)

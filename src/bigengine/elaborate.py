@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import language as lang
-from .bigraph import Bigraph, Control, Signature, make_atom
+from .bigraph import Bigraph, Control, Signature, exact_fields, make_atom
 from .errors import (
     ActionPartitionError,
     DuplicateDefinition,
@@ -111,6 +111,9 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
         namespace.add(name)
 
     ev = _Evaluator(sig, bigs)
+    # equal left sides, parameters as printed, become one object, so the
+    # engine searches each once per class
+    lhs_of: dict[tuple, Bigraph] = {}
 
     for decl in ast.decls:
         declare(decl.name, decl.line)
@@ -146,6 +149,7 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
 
     def build_instance(decl: lang.ReactDef, inst_name: str, env: dict) -> ReactionRule:
         lhs = decl.lhs(ev, env)
+        lhs = lhs_of.setdefault(exact_fields(lhs), lhs)
         rhs = decl.rhs(ev, env)
         constraints = []
         for cond in decl.conds:

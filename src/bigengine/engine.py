@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bigraph import Bigraph
+from .bigraph import Bigraph, exact_fields
 from .canon import StateStore, same_orbit
 from .elaborate import BrsSpec
 from .errors import DivergentInstantaneous, InitNotGround, NonConfluence, RateOverflow
@@ -89,7 +89,11 @@ def _enabled(state, spec, settling, start=0):
                     for rule in cls.rules for occ in _occurrences(state, rule.lhs)):
                 return ci
             continue
-        hits = [(rule, occ) for rule in cls.rules for occ in find_occurrences(state, rule.lhs)
+        # rules with equal left sides share one (elaboration interns them):
+        # each left side is searched once, each rule's guards checked
+        lhss = {id(rule.lhs): rule.lhs for rule in cls.rules}
+        found = {k: find_occurrences(state, lhs) for k, lhs in lhss.items()}
+        hits = [(rule, occ) for rule in cls.rules for occ in found[id(rule.lhs)]
                 if check_constraints(occ, rule.constraints)]
         if hits:
             return ci, hits
@@ -152,20 +156,14 @@ def _settle(state, spec, check, bound=INSTANTANEOUS_BOUND):
             return state, res
         rule, occ = res[1][0]
         if i & (i + 1) == 0:
-            mark = _fields(state)
+            mark = exact_fields(state)
         state = apply_at(state, rule, occ)
-        if _fields(state) == mark:
+        if exact_fields(state) == mark:
             raise DivergentInstantaneous(
                 "instantaneous rule %s revisits a state, so the classes never settle"
                 % rule.name)
     raise DivergentInstantaneous(
         "instantaneous classes did not settle within %d reductions" % bound)
-
-
-def _fields(b: Bigraph) -> tuple:
-    """Every field of b that equality compares (its signature is shared)."""
-    return (b.regions, b.sites, b.ctrl, b.params, b.node_parents, b.site_parents,
-            b.ports, b.inner, b.outer, b.edges)
 
 
 @dataclass

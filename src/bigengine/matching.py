@@ -8,17 +8,21 @@ where the context holds everything above/around the image, and the
 parameter holds one ground bigraph per pattern site (everything the
 sites absorbed). What the search needs of the pattern alone is compiled
 once into a plan cached on it (``_plan``). Each search indexes the
-target's nodes by label (control and parameters), so a pattern node
-filters only the nodes with its label. Node injections come from
-``bigraph._node_maps``, the iterative search ``canon.iso_equal`` uses
-too, in a connectivity-guided order (rarest candidates first) and pruned
-by shared links; each one then gets the remaining placement checks and
-its link assignments. Occurrences are produced lazily, so
-``matches_predicate``, the rule guards and the engine's settle stop at
-the first. A rewrite (``recompose``) splices the new part into the
-target in one pass and builds neither piece; an occurrence builds its
-context or parameter only when a guard reads it. No SAT machinery;
-nothing is carried from one state to the next.
+target's nodes by label, the control and the parameters as printed (so
+``P(0.0)`` does not match ``P(-0.0)``, as state identity keeps them
+apart), and a pattern node filters only the nodes with its label. The
+engine searches a left side that several rules share once (elaboration
+gives equal left sides one object) and checks each rule's guards on the
+shared occurrences. Node injections come from ``bigraph._node_maps``, the
+iterative search ``canon.iso_equal`` uses too, in a connectivity-guided
+order (rarest candidates first) and pruned by shared links; each one
+then gets the remaining placement checks and its link assignments.
+Occurrences are produced lazily, so ``matches_predicate``, the rule
+guards and the engine's settle stop at the first. A rewrite
+(``recompose``) splices the new part into the target in one pass and
+builds neither piece; an occurrence builds its context or parameter
+only when a guard reads it. No SAT machinery; nothing is carried from
+one state to the next.
 
 Matching semantics, each condition checked in exactly one place:
 
@@ -32,11 +36,13 @@ Matching semantics, each condition checked in exactly one place:
 * All top nodes of one region share the same extra parents (the
   region's position, in the context); every unmatched child of an image
   node has only image parents, which name exactly one site, and its
-  part of the parameter is closed and holds no image node (``_finalize``).
+  part of the parameter is closed and holds no image node (``_finalize``,
+  which routes each distinct parent set once, not each child).
 * A closed pattern edge matches a closed target link with exactly the
   same ports. An open pattern name matches any target link, open or
-  closed; distinct names may land on the same link
-  (``_link_assignments``).
+  closed; distinct names may land on the same link. Every port of an
+  image node is taken, which arity implies: a pattern node and its image
+  share a control (``_link_assignments``).
 * Occurrences with the same node image set, the same target link for
   each open name and the same closed-edge image set are counted once, so
   pattern automorphisms (which fix open names) do not multiply matches,
@@ -288,16 +294,20 @@ def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
 class _Plan(NamedTuple):
     """What matching needs of a pattern alone, built once per pattern by
     ``_plan``. Per node: its candidate filter (label, node parents, has a
-    region parent, node children, has a site child), the nodes it shares
-    a parent edge or a link with, and its region parents. The site each
-    parent set names. Per link handle, closed edges first: its (node,
-    ports on it) pairs."""
+    region parent, node children, has a site child) and the nodes it
+    shares a parent edge or a link with. The nodes with a region parent,
+    each with its region parents and whether it has a node parent too;
+    the nodes with a site child. The site each parent set names. Per
+    link handle, closed edges first: its (node, ports on it) pairs; and
+    the nodes with ports."""
 
     filters: tuple
     adj: tuple
-    region_parents: tuple
+    tops: tuple
+    sited: tuple
     site_of_parents: dict
     links: tuple
+    linked: tuple
 
 
 def _plan(pattern: Bigraph) -> _Plan:
@@ -309,7 +319,7 @@ def _plan(pattern: Bigraph) -> _Plan:
     if not pattern.is_solid():
         raise PatternNotSolid("pattern is not solid")
     p_kids = pattern.children()
-    filters = tuple(((pattern.ctrl[u], pattern.params[u]),
+    filters = tuple(((pattern.ctrl[u], repr(pattern.params[u])),
                      sum(p[0] == "n" for p in ps), any(p[0] == "r" for p in ps),
                      sum(c[0] == "n" for c in p_kids[("n", u)]),
                      any(c[0] == "s" for c in p_kids[("n", u)]))
@@ -330,9 +340,12 @@ def _plan(pattern: Bigraph) -> _Plan:
             adj[u].update(v for v in row if v != u)
     got = pattern._cache["plan"] = _Plan(
         filters, tuple(adj),
-        tuple(tuple(p[1] for p in ps if p[0] == "r") for ps in pattern.node_parents),
+        tuple((u, tuple(p[1] for p in ps if p[0] == "r"), f[1] > 0)
+              for u, (ps, f) in enumerate(zip(pattern.node_parents, filters)) if f[2]),
+        tuple(u for u, f in enumerate(filters) if f[4]),
         {frozenset(ps): s for s, ps in enumerate(pattern.site_parents)},
-        tuple((h, tuple(users[h].items())) for h in sorted(users)))   # ("e", k) < ("o", x)
+        tuple((h, tuple(users[h].items())) for h in sorted(users)),   # ("e", k) < ("o", x)
+        tuple(u for u, hs in enumerate(pattern.ports) if hs))
     return got
 
 
@@ -348,7 +361,7 @@ def _occurrences(target: Bigraph, pattern: Bigraph):
     # candidate target nodes per pattern node: same label, then the
     # parent and child counts the pattern node admits
     by_label: dict = {f[0]: [] for f in plan.filters}
-    for t, label in enumerate(zip(target.ctrl, target.params)):
+    for t, label in enumerate(zip(target.ctrl, map(repr, target.params))):
         row = by_label.get(label)
         if row is not None:
             row.append((t, len(target.node_parents[t]), len(t_kids[("n", t)])))
@@ -387,14 +400,13 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
     image = set(fwd.values())
 
     # --- region positions: the parents of a top node outside the image -----
+    # (all of its parents when it has no parent in the pattern's nodes)
     region_pos: dict[int, frozenset] = {}
     multi: list[tuple[tuple[int, ...], frozenset]] = []
-    for u, t in fwd.items():
-        rs = plan.region_parents[u]
-        if not rs:
-            continue
-        extra = frozenset(p for p in target.node_parents[t]
-                          if p[0] == "r" or p[1] not in image)
+    for u, rs, under_node in plan.tops:
+        extra = target.node_parents[fwd[u]]
+        if under_node:
+            extra = frozenset(p for p in extra if p[0] == "r" or p[1] not in image)
         if len(rs) > 1:
             multi.append((rs, extra))
         elif region_pos.setdefault(rs[0], extra) != extra:
@@ -408,47 +420,54 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
         return
 
     # --- parameter routing: each top's parents name one pattern site -------
+    # checked once per distinct parent set; a set that names no site ends
+    # the occurrence, so route holds only sets that name one
     t_kids = target.children()
     inv = {t: u for u, t in fwd.items()}
-    param_tops: dict[int, int] = {}            # target node -> pattern site
-    for t in fwd.values():
-        for _, w in t_kids[("n", t)]:
-            if w in image or w in param_tops:
+    route: dict[frozenset, int] = {}           # a top's parents -> its site
+    owner: dict[int, int] = {}                 # parameter node -> pattern site
+    for u in plan.sited:
+        for _, w in t_kids[("n", fwd[u])]:
+            if w in image or w in owner:
                 continue
-            # every parent of a parameter top must be a matched node
             pars = target.node_parents[w]
-            if any(p[0] != "n" or p[1] not in image for p in pars):
-                return
-            s = plan.site_of_parents.get(frozenset(("n", inv[p[1]]) for p in pars))
+            s = route.get(pars)
             if s is None:
-                return
-            param_tops[w] = s
-
-    # closure of parameter parts
-    part_nodes: dict[int, list[int]] = {s: [] for s in range(pattern.sites)}
-    owner: dict[int, int] = {}
-    for w in sorted(param_tops):
-        s = param_tops[w]
-        stack = [w]
-        while stack:
-            x = stack.pop()
-            if x in owner:
-                if owner[x] != s:
+                # every parent of a parameter top must be a matched node
+                if any(p[0] != "n" or p[1] not in inv for p in pars):
                     return
-                continue
-            if x in image:
-                # x's parent is then a region position inside the parameter
+                s = plan.site_of_parents.get(frozenset(("n", inv[p[1]]) for p in pars))
+                if s is None:
+                    return
+                route[pars] = s
+            owner[w] = s
+    param_tops = dict(owner)
+
+    # closure of parameter parts: a node below a top has a parent in its
+    # part, so only one with several parents can escape it
+    stack = [(c, s) for w, s in param_tops.items() for _, c in t_kids[("n", w)]]
+    below: list[int] = []                      # part nodes under several parents
+    while stack:
+        x, s = stack.pop()
+        if x in owner:
+            if owner[x] != s:
                 return
-            owner[x] = s
-            part_nodes[s].append(x)
-            for c in t_kids[("n", x)]:
-                stack.append(c[1])
-    for x, s in owner.items():
-        if x in param_tops:
             continue
+        if x in image:
+            # x's parent is then a region position inside the parameter
+            return
+        owner[x] = s
+        if len(target.node_parents[x]) > 1:
+            below.append(x)
+        stack.extend((c, s) for _, c in t_kids[("n", x)])
+    for x in below:
+        s = owner[x]
         for p in target.node_parents[x]:
             if p[0] != "n" or owner.get(p[1]) != s:
                 return                         # parameter content escapes its part
+    part_nodes: dict[int, list[int]] = {s: [] for s in range(pattern.sites)}
+    for x, s in owner.items():
+        part_nodes[s].append(x)
 
     # --- link assignment -----------------------------------------------------
     for assign in _link_assignments(target, plan, fwd, image):
@@ -457,25 +476,28 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
 
 
 def _link_assignments(target, plan, fwd, image):
-    """All maps pattern-link -> target-link compatible with the node map."""
-    remaining = {t: target.node_handle_counts(t) for t in fwd.values()}
-    t_points = target.link_points()
+    """All maps pattern-link -> target-link compatible with the node map.
+
+    Counts the free ports per (image node, target link) of the linked
+    pattern nodes only. A pattern node and its image share a control, so
+    they have equally many ports: once every pattern link has taken its
+    ports on an image node, none are left, and no final check is needed."""
+    remaining = {u: target.node_handle_counts(fwd[u]) for u in plan.linked}
     solutions: list[dict] = []
     assign: dict = {}
 
     def backtrack(i):
         if i == len(plan.links):
-            if all(v == 0 for rem in remaining.values() for v in rem.values()):
-                solutions.append(dict(assign))
+            solutions.append(dict(assign))
             return
         L, users = plan.links[i]
-        rems = [(remaining[fwd[u]], need) for u, need in users]
+        rems = [(remaining[u], need) for u, need in users]
         for tl in sorted(rems[0][0]):          # the links on one user's image
             # a closed edge takes an unused closed edge of the same size,
             # wholly on the image (edges are assigned first)
             if L[0] == "e" and (tl[0] != "e" or tl in assign.values()
                                 or target.port_count(tl) != sum(n for _, n in users)
-                                or any(pt[1] not in image for pt in t_points[tl])):
+                                or any(pt[1] not in image for pt in target.link_points()[tl])):
                 continue
             if any(rem.get(tl, 0) < need for rem, need in rems):
                 continue

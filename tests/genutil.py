@@ -323,7 +323,7 @@ def brute_images(target: Bigraph, pattern: Bigraph) -> set:
     for u in range(pn):
         cands.append([t for t in range(target.n)
                       if target.ctrl[t] == pattern.ctrl[u]
-                      and target.params[t] == pattern.params[u]])
+                      and repr(target.params[t]) == repr(pattern.params[u])])
     p_handles = sorted({h for hs in pattern.ports for h in hs})
     for combo in product(*cands):
         if len(set(combo)) != pn:

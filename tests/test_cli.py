@@ -217,3 +217,32 @@ def test_settle_that_revisits_a_state_gives_diagnostic(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "revisits a state" in captured.err
     assert captured.out == ""
+
+
+# pos's P(0.0) and neg's P(-0.0) compare equal, but print apart
+SIGNED_ZEROS = """atomic fun ctrl P(x) = 0;
+atomic ctrl Q = 0;
+react pos = P(0.0) --> Q;
+react neg = P(-0.0) --> Q | Q;
+big s0 = P(-0.0);
+begin brs init s0; rules = [ {pos, neg} ]; end
+"""
+
+# flip's result is P(-0.0): a new state, which flip no longer matches
+FLIP_ZERO = """atomic fun ctrl P(x) = 0;
+atomic ctrl Q = 0;
+react flip = P(0.0) --> P(-0.0);
+react go = P(-0.0) --> Q;
+big s0 = P(0.0);
+begin brs init s0; rules = [ (flip), {go} ]; end
+"""
+
+
+@pytest.mark.parametrize("source", [SIGNED_ZEROS, FLIP_ZERO], ids=["match", "settle"])
+def test_labels_match_as_printed(tmp_path, capsys, source):
+    # a pattern P(0.0) does not match P(-0.0), and a settle that leaves
+    # P(0.0) for P(-0.0) has not revisited a state
+    model = tmp_path / "zeros.big"
+    model.write_text(source)
+    assert run_cli(["full", str(model)]) == 0
+    assert capsys.readouterr().out.endswith(": 2 state(s), 1 transition(s)\n")

@@ -648,3 +648,23 @@ def test_orbit_mates_of_settling_heads_are_applied(monkeypatch):
     groups = step_distribution(spec.init, spec)
     assert applied["go"] == 2 == sum(len(g.members) for g in groups)
     assert len(groups) == 2
+
+
+def test_equal_left_sides_are_searched_once(monkeypatch):
+    # detect and avoid_detect share Room.(Intruder | Camera | id): one
+    # search per expanded state serves both rules
+    spec = load_file(MODELS / "pbrs_detect.big")
+    calls = 0
+    real = engine.find_occurrences
+
+    def counted(state, pattern):
+        nonlocal calls
+        calls += 1
+        return real(state, pattern)
+
+    monkeypatch.setattr(engine, "find_occurrences", counted)
+    ts = explore(spec, 40)
+    assert len(ts.states) == 40
+    assert calls == 40
+    detect, avoid = spec.classes[0].rules
+    assert detect.lhs is avoid.lhs

@@ -17,7 +17,7 @@ from bigengine import (
     one,
     parallel,
 )
-from bigengine.bigraph import Control, Signature, close, idle
+from bigengine.bigraph import Control, Signature, _mk, close, idle
 from bigengine.elaborate import load, load_file
 from bigengine.engine import explore
 from bigengine.errors import PatternNotSolid, TargetNotGround
@@ -245,6 +245,39 @@ def test_matcher_agrees_with_brute_force_shared():
             shared += any(len(target.node_parents[t]) > 1 for t in occ.node_map.values())
     assert shared >= 100
 
+
+
+def test_tops_route_per_parent_set():
+    # image node X has parameter tops under {X} and under {X, Y}; a solid
+    # pattern gives X one site, so only one of those sets can name a site
+    # and the other must end the occurrence, as in brute force
+    sig = make_sig([("X", 0, False), ("Y", 0, False), ("D", 0, True)])
+    r, x, y = ("r", 0), ("n", 0), ("n", 1)
+
+    def target(tops):                  # X and Y in one region, a D under each set
+        k = 2 + len(tops)
+        return _mk(sig, 1, 0, ["X", "Y"] + ["D"] * len(tops), [()] * k,
+                   [frozenset({r})] * 2 + [frozenset(ps) for ps in tops], (),
+                   [()] * k, (), (), 0)
+
+    def pattern(sites):                # X and Y in one region over these sites
+        return _mk(sig, 1, len(sites), ["X", "Y"], [(), ()], [frozenset({r})] * 2,
+                   [frozenset(ps) for ps in sites], [(), ()], (), (), 0)
+
+    shared, split = pattern([{x, y}]), pattern([{x}, {y}])
+    cases = [([{x, y}, {x}], shared, 0), ([{x, y}, {y}], shared, 0),
+             ([{x}, {x, y}], shared, 0), ([{y}, {x, y}], shared, 0),
+             ([{x}, {x, y}], split, 0), ([{x, y}, {x}], split, 0),
+             ([{x, y}, {x, y}], shared, 1), ([{x}, {y}], split, 1),
+             ([{x, y}, {x, y}], split, 0), ([{x}, {y}], shared, 0)]
+    for tops, pat, count in cases:
+        t = target(tops)
+        occs = find_occurrences(t, pat)
+        assert matcher_images(occs) == brute_images(t, pat)
+        assert len(occs) == count
+        for occ in occs:
+            assert iso_equal(recompose(occ, pat), t)
+            assert sorted(occ.param_tops.values()) == ([0, 0] if pat is shared else [0, 1])
 
 def test_count_zero_iff_predicate_false():
     sig = make_sig(DEFAULT_CONTROLS)
