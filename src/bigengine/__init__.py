@@ -15,7 +15,7 @@ from .bigraph import (
     parallel,
     share,
 )
-from .canon import canonical_key, iso_equal
+from .canon import iso_equal
 from .matching import (
     MatchConstraint,
     Occurrence,
@@ -34,7 +34,7 @@ __all__ = [
     "Bigraph", "Control", "Signature",
     "make_atom", "nest", "merge", "parallel", "close", "share",
     "one", "identity", "idle", "link_identity",
-    "iso_equal", "canonical_key",
+    "iso_equal",
     "Occurrence", "MatchConstraint", "find_occurrences",
     "matches_predicate", "check_constraints",
     "InstMap", "RuleLabel", "ReactionRule", "PriorityClass",

@@ -19,6 +19,7 @@ construction: every operation returns a fresh Bigraph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -94,7 +95,7 @@ class Signature:
         slots = self._sorts[control.name]
         for i, v in enumerate(params):
             t = type(v)
-            if t is bool or t not in _SORT_NAMES:
+            if t is bool or t not in _SORT_NAMES or t is float and not math.isfinite(v):
                 raise SortMismatch("unsupported parameter value %r for %s" % (v, control.name))
             if slots[i] is None:
                 slots[i] = t

@@ -1,36 +1,38 @@
-"""State identity: certificates, canonical keys, exact isomorphism and
-orbits of occurrences.
+"""State identity: certificates, exact isomorphism and orbits of
+occurrences.
 
 Colour refinement (``_refine``) colours the nodes and closed edges of
 the combined place and link structure; equal on isomorphic bigraphs.
 Twins, childless nodes with equal label, parents and port multiset, are
 interchangeable: swapping two is an automorphism that fixes every edge.
-When each colour is one twin class, the colours order the nodes up to
-twins, and ``certificate`` renumbers the state in that order: a hashable
-tuple equal exactly on isomorphic states, found with no search.
-``StateStore.insert`` is the one place that merges states: a dict from
-certificate to index, and for the rare state with no certificate a
-bucket by ``canonical_key`` (a hash of the colours, collisions possible)
-whose hits are confirmed by ``iso_equal``. That exact check runs
-``bigraph._node_maps``, the node-map search the matcher uses too, with
-candidates drawn from each node's colour class, and accepts the first
-full map that passes one exact check (``_full_map_ok``), so a colour
-collision cannot make it wrong. ``same_orbit`` asks whether an
-automorphism of a state maps one occurrence onto another. On a state
-with a certificate the automorphisms permute only twins and closed
-edges with the same ports, so it compares the two images; otherwise it
-runs the same search and check on (state, state), with one occurrence's
-image nodes pinned to the other's.
+``certificate`` renumbers a bigraph in colour order, a hashable tuple
+equal on isomorphic bigraphs, and the one identity of a state. It is
+exact when each colour is one twin class: the colours then order the
+nodes up to twins, and equal exact certificates mean isomorphic
+bigraphs, found with no search. ``StateStore.insert`` is the one place
+that merges states: a dict from certificate to indices, whose hits are
+confirmed by ``iso_equal`` only when the certificate is not exact. That
+exact check runs ``bigraph._node_maps``, the node-map search the matcher
+uses too, with candidates drawn from each node's colour class, and
+accepts the first full map that passes one exact check
+(``_full_map_ok``), so a colour collision cannot make it wrong.
+``same_orbit`` asks whether an automorphism of a state maps one
+occurrence onto another. On a state with an exact certificate the
+automorphisms permute only twins and closed edges with the same ports,
+so it compares the two images; otherwise it runs the same search and
+check on (state, state), with one occurrence's image nodes pinned to
+the other's.
 
 Colours are ints: a node is seeded from a stable, memoised digest of its
 label and of its fixed neighbours, and each round recolours with the
 built-in ``hash`` of a tuple of ints. No ``str`` is ever hashed, so
-colours and keys are the same in every process whatever
-``PYTHONHASHSEED`` is. Refinement stops once the colours order the nodes
-up to twins and each closed edge has its own colour, or at the stable
-partition: the first round that splits no colour class. Bigraphs are
-immutable, so each one's colours, colour classes, certificate and key
-are computed once and cached on it (``Bigraph._cache``).
+colours, and the certificates ordered by them, are the same in every
+process whatever ``PYTHONHASHSEED`` is. Refinement stops once the
+colours order the nodes up to twins and each closed edge has its own
+colour, or at the stable partition: the first round that splits no
+colour class. Bigraphs are immutable, so each one's colours, colour
+classes and certificate are computed once and cached on it
+(``Bigraph._cache``).
 
 Regions, sites, outer and inner names are fixed points of any
 isomorphism (compared by index / by name); only nodes, closed edges and
@@ -57,8 +59,9 @@ def _digest(key) -> int:
 def _label(b: Bigraph, i: int) -> str:
     """Node i's control and parameters as text, the one identity of a
     node label: it keeps ``0.0`` and ``-0.0`` apart, which compare equal
-    but print differently, and matches a ``nan`` with another. A node
-    with no parameters is its control name, which has no parenthesis."""
+    but print differently (parameters are finite, so no ``nan`` is
+    unequal to itself). A node with no parameters is its control name,
+    which has no parenthesis."""
     params = b.params[i]
     return repr((b.ctrl[i], params)) if params else b.ctrl[i]
 
@@ -134,65 +137,64 @@ def _classes(b: Bigraph) -> dict:
     return got
 
 
-def canonical_key(b: Bigraph) -> int:
-    """An int, equal on isomorphic ground bigraphs and the same in every
-    process; collisions need iso_equal.
+def _twin_classes(b: Bigraph, nodes: list) -> list:
+    """nodes split into twin classes, as ``_refine`` finds them."""
+    kids, got = b.children(), {}
+    for i in nodes:
+        got.setdefault(i if kids[("n", i)] else (_label(b, i), b.node_parents[i],
+                                                 tuple(sorted(b.ports[i]))), []).append(i)
+    return list(got.values())
 
-    Built from the colours of ``_refine`` (which already carry each
-    node's region and open names), the region count and the outer names,
-    and cached on ``b``; ``StateStore`` reads it only for states with no
-    certificate.
-    """
-    got = b._cache.get("key")
+
+def certificate(b: Bigraph) -> tuple:
+    """b renumbered in colour order, led by a flag that says whether it is
+    exact: a hashable tuple, equal on isomorphic bigraphs, ground or not.
+    Equal exact certificates mean isomorphic bigraphs. Cached on b.
+
+    Each colour takes the next block of positions, and each twin class
+    in it is one row: its colour's position, size, label (``_label``),
+    parents (region k as ~k, a node as its colour's position) and open
+    names; the rows of one colour are sorted. A closed edge is the sorted
+    positions of its ports, and ~r for each inner name b.inner[r] on it.
+    Then come the sites' parents and the inner names, those wired to an
+    outer name paired with it. It is exact when each colour is one twin
+    class: each parent (it has children, so it is no twin) then has a
+    position of its own, and the tuple describes b up to swapping twins."""
+    got = b._cache.get("certificate")
     if got is not None:
         return got
-    require_ground(b)
-    ncol, ecol, _ = _refine(b)
-    got = b._cache["key"] = hash((b.regions, tuple(sorted(ncol)), tuple(sorted(ecol)),
-                                  tuple(sorted(_digest(("o", x)) for x in b.outer))))
-    return got
+    ncol, _, exact = _refine(b)
+    classes = _classes(b)
+    colours = sorted(classes)
+    start, p = {}, 0
+    for c in colours:
+        start[c] = p
+        p += len(classes[c])
 
+    def places(ps):
+        return tuple(sorted([start[ncol[x[1]]] if x[0] == "n" else ~x[1] for x in ps]))
 
-def certificate(b: Bigraph) -> tuple | None:
-    """Ground b renumbered in colour order, as a hashable tuple equal
-    exactly on isomorphic bigraphs; None when the colours do not order
-    b's nodes up to twins. Cached on b.
-
-    Each colour class, a twin class, takes the next block of positions
-    and is written once: its size, label (``_label``), parents (region
-    k as ~k, a node as its position: a parent has children, so it is no
-    twin) and open names. Each closed edge is the sorted positions of its
-    ports, every twin of a class listed; sorting the edges drops their
-    numbering. Swapping two twins changes nothing here."""
-    if "certificate" in b._cache:
-        return b._cache["certificate"]
-    require_ground(b)
-    ncol, _, ordered = _refine(b)
-    got = None
-    if ordered:
-        classes = _classes(b)
-        colours = sorted(classes)
-        start, p = {}, 0
-        for c in colours:
-            start[c] = p
-            p += len(classes[c])
-        ends: list[list[int]] = [[] for _ in range(b.edges)]
-        rows = []
-        for c in colours:
-            i, k, p = classes[c][0], len(classes[c]), start[c]
-            names = []
+    ends: list[list[int]] = [[] for _ in range(b.edges)]
+    rows = []
+    for c in colours:
+        for same in (classes[c],) if exact else _twin_classes(b, classes[c]):
+            i, k, p, names = same[0], len(same), start[c], []
             for h in b.ports[i]:
                 if h[0] == "e":
-                    ends[h[1]].extend(range(p, p + k))
+                    ends[h[1]] += [p] * k
                 else:
                     names.append(h[1])
-            rows.append((k, _label(b, i),
-                         tuple(sorted(start[ncol[x[1]]] if x[0] == "n" else ~x[1]
-                                      for x in b.node_parents[i])),
-                         tuple(sorted(names))))
-        got = (b.regions, tuple(sorted(b.outer)), tuple(rows),
-               tuple(sorted(tuple(sorted(e)) for e in ends)))
-    b._cache["certificate"] = got
+            rows.append((p, k, _label(b, i), places(b.node_parents[i]), tuple(sorted(names))))
+    sites = inner = ()
+    if b.sites or b.inner:
+        for r, (_, h) in enumerate(b.inner):
+            if h[0] == "e":
+                ends[h[1]].append(~r)
+        sites = tuple(map(places, b.site_parents))
+        inner = tuple([(x, h[1]) if h[0] == "o" else x for x, h in b.inner])
+    got = b._cache["certificate"] = (
+        exact, b.regions, tuple(sorted(b.outer)), tuple(rows if exact else sorted(rows)),
+        tuple(sorted([tuple(sorted(e)) for e in ends])), sites, inner)
     return got
 
 
@@ -246,18 +248,14 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
 
     Controls, parameters, place parentship, link membership, region and
     site indices, and outer/inner name identities must all be respected;
-    ports are unordered, closed edge identities are not compared.
+    ports are unordered, closed edge identities are not compared. Equal
+    certificates are needed, and enough when they are exact; otherwise
+    a full node map is searched for.
     """
-    if (a.regions, a.sites, a.n, a.edges) != (b.regions, b.sites, b.n, b.edges):
+    cert = certificate(a)
+    if cert != certificate(b):
         return False
-    if a.outer != b.outer or {x for x, _ in a.inner} != {x for x, _ in b.inner}:
-        return False
-    # inner names wired to outer names must agree exactly
-    if {xh for xh in a.inner if xh[1][0] == "o"} != {xh for xh in b.inner if xh[1][0] == "o"}:
-        return False
-    if sorted(_refine(a)[0]) != sorted(_refine(b)[0]):
-        return False
-    return any(True for _ in _full_maps(a, b, {}))
+    return cert[0] or any(True for _ in _full_maps(a, b, {}))
 
 
 def same_orbit(state: Bigraph, h1, h2) -> bool:
@@ -295,17 +293,15 @@ def same_orbit(state: Bigraph, h1, h2) -> bool:
 
 
 class StateStore:
-    """Insert-if-absent store of ground states: a state is new unless its
-    certificate is stored or, when it has none, it is iso_equal to a
-    stored state with the same canonical_key. Indices are assigned
-    densely in insertion order; at most max_states states are stored
-    (None: no bound)."""
+    """Insert-if-absent store of ground states: a state is new unless a
+    stored state has its certificate and, when that is not exact, is
+    iso_equal to it. Indices are assigned densely in insertion order; at
+    most max_states states are stored (None: no bound)."""
 
     def __init__(self, max_states: int | None = None):
         self.states: list[Bigraph] = []
         self.max_states = max_states
-        self._certificates: dict[tuple, int] = {}
-        self._buckets: dict[int, list[int]] = {}      # states with no certificate
+        self._certificates: dict[tuple, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.states)
@@ -313,22 +309,14 @@ class StateStore:
     def insert(self, b: Bigraph) -> tuple[int | None, bool]:
         """Return (index, added); (None, False) for a new state when the
         store is full."""
+        require_ground(b)
         cert = certificate(b)
-        if cert is not None:
-            idx = self._certificates.get(cert)
-            if idx is not None:
+        for idx in self._certificates.get(cert, ()):
+            if cert[0] or iso_equal(self.states[idx], b):
                 return idx, False
-        else:
-            key = canonical_key(b)
-            for idx in self._buckets.get(key, ()):
-                if iso_equal(self.states[idx], b):
-                    return idx, False
         if self.max_states is not None and len(self.states) >= self.max_states:
             return None, False
         idx = len(self.states)
         self.states.append(b)
-        if cert is not None:
-            self._certificates[cert] = idx
-        else:
-            self._buckets.setdefault(key, []).append(idx)
+        self._certificates.setdefault(cert, []).append(idx)
         return idx, True

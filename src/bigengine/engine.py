@@ -324,8 +324,8 @@ def explore(spec: BrsSpec, max_states: int,
     """Breadth-first state-space construction from the settled initial
     state. New states beyond max_states are dropped (the result is
     marked partial); every stored state is still fully expanded towards
-    stored successors. States are deduplicated by ``canon.certificate``;
-    a state with none falls back to its canonical key and iso_equal."""
+    stored successors. States are deduplicated by ``canon.certificate``,
+    confirmed by iso_equal only when it is not exact."""
     if not spec.init.is_ground():
         raise InitNotGround("Init bigraph is not ground")
     store = StateStore(max(max_states, 1))     # the initial state is always stored

@@ -18,11 +18,18 @@ from .export import fmt_number
 from .language import KEYWORDS
 
 
+def _point(text: str) -> str:
+    """A number's text with a decimal point before its exponent, which
+    the lexer's float token needs: repr's ``1e-05`` as ``1.0e-05``."""
+    mantissa, e, exponent = text.partition("e")
+    return "%s.0e%s" % (mantissa, exponent) if e and "." not in mantissa else text
+
+
 def _render_value(v) -> str:
     if isinstance(v, str):
         return '"%s"' % v.replace("\\", "\\\\").replace('"', '\\"')
     if isinstance(v, float):
-        return repr(v)
+        return _point(repr(v))
     return str(v)
 
 
@@ -266,9 +273,9 @@ def print_rule(rule) -> str:
     if label.kind == "plain":
         arrow = "-->"
     elif label.kind == "rate":
-        arrow = "-[%s]->" % fmt_number(label.rate)
+        arrow = "-[%s]->" % _point(fmt_number(label.rate))
     else:
-        arrow = "-[%s]->" % fmt_number(label.weight)
+        arrow = "-[%s]->" % _point(fmt_number(label.weight))
     text = "%s %s %s" % (print_bigraph(rule.lhs), arrow, print_bigraph(rule.rhs))
     if rule.inst is not None and (rule.lhs.sites != rule.rhs.sites
                                   or rule.inst.entries != tuple(range(rule.rhs.sites))):

@@ -8,7 +8,6 @@ import time
 from fractions import Fraction
 
 from bigengine import close, iso_equal, make_atom, merge, one, parallel
-from bigengine.canon import canonical_key
 from bigengine.cli import run_cli
 from bigengine.elaborate import load_file
 from bigengine.engine import enabled_class, explore

@@ -1,5 +1,6 @@
 """Property tests of canon.certificate and of the same_orbit shortcut on
-states that have one, against the brute-force and networkx oracles."""
+states whose certificate is exact, against the brute-force and networkx
+oracles."""
 
 import random
 from ast import literal_eval
@@ -10,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bigengine import canon, find_occurrences  # noqa: E402
+from bigengine import canon, find_occurrences, iso_equal  # noqa: E402
 from bigengine.bigraph import _mk  # noqa: E402
 from bigengine.canon import StateStore, certificate, same_orbit  # noqa: E402
 from bigengine.elaborate import load, load_file  # noqa: E402
@@ -37,21 +38,36 @@ def with_twins(b, rng):
 
 
 def decoded(sig, cert):
-    """The ground bigraph a certificate describes, position p as node p
-    and the k-th listed closed edge as edge k."""
-    regions, outer, rows, edges = cert
-    ctrl, params, parents, ports = [], [], [], []
-    for k, label, pars, names in rows:
+    """The bigraph an exact certificate describes, node p at position p:
+    each row's k twins take the k positions from its colour's on, and the
+    e-th listed closed edge is edge e. An edge that lists a row's
+    position m times gives each of its twins m / k ports on the edge,
+    and one that lists ~r holds the r-th inner name."""
+    exact, regions, outer, rows, edges, sites, inner = cert
+    assert exact
+    ctrl, params, parents, ports, size = [], [], [], [], {}
+
+    def places(xs):
+        return frozenset(("n", x) if x >= 0 else ("r", ~x) for x in xs)
+
+    for p, k, label, pars, names in rows:
+        assert p == len(ctrl)
+        size[p] = k
         c, ps = literal_eval(label) if label.startswith("(") else (label, ())
         ctrl += [c] * k
         params += [ps] * k
-        parents += [frozenset(("n", x) if x >= 0 else ("r", ~x) for x in pars)] * k
+        parents += [places(pars)] * k
         ports += [[("o", x) for x in names] for _ in range(k)]
+    links = {x[0]: ("o", x[1]) for x in inner if isinstance(x, tuple)}
     for e, ends in enumerate(edges):
-        for p in ends:
-            ports[p].append(("e", e))
-    return _mk(sig, regions, 0, ctrl, params, parents, (), [tuple(hs) for hs in ports], (),
-               frozenset(outer), len(edges))
+        for p in set(ends):
+            if p < 0:
+                links[inner[~p]] = ("e", e)
+            else:
+                for q in range(p, p + size[p]):
+                    ports[q] += [("e", e)] * (ends.count(p) // size[p])
+    return _mk(sig, regions, len(sites), ctrl, params, parents, map(places, sites),
+               [tuple(hs) for hs in ports], links.items(), frozenset(outer), len(edges))
 
 
 @settings(max_examples=300)
@@ -63,7 +79,7 @@ def test_certificate_ignores_numbering_and_describes_the_state(rng):
     a = with_twins(random_ground(rng, SIG, max_nodes=8, share_prob=0.2), rng)
     cert = certificate(a)
     assert certificate(permuted(a, rng)) == cert
-    if cert is not None:
+    if cert[0]:
         assert nx_iso(nx, decoded(a.sig, cert), a)
 
 
@@ -82,7 +98,36 @@ def test_certificate_agrees_with_oracles(rng):
     if same:
         assert certificate(a) == certificate(b)
     else:
-        assert certificate(a) is None or certificate(a) != certificate(b)
+        assert not certificate(a)[0] or certificate(a) != certificate(b)
+
+
+def with_inner(b, rng):
+    """b with inner names, some wired to its outer names and some to its
+    closed edges."""
+    inner = [("w%d" % k, ("o", x)) for k, x in enumerate(sorted(b.outer)) if rng.random() < 0.5]
+    inner += [("v%d" % k, ("e", k)) for k in range(b.edges) if rng.random() < 0.5]
+    return _mk(b.sig, b.regions, b.sites, b.ctrl, b.params, b.node_parents, b.site_parents,
+               b.ports, inner, b.outer, b.edges)
+
+
+@settings(max_examples=300)
+@given(rngs)
+def test_certificate_of_open_bigraphs(rng):
+    # bigraphs with sites and inner names: isomorphic ones get equal
+    # certificates, an exact one describes its bigraph, and iso_equal,
+    # which compares certificates first, agrees with both oracles
+    nx = pytest.importorskip("networkx")
+    base = random_solid_pattern(rng, SIG, max_nodes=4, name_pool=("a", "b"), share_prob=0.2)
+    a, b = with_inner(with_twins(base, rng), rng), with_inner(with_twins(base, rng), rng)
+    b = permuted(swapped(b, rng) if rng.random() < 0.5 else b, rng)
+    same = brute_iso(a, b)
+    assert nx_iso(nx, a, b) == same == iso_equal(a, b)
+    cert = certificate(a)
+    assert certificate(permuted(a, rng)) == cert
+    if same:
+        assert certificate(b) == cert
+    if cert[0]:
+        assert nx_iso(nx, decoded(a.sig, cert), a)
 
 
 @settings(max_examples=300)
@@ -96,11 +141,11 @@ def test_same_orbit_shortcut_agrees_with_brute_force(rng):
 
 @pytest.mark.parametrize("source", [CYCLES, MODELS / "vault.big"], ids=["CYCLES", "vault"])
 def test_states_without_certificate_merge_through_iso_equal(monkeypatch, source):
-    # a renumbered copy of every stored state finds it again; those with no
-    # certificate through the key bucket and iso_equal
+    # a renumbered copy of every stored state finds it again; those whose
+    # certificate is not exact through iso_equal
     spec = load(source) if isinstance(source, str) else load_file(source)
     states = explore(spec, 60).states
-    bare = sum(certificate(s) is None for s in states)
+    bare = sum(not certificate(s)[0] for s in states)
     assert bare > 0
     checks = []
     real = canon.iso_equal
@@ -140,5 +185,5 @@ def test_signed_zero_parameters_stay_apart():
     assert len({print_bigraph(s) for s in states}) == len(states) == 6
     rng = random.Random(5)
     for s in states:
-        assert certificate(s) is not None
+        assert certificate(s)[0]
         assert certificate(permuted(s, rng)) == certificate(s)

@@ -246,3 +246,16 @@ def test_labels_match_as_printed(tmp_path, capsys, source):
     model.write_text(source)
     assert run_cli(["full", str(model)]) == 0
     assert capsys.readouterr().out.endswith(": 2 state(s), 1 transition(s)\n")
+
+
+@pytest.mark.parametrize("value", ["1.0e999", "1.0e308 * 10.0", "1.0e999 - 1.0e999"],
+                         ids=["literal", "product", "difference"])
+def test_non_finite_parameters_give_diagnostic(tmp_path, capsys, value):
+    # inf and nan would print as P(inf) and P(nan), which do not re-parse
+    model = tmp_path / "inf.big"
+    model.write_text("atomic fun ctrl P(x) = 0;\nbig s0 = P(%s);\n"
+                     "begin brs init s0; rules = []; end\n" % value)
+    assert run_cli(["full", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "parameter" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -175,3 +175,24 @@ big start = 1;
 begin brs init start; rules = []; end
 """ % print_bigraph(b)
     assert iso_equal(load(again).bigs["probe"], b)
+
+
+FLOAT_DECLS = "ctrl R = 0;\natomic ctrl A = 0;\natomic fun ctrl P(x) = 0;\n"
+FLOAT_MODELS = {
+    "small": "big s0 = P(0.00001);\nbegin brs init s0; rules = []; end\n",
+    "large": "big s0 = P(10000000000000000.0);\nbegin brs init s0; rules = []; end\n",
+    "rate": "react r = A -[0.00001]-> R.1;\nbig s0 = A;\nbegin sbrs init s0; rules = [ {r} ]; end\n",
+}
+
+
+@pytest.mark.parametrize("body", FLOAT_MODELS.values(), ids=FLOAT_MODELS)
+def test_floats_print_with_a_decimal_point(body):
+    # repr writes 1e-05 and 1e+16, which the lexer's float token (digits,
+    # a point, digits, then an exponent) does not read
+    spec = load(FLOAT_DECLS + body)
+    text = print_spec(spec)
+    again = load(text)
+    assert print_spec(again) == text
+    assert again.init.params == spec.init.params
+    assert [r.label for c in again.classes for r in c.rules] == \
+        [r.label for c in spec.classes for r in c.rules]
