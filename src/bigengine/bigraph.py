@@ -11,10 +11,10 @@ Internal encoding conventions:
 * place keys:  ``('r', k)`` region k, ``('n', i)`` node i, ``('s', k)`` site k
 * link handles: ``('o', name)`` open link / ``('e', k)`` closed edge k
 
-Nodes are numbered 0..n-1 and edges 0..m-1; combining two bigraphs
-re-offsets the right operand, so identities are structural only and play
-no role in equality (see canon.iso_equal). Values are immutable after
-construction: every operation returns a fresh Bigraph.
+Nodes are numbered 0..n-1 and edges 0..m-1; combining bigraphs
+re-offsets each operand after the first, so identities are structural
+only and play no role in equality (see canon.iso_equal). Values are
+immutable after construction: every operation returns a fresh Bigraph.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
 )
 
 Value = Union[int, float, str]
-Place = tuple          # ('r', k) | ('n', i) | ('s', k)
 Handle = tuple         # ('o', name) | ('e', k)
 
 
@@ -288,12 +287,6 @@ def make_atom(sig: Signature, control, params: Sequence[Value] = (),
                site_parents, ports, (), frozenset(names), 0)
 
 
-def _shift_place(p: Place, node_off: int, region_off: int) -> Place:
-    if p[0] == "n":
-        return ("n", p[1] + node_off)
-    return ("r", p[1] + region_off)
-
-
 def _shift_handle(h: Handle, edge_off: int) -> Handle:
     if h[0] == "e":
         return ("e", h[1] + edge_off)
@@ -305,45 +298,52 @@ def _check_sig(a: Bigraph, b: Bigraph) -> None:
         raise SignatureError("operands built over different signatures")
 
 
-def _juxtapose(a: Bigraph, b: Bigraph, region_off: int):
-    """Shared part of merge/parallel: append b's nodes, edges and links to a's."""
-    no, eo = a.n, a.edges
-    ctrl = a.ctrl + b.ctrl
-    params = a.params + b.params
-    node_parents = list(a.node_parents)
-    for ps in b.node_parents:
-        node_parents.append(frozenset(_shift_place(p, no, region_off) for p in ps))
-    site_parents = list(a.site_parents)
-    for ps in b.site_parents:
-        site_parents.append(frozenset(_shift_place(p, no, region_off) for p in ps))
-    ports = list(a.ports)
-    for hs in b.ports:
-        ports.append(tuple(_shift_handle(h, eo) for h in hs))
-    inner = list(a.inner) + [(x, _shift_handle(h, eo)) for x, h in b.inner]
-    if len({x for x, _ in inner}) != len(inner):
-        raise SignatureError("duplicate inner name in product")
-    return ctrl, params, node_parents, site_parents, ports, inner, a.edges + b.edges
+def _juxtapose(bs: Sequence[Bigraph], flat: bool) -> Bigraph:
+    """merge (flat: every region becomes region 0) or parallel of bs in
+    one pass: each operand's nodes, edges, sites and regions are numbered
+    after those of the operands before it, as the left fold of binary
+    products numbers them."""
+    ctrl, params, nps, sps, ports, inner = [], [], [], [], [], []
+    names, outer = set(), set()
+    no = eo = ro = 0
+    for b in bs:
+        _check_sig(bs[0], b)
+        if no or (b.regions > 1 if flat else ro):   # else nothing shifts (cheap for guard merges)
+            shift = lambda ps: frozenset(
+                ("n", p[1] + no) if p[0] == "n" else ("r", 0 if flat else p[1] + ro) for p in ps)
+            nps += map(shift, b.node_parents)
+            sps += map(shift, b.site_parents)
+        else:
+            nps += b.node_parents
+            sps += b.site_parents
+        ports += (tuple(_shift_handle(h, eo) for h in hs) for hs in b.ports) if eo else b.ports
+        for x, h in b.inner:
+            if x in names:
+                raise SignatureError("duplicate inner name in product")
+            names.add(x)
+            inner.append((x, _shift_handle(h, eo)))
+        ctrl += b.ctrl
+        params += b.params
+        outer |= b.outer
+        no, eo, ro = no + b.n, eo + b.edges, ro + b.regions
+    return _mk(bs[0].sig, 1 if flat else ro, len(sps), ctrl, params, nps, sps, ports,
+               inner, outer, eo)
 
 
-def merge(a: Bigraph, b: Bigraph) -> Bigraph:
-    """Merge product a | b: all regions of both flattened under one region.
-
-    Shared outer names fuse links; sites renumbered a-first.
+def merge(*bs: Bigraph) -> Bigraph:
+    """Merge product b0 | b1 | ...: every region of every operand under
+    one region, shared outer names fusing links, numbered operand by
+    operand (see _juxtapose). A lone one-region operand is returned as is.
     """
-    _check_sig(a, b)
-    ctrl, params, nps, sps, ports, inner, edges = _juxtapose(a, b, a.regions)
-    flat = lambda ps: frozenset(("r", 0) if p[0] == "r" else p for p in ps)
-    return _mk(a.sig, 1, a.sites + b.sites, ctrl, params,
-               [flat(ps) for ps in nps], [flat(ps) for ps in sps],
-               ports, inner, a.outer | b.outer, edges)
+    if len(bs) == 1 and bs[0].regions == 1:
+        return bs[0]
+    return _juxtapose(bs, True)
 
 
-def parallel(a: Bigraph, b: Bigraph) -> Bigraph:
-    """Parallel product a || b: regions concatenated, shared names fuse links."""
-    _check_sig(a, b)
-    ctrl, params, nps, sps, ports, inner, edges = _juxtapose(a, b, a.regions)
-    return _mk(a.sig, a.regions + b.regions, a.sites + b.sites, ctrl, params,
-               nps, sps, ports, inner, a.outer | b.outer, edges)
+def parallel(*bs: Bigraph) -> Bigraph:
+    """Parallel product b0 || b1 || ...: regions concatenated, shared outer
+    names fusing links, numbered operand by operand (see _juxtapose)."""
+    return _juxtapose(bs, False)
 
 
 def nest(outer_b: Bigraph, inner_b: Bigraph) -> Bigraph:
@@ -365,18 +365,23 @@ def nest(outer_b: Bigraph, inner_b: Bigraph) -> Bigraph:
     return _graft(inner_b, [(k,) for k in range(inner_b.regions)], outer_b)
 
 
-def close(name: str, b: Bigraph) -> Bigraph:
-    """Closure /name b: the open link becomes a closed edge."""
-    if name not in b.outer:
-        raise UnknownName("cannot close %r: not an outer name" % name)
-    if not b.link_points()[("o", name)]:
-        raise EmptyClosure("cannot close idle name %r" % name)
-    k = b.edges
-    repl = lambda h: ("e", k) if h == ("o", name) else h
-    ports = tuple(tuple(repl(h) for h in hs) for hs in b.ports)
-    inner = tuple((x, repl(h)) for x, h in b.inner)
+def close(names: Union[str, Sequence[str]], b: Bigraph) -> Bigraph:
+    """Closure /x /y ... b of one name or a sequence (x, y, ...): each
+    open link becomes a closed edge, in one rebuild numbered as closing
+    one name at a time from the last: the last name gets edge b.edges."""
+    names = (names,) if isinstance(names, str) else names
+    points, outer, repl = b.link_points(), set(b.outer), {}
+    for name in reversed(names):
+        if name not in outer:
+            raise UnknownName("cannot close %r: not an outer name" % name)
+        if not points[("o", name)]:
+            raise EmptyClosure("cannot close idle name %r" % name)
+        outer.remove(name)
+        repl[("o", name)] = ("e", b.edges + len(repl))
+    ports = tuple(tuple(repl.get(h, h) for h in hs) for hs in b.ports)
+    inner = tuple((x, repl.get(h, h)) for x, h in b.inner)
     return _mk(b.sig, b.regions, b.sites, b.ctrl, b.params, b.node_parents,
-               b.site_parents, ports, inner, b.outer - {name}, k + 1)
+               b.site_parents, ports, inner, outer, b.edges + len(repl))
 
 
 def share(contents: Bigraph, placement: Sequence[Iterable[int]], site_count: int,

@@ -76,22 +76,15 @@ def _make_label(semantics: str, text: str | None, rule_name: str) -> RuleLabel:
             raise MixedLabelKinds(
                 "rule %s carries a weight/rate but the block is a brs" % rule_name)
         return RuleLabel()
+    what = "rate" if semantics == "sbrs" else "weight"
     if text is None:
-        raise MixedLabelKinds(
-            "rule %s needs a %s in a %s"
-            % (rule_name, "rate" if semantics == "sbrs" else "weight", semantics))
+        raise MixedLabelKinds("rule %s needs a %s in a %s" % (rule_name, what, semantics))
+    if not 0 < float(text) < math.inf:      # 1.0e999 reads as inf, 1.0e-400 as 0
+        raise MixedLabelKinds("%s of rule %s must be positive and finite" % (what, rule_name))
     if semantics == "sbrs":
-        rate = float(text)
-        if rate <= 0:
-            raise MixedLabelKinds("rate of rule %s must be positive" % rule_name)
-        if rate == math.inf:    # e.g. 1.0e999; the rates would sum to inf
-            raise MixedLabelKinds("rate of rule %s must be positive and finite" % rule_name)
-        return RuleLabel("rate", rate=rate)
-    weight = Fraction(text)
-    if weight <= 0:
-        raise MixedLabelKinds("weight of rule %s must be positive" % rule_name)
+        return RuleLabel("rate", rate=float(text))
     # abrs action is attached after the action partition is known
-    return RuleLabel("weight", weight=weight)
+    return RuleLabel("weight", weight=Fraction(text))
 
 
 def _value_name(v) -> str:
@@ -235,7 +228,7 @@ def load(source: str) -> BrsSpec:
     ast = lang.parse(source)
     try:
         return elaborate(ast)
-    except RecursionError:        # e.g. a chain of thousands of merges
+    except RecursionError:        # e.g. a thousand levels of `.` nesting
         raise ElaborationError("expression nested too deeply to elaborate") from None
 
 

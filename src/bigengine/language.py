@@ -97,9 +97,10 @@ def tokenize(source: str) -> list[Token]:
 # Each expression production returns a builder ``expr(ev, env)``: ev is
 # the elaborator's evaluator (signature, named bigraphs, ``apply``) and
 # env binds rule parameters. Operands run left to right, because sorts of
-# parameterised controls are inferred from their first instantiation, and
-# each nesting level costs one Python frame, which bounds the depth that
-# elaboration accepts.
+# parameterised controls are inferred from their first instantiation. A
+# `|` or `||` chain or a closure prefix is one builder however long, but
+# each `.` or parenthesis level costs a Python frame, which bounds the
+# depth that parsing and elaboration accept.
 
 def _const(value):
     return lambda ev, env: value
@@ -149,17 +150,18 @@ def _arith(op, left, right):
     return arith
 
 
-def _pair(f, left, right):
-    return lambda ev, env: f(left(ev, env), right(ev, env))
+def _chain(f, operands):
+    """The builder of f over the operands' values (an operator chain, or
+    a nesting head and its body), evaluated left to right in one frame."""
+    if len(operands) == 1:
+        return operands[0]
 
-
-def _closed(names, body):
-    def closed(ev, env):
-        b = body(ev, env)
-        for name in reversed(names):
-            b = close(name, b)
-        return b
-    return closed
+    def chain(ev, env):
+        values = []
+        for e in operands:
+            values.append(e(ev, env))
+        return f(*values)
+    return chain
 
 
 # -- declarations ----------------------------------------------------------
@@ -506,21 +508,22 @@ class Parser:
     # -- bigraph expressions ----------------------------------------------
 
     def parse_bexp(self):
-        left = self.parse_mer()
+        operands = [self.parse_mer()]
         while self.accept("||"):
-            left = _pair(parallel, left, self.parse_mer())
-        return left
+            operands.append(self.parse_mer())
+        return _chain(parallel, operands)
 
     def parse_mer(self):
         if self.peek().kind in ("/", "share"):
             return self.parse_operand()
-        left = self.parse_nest()
+        operands = [self.parse_nest()]
         while self.accept("|"):
             # a closure or share mid-merge scopes maximally over the rest
             if self.peek().kind in ("/", "share"):
-                return _pair(merge, left, self.parse_operand())
-            left = _pair(merge, left, self.parse_nest())
-        return left
+                operands.append(self.parse_operand())
+                break
+            operands.append(self.parse_nest())
+        return _chain(merge, operands)
 
     def parse_operand(self):
         if self.peek().kind == "/":
@@ -533,7 +536,8 @@ class Parser:
         while self.peek().kind == "/":
             self.next()
             names.append(self.expect("name", "link identifier").value)
-        return _closed(names, self.parse_bexp())
+        body = self.parse_bexp()
+        return lambda ev, env: close(names, body(ev, env))
 
     def parse_share(self):
         self.expect("share")
@@ -559,7 +563,7 @@ class Parser:
     def parse_nest(self):
         head = self.parse_primary()
         if self.accept("."):
-            return _pair(nest, head, self.parse_nest())
+            return _chain(nest, [head, self.parse_nest()])
         return head
 
     def parse_primary(self):

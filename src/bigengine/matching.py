@@ -53,7 +53,6 @@ Matching semantics, each condition checked in exactly one place:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import NamedTuple
 
 from .bigraph import Bigraph, Handle, _mk, _node_maps, merge, one
@@ -118,9 +117,7 @@ def ground_context(occ: Occurrence) -> Bigraph:
 
 def merged_parameter(occ: Occurrence, sig) -> Bigraph:
     """All parameter parts side by side under one region."""
-    if not occ.parameter:
-        return one(sig)
-    return reduce(merge, occ.parameter)
+    return merge(*occ.parameter) if occ.parameter else one(sig)
 
 
 def recompose(occ: Occurrence, pattern: Bigraph, entries=None) -> Bigraph:

@@ -3,7 +3,9 @@ renumbering (``permuted``) and port swaps (``swapped``), a brute-force occurrenc
 the matcher oracle, two isomorphism oracles (``brute_iso`` and, over
 ``networkx``, ``nx_iso``), the rewrite by the algebra
 (``reference_recompose``) used as the oracle of the one-pass
-``matching.recompose``, a structural sanity check (``well_formed``),
+``matching.recompose``, the binary products written out
+(``reference_product``) as the oracle of the n-ary ``merge`` and
+``parallel``, a structural sanity check (``well_formed``),
 every application of a rule (``all_applications``) and a parser of
 ``.tra`` files (``read_tra``).
 
@@ -19,6 +21,7 @@ from functools import reduce
 from itertools import product
 
 from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, nest, parallel
+from bigengine.errors import SignatureError
 from bigengine.matching import check_constraints, find_occurrences
 from bigengine.rules import apply_at
 
@@ -456,6 +459,35 @@ def reference_recompose(occ, pattern: Bigraph, fillers=None) -> Bigraph:
     return _mk(whole.sig, whole.regions, whole.sites, whole.ctrl, whole.params,
                whole.node_parents, whole.site_parents, ports, inner,
                whole.outer.difference(occ.to_close), whole.edges + len(edges))
+
+
+def reference_product(a: Bigraph, b: Bigraph, flat: bool) -> Bigraph:
+    """The binary merge (flat: every region becomes region 0) or parallel
+    product written out directly, the oracle of bigraph's n-ary builders:
+    b's nodes, edges, sites and regions are numbered after a's."""
+    if a.sig is not b.sig:
+        raise SignatureError("operands built over different signatures")
+
+    def place(p, nodes, regions):
+        if p[0] == "n":
+            return ("n", p[1] + nodes)
+        return ("r", 0) if flat else ("r", p[1] + regions)
+
+    def handle(h, edges):
+        return ("e", h[1] + edges) if h[0] == "e" else h
+
+    parts = ((a, 0, 0, 0), (b, a.n, a.regions, a.edges))
+    nps = [frozenset(place(p, no, ro) for p in ps)
+           for x, no, ro, _ in parts for ps in x.node_parents]
+    sps = [frozenset(place(p, no, ro) for p in ps)
+           for x, no, ro, _ in parts for ps in x.site_parents]
+    ports = [tuple(handle(h, eo) for h in hs) for x, _, _, eo in parts for hs in x.ports]
+    inner = [(name, handle(h, eo)) for x, _, _, eo in parts for name, h in x.inner]
+    if len({name for name, _ in inner}) != len(inner):
+        raise SignatureError("duplicate inner name in product")
+    return _mk(a.sig, 1 if flat else a.regions + b.regions, a.sites + b.sites,
+               a.ctrl + b.ctrl, a.params + b.params, nps, sps, ports, inner,
+               a.outer | b.outer, a.edges + b.edges)
 
 
 def rename_outer(b: Bigraph, mapping: dict) -> Bigraph:

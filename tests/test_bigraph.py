@@ -1,3 +1,6 @@
+import random
+from functools import reduce
+
 import pytest
 
 from bigengine import (
@@ -5,6 +8,7 @@ from bigengine import (
     identity,
     idle,
     iso_equal,
+    link_identity,
     make_atom,
     merge,
     nest,
@@ -15,13 +19,21 @@ from bigengine import (
 from bigengine.errors import (
     ArityMismatch,
     AtomicViolation,
+    BigraphError,
     EmptyClosure,
     IndexOutOfRange,
     UnknownName,
     WidthMismatch,
 )
 
-from genutil import well_formed
+from genutil import (
+    DEFAULT_CONTROLS,
+    make_sig,
+    random_ground,
+    random_solid_pattern,
+    reference_product,
+    well_formed,
+)
 
 
 def test_make_atom_interface(building_sig):
@@ -137,6 +149,96 @@ def test_closure_order_commutes(building_sig):
     b = merge(make_atom(building_sig, "Device", names=["x"]),
               make_atom(building_sig, "Device", names=["y"]))
     assert iso_equal(close("x", close("y", b)), close("y", close("x", b)))
+
+
+def _outcome(build):
+    """What build() returns, or its exception's type and message."""
+    try:
+        return build()
+    except BigraphError as exc:
+        return type(exc), str(exc)
+
+
+def _reference(product):
+    """product's binary case written out (genutil.reference_product)."""
+    return lambda a, b: reference_product(a, b, product is merge)
+
+
+def _close_each(names, b):
+    """The closure /x /y ... b one name at a time, innermost first."""
+    for name in reversed(names):
+        b = close(name, b)
+    return b
+
+
+def _operands(rng, sig, k):
+    """k random operands: ground bigraphs, solid patterns (some with
+    sites), and bigraphs with inner names on open and closed links and
+    with several regions."""
+    def draw(i):
+        pick = rng.randrange(4)
+        if pick == 0:
+            return random_ground(rng, sig, max_regions=3)
+        if pick == 1:
+            return random_solid_pattern(rng, sig, max_sites=3)
+        if pick == 2:       # edge y may join a node's port or only the inner name
+            x, y = "x%d" % i, "y%d" % i
+            names = link_identity(sig, [x, y])
+            if rng.random() < 0.5:
+                names = merge(names, make_atom(sig, "B", names=[y]))
+            return close(y, names)
+        return parallel(identity(sig), one(sig), random_ground(rng, sig))
+    return [draw(i) for i in range(k)]
+
+
+def test_nary_products_number_as_the_fold():
+    # dataclass equality, not iso_equal: the numbering is what keeps the
+    # artifacts' bytes fixed
+    sig = make_sig(DEFAULT_CONTROLS)
+    rng = random.Random(7)
+    for _ in range(300):
+        ops = _operands(rng, sig, rng.randint(1, 4))
+        if len(ops) == 1:
+            assert merge(ops[0]) == merge(ops[0], one(sig))
+            # a lone one-region operand (a guard's one-part parameter) is not copied
+            assert (merge(ops[0]) is ops[0]) == (ops[0].regions == 1)
+            assert parallel(ops[0]) == ops[0]
+            continue
+        for product in (merge, parallel):
+            got = product(*ops)
+            assert got == reduce(product, ops) == reduce(_reference(product), ops)
+            assert well_formed(got)
+
+
+def test_multi_name_closure_numbers_as_the_fold():
+    sig = make_sig(DEFAULT_CONTROLS)
+    rng = random.Random(11)
+    for _ in range(300):
+        b = parallel(*_operands(rng, sig, rng.randint(1, 3)))
+        names = sorted(b.outer)
+        rng.shuffle(names)
+        names = names[:rng.randint(0, len(names))]
+        assert _outcome(lambda: close(names, b)) == _outcome(lambda: _close_each(names, b))
+        for name in names:
+            assert close([name], b) == close(name, b)
+
+
+def test_nary_errors_match_the_fold():
+    # same exception and message as the fold, from the same first
+    # failing operand or name
+    sig, other = make_sig(DEFAULT_CONTROLS), make_sig(DEFAULT_CONTROLS)
+    a, foreign = make_atom(sig, "A"), make_atom(other, "A")
+    x = link_identity(sig, ["x"])
+    for ops in ([a, foreign], [foreign, a], [a, x, x], [x, foreign, x], [x, x, foreign],
+                [a, x, make_atom(sig, "B", names=["x"]), x]):
+        for product in (merge, parallel):
+            got = _outcome(lambda: product(*ops))
+            folds = [_outcome(lambda: reduce(f, ops)) for f in (product, _reference(product))]
+            assert isinstance(got, tuple) and folds == [got, got]
+    b = merge(make_atom(sig, "B", names=["x"]), idle(sig, ["y"]))
+    for names in (["x", "x"], ["y"], ["z"], ["z", "y"], ["y", "z"], ["z", "x", "x"]):
+        got = _outcome(lambda: close(names, b))
+        assert isinstance(got, tuple) and got == _outcome(lambda: _close_each(names, b))
 
 
 def shared_room(sig):

@@ -104,11 +104,9 @@ def test_error_exit_and_message(tmp_path, capsys):
      "error: line 2, column "),
     (b"\xff\xfe ctrl",
      "error: line 1, column 1: byte 0xff is not valid UTF-8"),
-    (b"ctrl R = 0;\nbig b = " + b"R | " * 1500 + b"R;\nbegin brs init b; rules = []; end\n",
-     "error: expression nested too deeply"),
     (b"fun ctrl P(x) = 0;\nbig b = P(1.0/0.0);\nbegin brs init b; rules = []; end\n",
      "error: 1.0 / 0.0 is not a number"),
-], ids=["deep-nest", "deep-paren", "not-utf8", "long-merge", "float-div-zero"])
+], ids=["deep-nest", "deep-paren", "not-utf8", "float-div-zero"])
 def test_hostile_model_gives_diagnostic(tmp_path, capsys, data, message):
     model = tmp_path / "hostile.big"
     model.write_bytes(data)
@@ -259,3 +257,42 @@ def test_non_finite_parameters_give_diagnostic(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "parameter" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+WEIGHTED = """atomic ctrl A = 0;
+atomic ctrl B = 0;
+react r = A -[%s]-> B;
+react s = A -[1.0]-> A;
+big start = A;
+begin %s
+  init start;
+  rules = [ {r, s} ];%s
+end
+"""
+
+
+@pytest.mark.parametrize("weight", ["1.0e999", "1.0e-400"], ids=["huge", "tiny"])
+@pytest.mark.parametrize("semantics", ["pbrs", "abrs"])
+def test_unrepresentable_weights_give_diagnostic(tmp_path, capsys, semantics, weight):
+    # 1.0e999 is no float and 1.0e-400 rounds to 0: a .tra would show a
+    # positive weight's transition with probability 0
+    model = tmp_path / "weights.big"
+    actions = "\n  actions = [ go = {r, s} ];" if semantics == "abrs" else ""
+    model.write_text(WEIGHTED % (weight, semantics, actions))
+    assert run_cli(["full", "-p", str(tmp_path / "t.tra"), str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "positive and finite" in captured.err
+    assert "Traceback" not in captured.err and not (tmp_path / "t.tra").exists()
+
+
+def test_full_on_a_20000_atom_state(tmp_path, capsys):
+    # a flat state of 20,000 siblings loads, and every stored state is
+    # matched, rewritten and identified
+    model = tmp_path / "flat.big"
+    model.write_text("ctrl R = 0;\natomic ctrl A = 0;\natomic ctrl B = 0;\n"
+                     "atomic ctrl C = 0;\natomic ctrl D = 0;\nreact r = B --> C;\n"
+                     "react s = C --> D;\nreact t = D --> B;\nbig start = R.(%s) | B;\n"
+                     "begin brs init start; rules = [ {r, s, t} ]; end\n"
+                     % " | ".join(["A"] * 20000))
+    assert run_cli(["full", "-M", "3", str(model)]) == 0
+    assert capsys.readouterr().out.endswith(": 3 state(s), 3 transition(s)\n")

@@ -328,10 +328,20 @@ def test_arithmetic_overflow_is_a_diagnostic(op):
         load(src)
 
 
-@pytest.mark.parametrize("chain", ["R." * 800 + "A", "A | " * 800 + "A", "A || " * 800 + "A"],
-                         ids=["nest", "merge", "parallel"])
-def test_deep_expressions_load(chain):
-    # one Python frame per nesting level; the limit is about 950 under pytest
-    spec = load("ctrl R = 0;\natomic ctrl A = 0;\nbig probe = %s;\nbig start = 1;%s"
-                % (chain, BLOCK))
-    assert spec.bigs["probe"].n == 801
+# 800 names closed over 800 nodes, one closure prefix
+LONG_CLOSURE = "".join("/x%d " % i for i in range(800)) + " | ".join(
+    "L{x%d}" % i for i in range(800))
+
+
+@pytest.mark.parametrize("chain, n", [
+    ("R." * 800 + "A", 801), ("A | " * 800 + "A", 801), ("A || " * 800 + "A", 801),
+    ("A | " * 19999 + "A", 20000), ("A || " * 999 + "A", 1000), (LONG_CLOSURE, 800),
+], ids=["nest", "merge", "parallel", "long-merge", "long-parallel", "long-closure"])
+def test_deep_expressions_load(chain, n):
+    # a `|` or `||` chain or a closure prefix is one builder however long;
+    # `.` nesting costs one Python frame per level, about 950 under pytest
+    spec = load("ctrl R = 0;\natomic ctrl A = 0;\natomic ctrl L = 1;\nbig probe = %s;"
+                "\nbig start = 1;%s" % (chain, BLOCK))
+    probe = spec.bigs["probe"]
+    assert probe.n == n and not probe.outer
+    assert probe.edges == (800 if chain is LONG_CLOSURE else 0)

@@ -21,7 +21,7 @@ from bigengine.bigraph import Control, Signature, _mk, close, idle
 from bigengine.elaborate import load, load_file
 from bigengine.engine import explore
 from bigengine.errors import PatternNotSolid, TargetNotGround
-from bigengine.matching import recompose
+from bigengine.matching import merged_parameter, recompose
 
 from conftest import MODELS
 from genutil import (
@@ -171,6 +171,19 @@ def test_check_constraints_param_and_ctx():
     absent_ctx = MatchConstraint("absent_ctx", make_atom(sig, "Visitor"))
     assert check_constraints(occs2[0], (present_ctx,))
     assert not check_constraints(occs2[0], (absent_ctx,))
+
+
+def test_merged_parameter(server_sig):
+    sig = server_sig
+    room = lambda *inside: nest(make_atom(sig, "Room"), merge(*inside) if inside else one(sig))
+    state = merge(room(make_atom(sig, "Data"), make_atom(sig, "Camera")), room())
+    # one part: a guard reads the part itself, not a copy of it
+    occ = find_occurrences(state, room(identity(sig)))[0]
+    assert merged_parameter(occ, sig) is occ.parameter[0]
+    two = find_occurrences(state, parallel(room(identity(sig)), room(identity(sig))))[0]
+    assert merged_parameter(two, sig) == merge(*two.parameter)
+    none = find_occurrences(state, room())[0]
+    assert merged_parameter(none, sig) == one(sig)
 
 
 def test_determinism(server_sig):

@@ -156,6 +156,16 @@ def test_deep_nesting_is_a_diagnostic():
         print_spec(spec)
 
 
+def test_wide_state_roundtrip(building_sig):
+    # 2,000 siblings print as one `|` chain under a prefix of 1,000
+    # closures, which re-parses however long it is
+    sig = building_sig
+    pairs = [close("x", merge(make_atom(sig, "Device", names=["x"]),
+                              make_atom(sig, "Device", names=["x"]))) for _ in range(1000)]
+    state = nest(make_atom(sig, "Room"), merge(*pairs))
+    assert iso_equal(reparse(state), state)
+
+
 def test_param_literals_roundtrip():
     from bigengine.elaborate import load
     src = """
