@@ -237,11 +237,24 @@ def _mk(sig, regions, sites, ctrl, params, node_parents, site_parents, ports,
                    tuple(sorted(inner)), frozenset(outer), edges)
 
 
+def labels(b: Bigraph) -> tuple[str, ...]:
+    """Each node's label as text, the one identity of a node label: its
+    control name when it has no parameters, else ``repr((ctrl, params))``,
+    which has a parenthesis. It keeps ``0.0`` and ``-0.0`` apart, which
+    compare equal but print differently (parameters are finite, so no
+    ``nan`` is unequal to itself). Cached on b."""
+    got = b._cache.get("labels")
+    if got is None:
+        got = b._cache["labels"] = tuple([repr((c, ps)) if ps else c
+                                          for c, ps in zip(b.ctrl, b.params)])
+    return got
+
+
 def exact_fields(b: Bigraph) -> tuple:
-    """Every field that equality compares (the signature is shared), the
-    parameters as printed: ``0.0`` and ``-0.0`` compare equal, but match
-    and identify states apart."""
-    return (b.regions, b.sites, b.ctrl, repr(b.params), b.node_parents, b.site_parents,
+    """Every field that equality compares (the signature is shared), with
+    node labels as ``labels`` gives them: ``0.0`` and ``-0.0`` compare
+    equal, but match and identify states apart."""
+    return (b.regions, b.sites, labels(b), b.node_parents, b.site_parents,
             b.ports, b.inner, b.outer, b.edges)
 
 

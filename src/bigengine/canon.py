@@ -44,26 +44,25 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 
-from .bigraph import Bigraph, _node_maps, require_ground
+from .bigraph import Bigraph, _node_maps, labels, require_ground
 
 
 @lru_cache(maxsize=1 << 16)
 def _digest(key) -> int:
-    """Stable 64-bit digest of a tagged label: ``("n", _label(b, i))`` for
-    a node label, ``("o", x)`` / ``("i", x)`` for an outer / inner name,
+    """Stable 64-bit digest of a tagged label: ``("n", labels(b)[i])``
+    for a node label, ``("o", x)`` / ``("i", x)`` for an outer / inner name,
     ``("r", k)`` / ``("s", k)`` for a region / site. The tags keep a name
     from colliding with a control."""
     return int.from_bytes(hashlib.blake2b(repr(key).encode(), digest_size=8).digest(), "big")
 
 
-def _label(b: Bigraph, i: int) -> str:
-    """Node i's control and parameters as text, the one identity of a
-    node label: it keeps ``0.0`` and ``-0.0`` apart, which compare equal
-    but print differently (parameters are finite, so no ``nan`` is
-    unequal to itself). A node with no parameters is its control name,
-    which has no parenthesis."""
-    params = b.params[i]
-    return repr((b.ctrl[i], params)) if params else b.ctrl[i]
+def _twin_keys(b: Bigraph) -> list:
+    """Per node, the key it shares with its twins: childless nodes with
+    equal label, parents and port multiset. A node with children is its
+    own key, its index."""
+    kids, label = b.children(), labels(b)
+    return [i if kids[("n", i)] else (label[i], ps, tuple(sorted(b.ports[i])))
+            for i, ps in enumerate(b.node_parents)]
 
 
 def _refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
@@ -89,24 +88,21 @@ def _refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
     got = b._cache.get("colours")
     if got is not None:
         return got
-    kids = b.children()
+    kids, label = b.children(), labels(b)
     twins: dict = {}                             # twin key -> twin class
-    cls, first, labels = [], [], []              # node -> its class; class -> first node, label
-    for i, ps in enumerate(b.node_parents):
-        label = _label(b, i)
-        c = twins.setdefault(i if kids[("n", i)] else (label, ps, tuple(sorted(b.ports[i]))),
-                             len(first))
+    cls, first = [], []                          # node -> its class; class -> first node
+    for i, key in enumerate(_twin_keys(b)):
+        c = twins.setdefault(key, len(first))
         if c == len(first):
             first.append(i)
-            labels.append(label)
         cls.append(c)
     around, ccol = [], []                        # per twin class, from its first node
-    for i, label in zip(first, labels):
+    for i in first:
         xss = (b.node_parents[i], kids[("n", i)], b.ports[i])
         around.append(tuple([cls[x[1]] if x[0] == "n" else x[1] for x in xs if x[0] in "ne"]
                             for xs in xss))
         fixed = sorted(_digest(x) for xs in xss for x in xs if x[0] in "rso")
-        ccol.append(hash((_digest(("n", label)), *fixed)))
+        ccol.append(hash((_digest(("n", label[i])), *fixed)))
     points = [b.link_points()[("e", k)] for k in range(b.edges)]
     ends = [[cls[pt[1]] for pt in pts if pt[0] == "p"] for pts in points]
     ecol = [hash(tuple(sorted(_digest(pt) for pt in pts if pt[0] == "i"))) for pts in points]
@@ -137,12 +133,11 @@ def _classes(b: Bigraph) -> dict:
     return got
 
 
-def _twin_classes(b: Bigraph, nodes: list) -> list:
-    """nodes split into twin classes, as ``_refine`` finds them."""
-    kids, got = b.children(), {}
+def _twin_classes(nodes: list, keys: list) -> list:
+    """nodes split into twin classes by their keys (``_twin_keys``)."""
+    got: dict = {}
     for i in nodes:
-        got.setdefault(i if kids[("n", i)] else (_label(b, i), b.node_parents[i],
-                                                 tuple(sorted(b.ports[i]))), []).append(i)
+        got.setdefault(keys[i], []).append(i)
     return list(got.values())
 
 
@@ -152,7 +147,7 @@ def certificate(b: Bigraph) -> tuple:
     Equal exact certificates mean isomorphic bigraphs. Cached on b.
 
     Each colour takes the next block of positions, and each twin class
-    in it is one row: its colour's position, size, label (``_label``),
+    in it is one row: its colour's position, size, label (``labels``),
     parents (region k as ~k, a node as its colour's position) and open
     names; the rows of one colour are sorted. A closed edge is the sorted
     positions of its ports, and ~r for each inner name b.inner[r] on it.
@@ -174,17 +169,18 @@ def certificate(b: Bigraph) -> tuple:
     def places(ps):
         return tuple(sorted([start[ncol[x[1]]] if x[0] == "n" else ~x[1] for x in ps]))
 
+    label, keys = labels(b), None if exact else _twin_keys(b)
     ends: list[list[int]] = [[] for _ in range(b.edges)]
     rows = []
     for c in colours:
-        for same in (classes[c],) if exact else _twin_classes(b, classes[c]):
+        for same in (classes[c],) if exact else _twin_classes(classes[c], keys):
             i, k, p, names = same[0], len(same), start[c], []
             for h in b.ports[i]:
                 if h[0] == "e":
                     ends[h[1]] += [p] * k
                 else:
                     names.append(h[1])
-            rows.append((p, k, _label(b, i), places(b.node_parents[i]), tuple(sorted(names))))
+            rows.append((p, k, label[i], places(b.node_parents[i]), tuple(sorted(names))))
     sites = inner = ()
     if b.sites or b.inner:
         for r, (_, h) in enumerate(b.inner):
@@ -212,7 +208,7 @@ def _full_map_ok(a: Bigraph, b: Bigraph, fwd: dict, b_edges: list) -> bool:
         return frozenset(("n", fwd[p[1]]) if p[0] == "n" else p for p in ps)
 
     def label(big, i):
-        return _label(big, i), sorted(h for h in big.ports[i] if h[0] == "o")
+        return labels(big)[i], sorted(h for h in big.ports[i] if h[0] == "o")
 
     if any(label(a, i) != label(b, j) or mapped(a.node_parents[i]) != b.node_parents[j]
            for i, j in fwd.items()):

@@ -121,12 +121,12 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
             case lang.ReactDef():
                 reacts[decl.name] = decl
             case lang.DomainDecl():
-                domains[decl.name] = tuple(decl.values)
+                domains[decl.name] = decl.values
 
     block = ast.block
     for d in block.domains:
         declare(d.name, d.line)
-        domains[d.name] = tuple(d.values)
+        domains[d.name] = d.values
 
     semantics = block.kind
     if block.actions and semantics != "abrs":
@@ -238,8 +238,8 @@ def load_file(path) -> BrsSpec:
     try:
         source = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        col = exc.start - data.rfind(b"\n", 0, exc.start)
+        # latin-1 reads each byte as one character: the column counts bytes
+        starts = lang.line_starts(data.decode("latin-1"))
         raise ParseError("byte 0x%02x is not valid UTF-8" % data[exc.start],
-                         line, col) from None
+                         *lang.position(starts, exc.start)) from None
     return load(source.replace("\r\n", "\n").replace("\r", "\n"))   # universal newlines

@@ -1,6 +1,5 @@
 """File emitters: PRISM transition files per semantics, predicate label
-files, and a dot rendering of the transition system, plus a reader for
-the transition format used by tests.
+files, and a dot rendering of the transition system.
 
 All output is byte-deterministic for a fixed model: states are indexed
 in discovery order and lines are sorted source-major, destination-minor.

@@ -23,13 +23,19 @@ The parser returns declaration records whose expressions are already
 compiled: every bigraph or parameter expression becomes a builder
 ``expr(ev, env)`` (see ``elaborate._Evaluator``), so there is no
 expression tree and the elaborator never inspects expression forms.
+
+A token carries its offset in the source; a line and column are worked
+out from it only for a diagnostic or a declaration's line.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 from .bigraph import close, identity, idle, link_identity, merge, nest, one, parallel, share
 from .errors import ElaborationError, ParseError, UnknownIdentifier
@@ -45,50 +51,48 @@ _TOKEN_RE = re.compile(r"""
   | (?P<comment>\#[^\n]*)
   | (?P<float>\d+\.\d+(?:[eE][+-]?\d+)?)
   | (?P<int>\d+)
+  | (?P<domain>(?:int|float)(?![A-Za-z0-9_]))
   | (?P<name>[A-Za-z][A-Za-z0-9_]*)
   | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<arrow>-->)
-  | (?P<larrow>-\[)
-  | (?P<rarrow>\]->)
-  | (?P<dpipe>\|\|)
-  | (?P<ddot>\.\.)
-  | (?P<sym>[|.,;=(){}\[\]@/!+\-*])
+  | (?P<sym>-->|-\[|\]->|\|\||\.\.|[|.,;=(){}\[\]@/!+\-*])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
+class Token(NamedTuple):
+    kind: str       # a keyword or symbol is its own kind; int and float are "domain"
     value: str
-    line: int
-    col: int
+    pos: int        # offset in the source
+
+
+def line_starts(source: str) -> list[int]:
+    """The offset at which each line of source starts."""
+    return list(accumulate([len(text) + 1 for text in source.split("\n")], initial=0))
+
+
+def position(starts: list[int], pos: int) -> tuple[int, int]:
+    """(line, column) of offset pos, both from 1; starts from ``line_starts``."""
+    line = bisect_right(starts, pos)
+    return line, pos - starts[line - 1] + 1
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of source, then two eof tokens, so that looking one
+    token past the end stays in range."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if not m:
-            raise ParseError("unexpected character %r" % source[pos], line, col)
-        text = m.group(0)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            if kind == "name" and text in KEYWORDS:
-                tokens.append(Token(text, text, line, col))
-            elif kind in ("arrow", "larrow", "rarrow", "dpipe", "ddot", "sym"):
-                tokens.append(Token(text, text, line, col))
-            else:
-                tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ws" or kind == "comment":
+            continue
+        text = m.group()
+        if kind == "sym" or kind == "name" and text in KEYWORDS:
+            kind = text
+        elif kind == "bad":
+            raise ParseError("unexpected character %r" % text,
+                             *position(line_starts(source), m.start()))
+        tokens.append(Token(kind, text, m.start()))
+    end = Token("eof", "", len(source))
+    tokens += (end, end)
     return tokens
 
 
@@ -203,7 +207,6 @@ class ReactDef:
 
 @dataclass(frozen=True)
 class DomainDecl:
-    kind: str           # 'int' | 'float'
     name: str
     values: tuple
     line: int
@@ -213,7 +216,6 @@ class DomainDecl:
 class RuleRef:
     name: str
     args: tuple | None  # ((name or None, expr), ...), see parse_rule_arg
-    line: int
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,6 @@ class BrsBlock:
     preds: tuple
     actions: tuple      # ((action, (rule names...)), ...)
     domains: tuple
-    line: int
 
 
 @dataclass
@@ -244,10 +245,11 @@ class Ast:
 class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
+        self.starts = line_starts(source)
         self.pos = 0
 
     def peek(self, k=0) -> Token:
-        return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
+        return self.tokens[self.pos + k]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -263,22 +265,37 @@ class Parser:
     def expect(self, kind, what=None) -> Token:
         t = self.peek()
         if t.kind != kind:
-            raise ParseError("expected %s, found %r" % (what or kind, t.value or "end of input"),
-                             t.line, t.col)
+            self.fail("expected %s, found %r" % (what or kind, t.value or "end of input"))
         return self.next()
 
-    def fail(self, msg):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+    def name(self, what=None) -> str:
+        return self.expect("name", what).value
 
-    def items(self, item, close=None) -> list:
-        """``item ("," item)*``, or no items if the next token is close."""
-        if close is not None and self.peek().kind == close:
-            return []
+    def integer(self, what=None) -> int:
+        return int(self.expect("int", what).value)
+
+    def line(self) -> int:
+        """The line of the next token."""
+        return position(self.starts, self.peek().pos)[0]
+
+    def fail(self, msg, t=None):
+        """Raise a ParseError at token t, by default the next one."""
+        raise ParseError(msg, *position(self.starts, (t or self.peek()).pos))
+
+    def items(self, item) -> list:
+        """``item ("," item)*``."""
         out = [item()]
         while self.accept(","):
             out.append(item())
         return out
+
+    def group(self, open, item, close, empty=False) -> tuple:
+        """``open item ("," item)* close``, or ``open close`` if empty is
+        allowed, as a tuple of items."""
+        self.expect(open)
+        out = () if empty and self.peek().kind == close else self.items(item)
+        self.expect(close)
+        return tuple(out)
 
     # -- top level ----------------------------------------------------
 
@@ -299,12 +316,12 @@ class Parser:
                 ast.decls.append(self.parse_big())
             elif t.kind == "react":
                 ast.decls.append(self.parse_react())
-            elif t.kind in ("int", "float"):
+            elif t.kind == "domain":
                 ast.decls.append(self.parse_domain())
             elif t.kind == "begin":
                 block = self.parse_block()
                 if ast.block is not None:
-                    raise ParseError("more than one begin...end block", t.line, t.col)
+                    self.fail("more than one begin...end block", t)
                 ast.block = block
             else:
                 self.fail("expected a declaration, found %r" % t.value)
@@ -312,63 +329,52 @@ class Parser:
             raise ParseError("no begin...end block in file", 1, 1)
         return ast
 
+    def parse_params(self) -> tuple:
+        """The parameter list of a ``fun ctrl`` or ``fun react``."""
+        return self.group("(", self.name, ")")
+
     def parse_ctrl(self) -> CtrlDecl:
-        line = self.peek().line
+        line = self.line()
         atomic = bool(self.accept("atomic"))
         fun = bool(self.accept("fun"))
         self.expect("ctrl")
-        name = self.expect("name", "control name").value
-        params = None
-        if fun:
-            self.expect("(")
-            params = self.items(lambda: self.expect("name").value)
-            self.expect(")")
+        name = self.name("control name")
+        params = self.parse_params() if fun else None
         self.expect("=")
-        arity = int(self.expect("int", "arity").value)
+        arity = self.integer("arity")
         self.expect(";")
-        return CtrlDecl(name, arity, atomic, tuple(params) if params else None, line)
+        return CtrlDecl(name, arity, atomic, params, line)
 
     def parse_big(self) -> BigDef:
-        line = self.expect("big").line
-        name = self.expect("name").value
+        line = self.line()
+        self.expect("big")
+        name = self.name()
         self.expect("=")
         expr = self.parse_bexp()
         self.expect(";")
         return BigDef(name, expr, line)
 
     def parse_react(self) -> ReactDef:
-        line = self.peek().line
+        line = self.line()
         fun = bool(self.accept("fun"))
         self.expect("react")
-        name = self.expect("name").value
-        params = None
-        if fun:
-            self.expect("(")
-            params = self.items(lambda: self.expect("name").value)
-            self.expect(")")
+        name = self.name()
+        params = self.parse_params() if fun else None
         self.expect("=")
         lhs = self.parse_bexp()
         label_text = None
-        if self.accept("-->"):
-            pass
-        elif self.accept("-["):
-            t = self.peek()
-            if t.kind not in ("int", "float"):
+        if self.accept("-["):
+            if self.peek().kind not in ("int", "float"):
                 self.fail("expected a number in -[...]->")
             label_text = self.next().value
             self.expect("]->")
-        else:
+        elif not self.accept("-->"):
             self.fail("expected '-->' or '-[w]->'")
         rhs = self.parse_bexp()
-        inst = None
-        if self.accept("@"):
-            self.expect("[")
-            inst = tuple(self.items(lambda: int(self.expect("int").value), "]"))
-            self.expect("]")
+        inst = self.group("[", self.integer, "]", empty=True) if self.accept("@") else None
         conds = self.items(self.parse_cond) if self.accept("if") else []
         self.expect(";")
-        return ReactDef(name, tuple(params) if params else None, lhs, rhs,
-                        label_text, inst, tuple(conds), line)
+        return ReactDef(name, params, lhs, rhs, label_text, inst, tuple(conds), line)
 
     def parse_cond(self) -> CondAst:
         negated = bool(self.accept("!"))
@@ -381,48 +387,46 @@ class Parser:
         self.fail("expected 'param' or 'ctx'")
 
     def parse_domain(self) -> DomainDecl:
-        t = self.next()
-        kind = t.kind
-        name = self.expect("name").value
+        line = self.line()
+        kind = self.next().value
+        name = self.name()
         self.expect("=")
         self.expect("{")
         values = self.parse_value_set(kind)
         self.expect("}")
         self.expect(";")
-        return DomainDecl(kind, name, tuple(values), t.line)
+        return DomainDecl(name, values, line)
 
-    def parse_value_set(self, kind):
+    def parse_value_set(self, kind) -> tuple:
         def number():
             neg = bool(self.accept("-"))
             t = self.peek()
-            if t.kind == "int":
-                v = int(self.next().value)
-            elif t.kind == "float":
-                v = float(self.next().value)
-            else:
+            if t.kind == "float" and kind == "int":
+                self.fail("expected an integer in an int domain")
+            if t.kind not in ("int", "float"):
                 self.fail("expected a number")
-            if kind == "float":
-                v = float(v)
+            v = (int if kind == "int" else float)(self.next().value)
             return -v if neg else v
 
         values = [number()]
         if self.accept(".."):           # range shorthand {a..b}
             hi = number()
-            if kind == "float" or not isinstance(values[0], int):
+            if kind == "float":
                 self.fail("range shorthand needs integer bounds")
-            return list(range(values[0], int(hi) + 1))
+            return tuple(range(values[0], hi + 1))
         while self.accept(","):
             values.append(number())
-        return values
+        return tuple(values)
 
     def parse_block(self) -> BrsBlock:
-        line = self.expect("begin").line
+        line = self.line()
+        self.expect("begin")
         t = self.expect("name", "semantics kind (brs, pbrs, sbrs or abrs)")
         kind = t.value
         if kind not in ("brs", "pbrs", "sbrs", "abrs"):
-            raise ParseError("unknown semantics %r" % kind, t.line, t.col)
+            self.fail("unknown semantics %r" % kind, t)
         init_expr = None
-        classes = None
+        classes = ()
         preds = ()
         actions = ()
         domains = []
@@ -431,28 +435,25 @@ class Parser:
             if t.kind == "init":
                 self.next()
                 if init_expr is not None:
-                    raise ParseError("duplicate init", t.line, t.col)
+                    self.fail("duplicate init", t)
                 init_expr = self.parse_bexp()
                 self.expect(";")
             elif t.kind == "rules":
                 self.next()
                 self.expect("=")
-                classes = self.parse_classes()
+                classes = self.group("[", self.parse_class, "]", empty=True)
                 self.expect(";")
             elif t.kind == "preds":
                 self.next()
                 self.expect("=")
-                self.expect("{")
-                names = self.items(lambda: self.expect("name").value, "}")
-                self.expect("}")
+                preds = self.group("{", self.name, "}", empty=True)
                 self.expect(";")
-                preds = tuple(names)
             elif t.kind == "actions":
                 self.next()
                 self.expect("=")
-                actions = self.parse_actions()
+                actions = self.group("[", self.parse_action, "]")
                 self.expect(";")
-            elif t.kind in ("int", "float"):
+            elif t.kind == "domain":
                 domains.append(self.parse_domain())
             elif t.kind == "eof":
                 raise ParseError("unterminated begin block", line, 1)
@@ -460,50 +461,24 @@ class Parser:
                 self.fail("unexpected %r in begin block" % t.value)
         if init_expr is None:
             raise ParseError("begin block has no init", line, 1)
-        return BrsBlock(kind, init_expr, classes if classes is not None else (),
-                        preds, actions, tuple(domains), line)
-
-    def parse_classes(self):
-        self.expect("[")
-        classes = self.items(self.parse_class, "]")
-        self.expect("]")
-        return tuple(classes)
+        return BrsBlock(kind, init_expr, classes, preds, actions, tuple(domains))
 
     def parse_class(self) -> ClassAst:
-        if self.accept("{"):
-            instant = False
-            closing = "}"
-        elif self.accept("("):
-            instant = True
-            closing = ")"
-        else:
+        t = self.peek()
+        if t.kind not in ("{", "("):
             self.fail("expected a priority class '{...}' or '(...)'")
-        refs = self.items(self.parse_ruleref, closing)
-        self.expect(closing)
-        return ClassAst(tuple(refs), instant)
+        close = "}" if t.kind == "{" else ")"
+        return ClassAst(self.group(t.kind, self.parse_ruleref, close, empty=True), close == ")")
 
     def parse_ruleref(self) -> RuleRef:
-        t = self.expect("name", "rule name")
-        args = None
-        if self.accept("("):
-            args = self.items(self.parse_rule_arg)
-            self.expect(")")
-        return RuleRef(t.value, tuple(args) if args else None, t.line)
+        name = self.name("rule name")
+        args = self.group("(", self.parse_rule_arg, ")") if self.peek().kind == "(" else None
+        return RuleRef(name, args)
 
-    def parse_actions(self):
-        self.expect("[")
-        out = []
-        while True:
-            name = self.expect("name", "action name").value
-            self.expect("=")
-            self.expect("{")
-            rules = self.items(lambda: self.expect("name").value)
-            self.expect("}")
-            out.append((name, tuple(rules)))
-            if not self.accept(","):
-                break
-        self.expect("]")
-        return tuple(out)
+    def parse_action(self) -> tuple:
+        name = self.name("action name")
+        self.expect("=")
+        return name, self.group("{", self.name, "}")
 
     # -- bigraph expressions ----------------------------------------------
 
@@ -532,10 +507,9 @@ class Parser:
 
     def parse_closure(self):
         self.expect("/")
-        names = [self.expect("name", "link identifier").value]
-        while self.peek().kind == "/":
-            self.next()
-            names.append(self.expect("name", "link identifier").value)
+        names = [self.name("link identifier")]
+        while self.accept("/"):
+            names.append(self.name("link identifier"))
         body = self.parse_bexp()
         return lambda ev, env: close(names, body(ev, env))
 
@@ -544,21 +518,16 @@ class Parser:
         contents = self.parse_bexp()
         self.expect("by")
         self.expect("(")
-        self.expect("[")
-        placement = self.items(self.parse_site_set, "]")
-        self.expect("]")
+        placement = self.group("[", self.parse_site_set, "]", empty=True)
         self.expect(",")
-        count = int(self.expect("int", "site count").value)
+        count = self.integer("site count")
         self.expect(")")
         self.expect("in")
         host = self.parse_bexp()
         return lambda ev, env: share(contents(ev, env), placement, count, host(ev, env))
 
     def parse_site_set(self):
-        self.expect("{")
-        out = self.items(lambda: int(self.expect("int").value))
-        self.expect("}")
-        return tuple(out)
+        return self.group("{", self.integer, "}")
 
     def parse_nest(self):
         head = self.parse_primary()
@@ -575,8 +544,7 @@ class Parser:
             return e
         if t.kind == "int":
             if t.value != "1":
-                raise ParseError("unexpected number %r in bigraph expression" % t.value,
-                                 t.line, t.col)
+                self.fail("unexpected number %r in bigraph expression" % t.value)
             self.next()
             return lambda ev, env: one(ev.sig)
         if t.kind == "id":
@@ -590,22 +558,13 @@ class Parser:
             return lambda ev, env: idle(ev.sig, names)
         if t.kind == "name":
             self.next()
-            args = None
-            names = None
-            if self.peek().kind == "(":
-                self.next()
-                args = self.items(self.parse_arith)
-                self.expect(")")
-            if self.peek().kind == "{":
-                names = self.parse_name_set()
+            args = self.group("(", self.parse_arith, ")") if self.peek().kind == "(" else None
+            names = self.parse_name_set() if self.peek().kind == "{" else None
             return lambda ev, env: ev.apply(t.value, args, names, env)
         self.fail("expected a bigraph expression, found %r" % (t.value or "end of input"))
 
     def parse_name_set(self):
-        self.expect("{")
-        names = self.items(lambda: self.expect("name", "link name").value)
-        self.expect("}")
-        return tuple(names)
+        return self.group("{", lambda: self.name("link name"), "}")
 
     # -- parameter arithmetic --------------------------------------------
 
@@ -670,5 +629,5 @@ def parse(source: str) -> Ast:
     try:
         return parser.parse_file()
     except RecursionError:
-        t = parser.peek()
-        raise ParseError("expression nested too deeply", t.line, t.col) from None
+        raise ParseError("expression nested too deeply",
+                         *position(parser.starts, parser.peek().pos)) from None

@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .bigraph import Bigraph, Handle, _mk, _node_maps, merge, one
+from .bigraph import Bigraph, Handle, _mk, _node_maps, labels, merge, one
 from .errors import PatternNotSolid, TargetNotGround, UnsupportedPattern
 
 
@@ -316,8 +316,8 @@ def _plan(pattern: Bigraph) -> _Plan:
     if not pattern.is_solid():
         raise PatternNotSolid("pattern is not solid")
     p_kids = pattern.children()
-    filters = tuple(((pattern.ctrl[u], repr(pattern.params[u])),
-                     sum(p[0] == "n" for p in ps), any(p[0] == "r" for p in ps),
+    label = labels(pattern)
+    filters = tuple((label[u], sum(p[0] == "n" for p in ps), any(p[0] == "r" for p in ps),
                      sum(c[0] == "n" for c in p_kids[("n", u)]),
                      any(c[0] == "s" for c in p_kids[("n", u)]))
                     for u, ps in enumerate(pattern.node_parents))
@@ -358,7 +358,7 @@ def _occurrences(target: Bigraph, pattern: Bigraph):
     # candidate target nodes per pattern node: same label, then the
     # parent and child counts the pattern node admits
     by_label: dict = {f[0]: [] for f in plan.filters}
-    for t, label in enumerate(zip(target.ctrl, map(repr, target.params))):
+    for t, label in enumerate(labels(target)):
         row = by_label.get(label)
         if row is not None:
             row.append((t, len(target.node_parents[t]), len(t_kids[("n", t)])))

@@ -48,7 +48,7 @@ def _edges_to_names(b: Bigraph):
     ports = tuple(tuple(repl(h) for h in hs) for hs in b.ports)
     inner = tuple((x, repl(h)) for x, h in b.inner)
     b2 = Bigraph(b.sig, b.regions, b.sites, b.ctrl, b.params, b.node_parents,
-                 b.site_parents, ports, inner, b.outer | frozenset(fresh), b.edges * 0)
+                 b.site_parents, ports, inner, b.outer | frozenset(fresh), 0)
     return b2, fresh
 
 
@@ -92,9 +92,6 @@ def _min_site(b: Bigraph, key) -> int:
 
 
 class _Printer:
-    def __init__(self, b: Bigraph):
-        self.sig = b.sig
-
     # every method returns (text, emitted site indices in text order)
 
     def render(self, b: Bigraph):
@@ -255,7 +252,7 @@ def print_bigraph(b: Bigraph) -> str:
 
 def _print_bigraph(b: Bigraph) -> str:
     named, fresh = _edges_to_names(b)
-    text, seq = _Printer(named).render(named)
+    text, seq = _Printer().render(named)
     if seq != list(range(named.sites)):
         # re-parsing numbers the holes of text in textual order, so site k,
         # emitted at position seq.index(k), goes under that hole

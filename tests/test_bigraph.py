@@ -292,3 +292,14 @@ def test_sibling_sites_not_solid(building_sig):
     room = nest(make_atom(building_sig, "Room"),
                 merge(identity(building_sig), identity(building_sig)))
     assert not room.is_solid()
+
+
+def test_labels_are_control_and_parameters_as_printed():
+    from bigengine.bigraph import Control, Signature, exact_fields, labels
+    sig = Signature([Control("A", 0), Control("P", 0, atomic=True, param_names=("x",))])
+    a = make_atom(sig, "A")
+    zeros = merge(a, make_atom(sig, "P", [0.0]), make_atom(sig, "P", [-0.0]))
+    assert labels(zeros) == ("A", "('P', (0.0,))", "('P', (-0.0,))")
+    assert labels(zeros) is labels(zeros)
+    same = merge(a, make_atom(sig, "P", [0.0]), make_atom(sig, "P", [0.0]))
+    assert zeros == same and exact_fields(zeros) != exact_fields(same)
