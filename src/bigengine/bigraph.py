@@ -359,23 +359,21 @@ def parallel(*bs: Bigraph) -> Bigraph:
     return _juxtapose(bs, False)
 
 
-def nest(outer_b: Bigraph, inner_b: Bigraph) -> Bigraph:
-    """Graft inner_b's regions into outer_b's sites positionally (K.e and
-    general recomposition). Outer names of both are fused by name; the
-    result's inner interface is inner_b's.
-    """
-    _check_sig(outer_b, inner_b)
-    if outer_b.inner:
-        raise WidthMismatch("cannot nest below a bigraph with inner names")
-    if outer_b.sites != inner_b.regions:
-        if (outer_b.sites == 0 and outer_b.n == 1
-                and outer_b.control(0).atomic and inner_b.regions >= 1):
-            raise AtomicViolation(
-                "atomic control %s admits no children" % outer_b.ctrl[0])
-        raise WidthMismatch(
-            "nesting needs %d region(s) to fill %d site(s)"
-            % (outer_b.sites, inner_b.regions))
-    return _graft(inner_b, [(k,) for k in range(inner_b.regions)], outer_b)
+def nest(*bs: Bigraph) -> Bigraph:
+    """Nesting b0.b1. ... (K.e and general recomposition): each operand's
+    regions fill the sites of the one before it, in one pass (see _graft).
+    The checks run pair by pair from the right, as nested binary nests
+    would run them."""
+    for a, b in zip(bs[-2::-1], bs[:0:-1]):
+        _check_sig(a, b)
+        if a.inner:
+            raise WidthMismatch("cannot nest below a bigraph with inner names")
+        if a.sites != b.regions:
+            if a.sites == 0 and a.n == 1 and a.control(0).atomic and b.regions >= 1:
+                raise AtomicViolation("atomic control %s admits no children" % a.ctrl[0])
+            raise WidthMismatch("nesting needs %d region(s) to fill %d site(s)"
+                                % (a.sites, b.regions))
+    return _graft(bs)
 
 
 def close(names: Union[str, Sequence[str]], b: Bigraph) -> Bigraph:
@@ -423,36 +421,46 @@ def share(contents: Bigraph, placement: Sequence[Iterable[int]], site_count: int
                     "placement for region %d uses site %d of %d" % (k, j, site_count))
         if not p:
             raise WidthMismatch("placement for region %d is empty" % k)
-    return _graft(contents, placement, host)
+    return _graft((host, contents), placement)
 
 
-def _graft(contents: Bigraph, placement: Sequence[Sequence[int]],
-           host: Bigraph) -> Bigraph:
-    """Place region k of contents under every host site in placement[k]
-    (arguments already checked). Outer names are fused by name; the
-    result's inner interface is contents'."""
-    no, eo = host.n, host.edges
+def _graft(bs: Sequence[Bigraph], placement=None) -> Bigraph:
+    """Lay each operand into the sites of the one before it (arguments
+    checked) in one pass, numbering nodes and edges operand by operand:
+    region k of bs[i+1] goes under the renumbered parents of site k of
+    bs[i], or with a placement (two operands, share) of every site in
+    placement[k]. Outer names fuse by name; the result's sites and inner
+    names are the last operand's."""
+    top = bs[0]
+    ctrl, params = list(top.ctrl), list(top.params)
+    nps, ports, outer = list(top.node_parents), list(top.ports), set(top.outer)
+    sps, inner = top.site_parents, top.inner
+    no, eo = top.n, top.edges
+    for b in bs[1:]:
+        holes = sps if placement is None else [
+            frozenset().union(*(sps[j] for j in p)) for p in placement]
+        nps += [_lift(ps, no, holes) for ps in b.node_parents]
+        sps = [_lift(ps, no, holes) for ps in b.site_parents]
+        ports += (tuple(_shift_handle(h, eo) for h in hs) for hs in b.ports) if eo else b.ports
+        inner = [(x, _shift_handle(h, eo)) for x, h in b.inner]
+        ctrl += b.ctrl
+        params += b.params
+        outer |= b.outer
+        no, eo = no + b.n, eo + b.edges
+    return _mk(top.sig, top.regions, len(sps), ctrl, params, nps, sps, ports,
+               inner, outer, eo)
 
-    def trans(ps):
-        out = set()
-        for p in ps:
-            if p[0] == "n":
-                out.add(("n", p[1] + no))
-            else:
-                for j in placement[p[1]]:
-                    out |= host.site_parents[j]
-        return frozenset(out)
 
-    node_parents = list(host.node_parents) + [trans(ps) for ps in contents.node_parents]
-    site_parents = [trans(ps) for ps in contents.site_parents]
-    ports = list(host.ports)
-    for hs in contents.ports:
-        ports.append(tuple(_shift_handle(h, eo) for h in hs))
-    inner = [(x, _shift_handle(h, eo)) for x, h in contents.inner]
-    return _mk(host.sig, host.regions, contents.sites,
-               host.ctrl + contents.ctrl, host.params + contents.params,
-               node_parents, site_parents, ports, inner,
-               host.outer | contents.outer, host.edges + contents.edges)
+def _lift(ps: frozenset, no: int, holes) -> frozenset:
+    """Parents ps of a laid operand's place: node i becomes node i + no,
+    region k the parents in holes[k]."""
+    out: set = set()
+    for p in ps:
+        if p[0] == "n":
+            out.add(("n", p[1] + no))
+        else:
+            out |= holes[p[1]]
+    return frozenset(out)
 
 
 def require_ground(b: Bigraph, what: str = "bigraph") -> None:

@@ -225,11 +225,7 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
 
 def load(source: str) -> BrsSpec:
     """Parse and elaborate a model source text."""
-    ast = lang.parse(source)
-    try:
-        return elaborate(ast)
-    except RecursionError:        # e.g. a thousand levels of `.` nesting
-        raise ElaborationError("expression nested too deeply to elaborate") from None
+    return elaborate(lang.parse(source))
 
 
 def load_file(path) -> BrsSpec:

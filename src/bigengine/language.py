@@ -101,10 +101,10 @@ def tokenize(source: str) -> list[Token]:
 # Each expression production returns a builder ``expr(ev, env)``: ev is
 # the elaborator's evaluator (signature, named bigraphs, ``apply``) and
 # env binds rule parameters. Operands run left to right, because sorts of
-# parameterised controls are inferred from their first instantiation. A
-# `|` or `||` chain or a closure prefix is one builder however long, but
-# each `.` or parenthesis level costs a Python frame, which bounds the
-# depth that parsing and elaboration accept.
+# parameterised controls are inferred from their first instantiation.
+# Every operator chain (`.`, `|`, `||`, a closure prefix, `+ -`, `* /`, a
+# run of unary minuses) is one builder however long, so builders nest
+# only at brackets, whose depth parse bounds.
 
 def _const(value):
     return lambda ev, env: value
@@ -118,12 +118,13 @@ def _var(name):
     return var
 
 
-def _neg(operand):
+def _neg(count, operand):
+    """The builder of count unary minuses before operand."""
     def neg(ev, env):
         v = operand(ev, env)
         if isinstance(v, str):
             raise ElaborationError("cannot negate a string parameter")
-        return -v
+        return -v if count % 2 else v
     return neg
 
 
@@ -140,23 +141,29 @@ def _divide(l, r):
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
 
 
-def _arith(op, left, right):
-    fn = _ARITH[op]
+def _arith(operands, fns):
+    """The builder of a left-associative arithmetic chain: operand k + 1
+    is evaluated, checked and applied by fns[k] after operand k."""
+    if not fns:
+        return operands[0]
 
     def arith(ev, env):
-        l, r = left(ev, env), right(ev, env)
-        if isinstance(l, str) or isinstance(r, str):
-            raise ElaborationError("arithmetic on string parameters")
-        try:
-            return fn(l, r)
-        except OverflowError:
-            raise ElaborationError("arithmetic result out of range") from None
+        l = operands[0](ev, env)
+        for fn, right in zip(fns, operands[1:]):
+            r = right(ev, env)
+            if isinstance(l, str) or isinstance(r, str):
+                raise ElaborationError("arithmetic on string parameters")
+            try:
+                l = fn(l, r)
+            except OverflowError:
+                raise ElaborationError("arithmetic result out of range") from None
+        return l
     return arith
 
 
 def _chain(f, operands):
-    """The builder of f over the operands' values (an operator chain, or
-    a nesting head and its body), evaluated left to right in one frame."""
+    """The builder of f over the operands' values (a `.`, `|` or `||`
+    chain), evaluated left to right in one frame."""
     if len(operands) == 1:
         return operands[0]
 
@@ -530,10 +537,10 @@ class Parser:
         return self.group("{", self.integer, "}")
 
     def parse_nest(self):
-        head = self.parse_primary()
-        if self.accept("."):
-            return _chain(nest, [head, self.parse_nest()])
-        return head
+        heads = [self.parse_primary()]
+        while self.accept("."):
+            heads.append(self.parse_primary())
+        return _chain(nest, heads)
 
     def parse_primary(self):
         t = self.peek()
@@ -578,19 +585,21 @@ class Parser:
         name = toks[0].value if len(toks) == 1 and toks[0].kind == "name" else None
         return name, expr
 
+    # sums and products are parsed without a shared helper, whose frame
+    # would lower the depth that parenthesised arithmetic reaches
     def parse_arith(self):
-        left = self.parse_term()
+        operands, fns = [self.parse_term()], []
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            left = _arith(op, left, self.parse_term())
-        return left
+            fns.append(_ARITH[self.next().kind])
+            operands.append(self.parse_term())
+        return _arith(operands, fns)
 
     def parse_term(self):
-        left = self.parse_factor()
+        operands, fns = [self.parse_factor()], []
         while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            left = _arith(op, left, self.parse_factor())
-        return left
+            fns.append(_ARITH[self.next().kind])
+            operands.append(self.parse_factor())
+        return _arith(operands, fns)
 
     def parse_factor(self):
         t = self.peek()
@@ -613,8 +622,10 @@ class Parser:
             self.expect(")")
             return e
         if t.kind == "-":
-            self.next()
-            return _neg(self.parse_factor())
+            count = 0
+            while self.accept("-"):
+                count += 1
+            return _neg(count, self.parse_factor())
         self.fail("expected a parameter expression")
 
 
@@ -622,8 +633,12 @@ def parse(source: str) -> Ast:
     """Parse a model file into its declarations, with every expression
     compiled to a builder (one begin...end block required).
 
-    Expressions nested deeper than Python's recursion limit allows are
-    rejected at the token the parser had reached.
+    Operator chains have no length limit. Brackets (parentheses and the
+    bodies of ``share ... in`` and closures) nested deeper than Python's
+    recursion limit allows are rejected at the token the parser had
+    reached. This is the front end's one depth guard: each builder that
+    elaboration nests has a parser frame of its own, and each bracket
+    adds parser frames that build nothing, so parsing runs out first.
     """
     parser = Parser(source)
     try:

@@ -53,6 +53,7 @@ Matching semantics, each condition checked in exactly one place:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .bigraph import Bigraph, Handle, _mk, _node_maps, labels, merge, one
@@ -371,12 +372,22 @@ def _occurrences(target: Bigraph, pattern: Bigraph):
             return
         cand.append(row)
 
-    # a connectivity-guided ordering, rarest candidates first
+    # a connectivity-guided ordering, rarest candidates first: the rarest
+    # neighbour of the placed nodes (entries (0, ...) in one heap), else
+    # the rarest node left (entries (1, ...)); placed nodes' entries are
+    # skipped
+    heap = [(1, len(c), u) for u, c in enumerate(cand)]
+    heapify(heap)
     order: list[int] = []
-    while len(order) < pn:
-        rest = [u for u in range(pn) if u not in order]
-        pool = [u for u in rest if not plan.adj[u].isdisjoint(order)] or rest
-        order.append(min(pool, key=lambda u: (len(cand[u]), u)))
+    placed: set[int] = set()
+    while heap:
+        u = heappop(heap)[2]
+        if u not in placed:
+            order.append(u)
+            placed.add(u)
+            for v in plan.adj[u]:
+                if v not in placed:
+                    heappush(heap, (0, len(cand[v]), v))
 
     for fwd in _node_maps(pattern, target, order, cand.__getitem__):
         yield from _finalize(target, pattern, plan, dict(fwd))
@@ -479,34 +490,42 @@ def _link_assignments(target, plan, fwd, image):
     pattern nodes only. A pattern node and its image share a control, so
     they have equally many ports: once every pattern link has taken its
     ports on an image node, none are left, and no final check is needed."""
+    links = plan.links
+    if not links:
+        return [{}]
     remaining = {u: target.node_handle_counts(fwd[u]) for u in plan.linked}
+    rems = [[(remaining[u], need) for u, need in users] for _, users in links]
     solutions: list[dict] = []
     assign: dict = {}
-
-    def backtrack(i):
-        if i == len(plan.links):
-            solutions.append(dict(assign))
-            return
-        L, users = plan.links[i]
-        rems = [(remaining[u], need) for u, need in users]
-        for tl in sorted(rems[0][0]):          # the links on one user's image
+    # one candidate iterator per link, made on entering its level
+    stack = [iter(sorted(rems[0][0][0]))]
+    while stack:
+        i = len(stack) - 1
+        L, users = links[i]
+        if L in assign:                        # back at this level: undo its choice
+            tl = assign.pop(L)
+            for rem, need in rems[i]:
+                rem[tl] += need
+        for tl in stack[-1]:
             # a closed edge takes an unused closed edge of the same size,
             # wholly on the image (edges are assigned first)
             if L[0] == "e" and (tl[0] != "e" or tl in assign.values()
                                 or target.port_count(tl) != sum(n for _, n in users)
                                 or any(pt[1] not in image for pt in target.link_points()[tl])):
                 continue
-            if any(rem.get(tl, 0) < need for rem, need in rems):
+            if any(rem.get(tl, 0) < need for rem, need in rems[i]):
                 continue
             assign[L] = tl
-            for rem, need in rems:
+            for rem, need in rems[i]:
                 rem[tl] -= need
-            backtrack(i + 1)
-            for rem, need in rems:
-                rem[tl] += need
-            del assign[L]
-
-    backtrack(0)
+            break
+        else:
+            stack.pop()
+            continue
+        if i + 1 < len(links):
+            stack.append(iter(sorted(rems[i + 1][0][0])))
+        else:
+            solutions.append(dict(assign))
     return solutions
 
 

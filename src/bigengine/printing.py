@@ -2,10 +2,12 @@
 
 The output re-parses to an iso-equal structure. Closed edges are printed
 as fresh bound identifiers closed at the outermost level (the chosen
-identifiers are irrelevant). Place DAGs are printed by peeling the
-deepest layer of shared vertices into a ``share ... by ... in ...``
-expression, recursing on the upper part; a permuting share wrapper is
-added when site indices cannot be emitted in increasing textual order.
+identifiers are irrelevant). Every walk keeps an explicit stack, so any
+depth prints. Place DAGs are printed by peeling the deepest layer of
+shared vertices into a ``share ... by ... in ...`` expression, layer by
+layer in a loop, until the upper part is a forest; a permuting share
+wrapper is added when site indices cannot be emitted in increasing
+textual order.
 """
 
 from __future__ import annotations
@@ -52,207 +54,172 @@ def _edges_to_names(b: Bigraph):
     return b2, fresh
 
 
-def _multi_parent_vertices(b: Bigraph):
-    out = []
-    for i, ps in enumerate(b.node_parents):
-        if len(ps) > 1:
-            out.append(("n", i))
-    for k, ps in enumerate(b.site_parents):
-        if len(ps) > 1:
-            out.append(("s", k))
-    return out
-
-
-def _descendants(b: Bigraph, key):
+def _least_sites(b: Bigraph) -> dict:
+    """Each place's least site below it (a site's own index, 10**9 when
+    there is none), worked out bottom up in one walk with an explicit
+    stack; the dict lists each place after all of its children."""
     kids = b.children()
-    seen = set()
-    stack = [key]
+    least: dict = {}
+    stack = [(v, False) for v in kids]
     while stack:
-        v = stack.pop()
-        if v in seen or v[0] == "s":
-            continue
-        seen.add(v)
-        for c in kids.get(v, ()):
-            if c not in seen:
-                stack.append(c)
-                if c[0] == "s":
-                    seen.add(c)
-    seen.discard(key)
-    return seen
+        v, done = stack.pop()
+        if done or v[0] == "s":
+            least[v] = v[1] if v[0] == "s" else min([least[c] for c in kids[v]], default=10 ** 9)
+        elif v not in least:        # in a DAG, a place seen again is finished
+            stack.append((v, True))
+            stack.extend((c, False) for c in kids[v] if c not in least)
+    return least
 
 
-def _min_site(b: Bigraph, key) -> int:
-    if key[0] == "s":
-        return key[1]
-    best = [10 ** 9]
-    for v in _descendants(b, key) | {key}:
-        if v[0] == "s":
-            best.append(v[1])
-    return min(best)
+def _loose_links(b: Bigraph) -> list:
+    points = b.link_points()
+    idles = sorted(x for x in b.outer if not points[("o", x)])
+    pieces = ["{%s}" % ",".join(idles)] if idles else []
+    for x, h in b.inner:
+        if h != ("o", x):
+            raise UnprintableBigraph(
+                "inner name %s is not identity-wired; no source form" % x)
+        pieces.append("id{%s}" % x)
+    return pieces
 
 
-class _Printer:
-    # every method returns (text, emitted site indices in text order)
+def _render_forest(b: Bigraph):
+    """Text of b, whose place graph is a forest, and its site indices in
+    text order, emitted from an explicit stack. Siblings go in order of
+    their least site; a lone child is itself a nest chain and needs no
+    parentheses."""
+    kids = b.children()
+    least = _least_sites(b)
+    extras = _loose_links(b)
+    if not b.regions:
+        if not extras:
+            raise UnprintableBigraph("empty zero-width bigraph has no syntax")
+        return " || ".join(extras), []
 
-    def render(self, b: Bigraph):
-        if _multi_parent_vertices(b):
-            return self.render_shared(b)
-        return self.render_forest(b)
+    def listed(cs):
+        cs = sorted(cs, key=lambda c: (least[c], c))
+        return [x for c in cs for x in (" | ", c)][1:]
 
-    def render_forest(self, b: Bigraph):
-        kids = b.children()
-        seq: list[int] = []
-
-        def ordered(children):
-            return sorted(children, key=lambda c: (_min_site(b, c), c))
-
-        def child_text(c):
-            if c[0] == "s":
-                seq.append(c[1])
-                return "id", True
-            return self.node_text(b, c[1], kids, ordered, child_text), False
-
-        region_texts = []
-        for k in range(b.regions):
-            cs = ordered(kids[("r", k)])
-            if not cs:
-                region_texts.append("1")
-            else:
-                region_texts.append(" | ".join(child_text(c)[0] for c in cs))
-        extras = self.loose_link_text(b)
-        if region_texts:
-            if extras:
-                region_texts[0] = " | ".join([region_texts[0]] + extras)
-            text = " || ".join(region_texts)
+    todo = (listed(kids[("r", 0)]) or ["1"]) + [" | " + x for x in extras]
+    for k in range(1, b.regions):
+        todo += [" || "] + (listed(kids[("r", k)]) or ["1"])
+    todo.reverse()
+    out: list = []
+    seq: list[int] = []
+    while todo:
+        v = todo.pop()
+        if isinstance(v, str):
+            out.append(v)
+        elif v[0] == "s":
+            out.append("id")
+            seq.append(v[1])
         else:
-            if not extras:
-                raise UnprintableBigraph("empty zero-width bigraph has no syntax")
-            text = " || ".join(extras)
-        return text, seq
+            i, c = v[1], b.control(v[1])
+            out.append(c.name)
+            if b.params[i]:
+                out.append("(%s)" % ",".join(_render_value(x) for x in b.params[i]))
+            if c.arity:
+                out.append("{%s}" % ",".join(h[1] for h in b.ports[i]))
+            if c.atomic:
+                continue
+            cs = listed(kids[v])
+            if not cs:
+                out.append(".1")
+            elif len(cs) == 1:
+                out.append(".")
+                todo.append(cs[0])
+            else:
+                out.append(".(")
+                todo.append(")")
+                todo += reversed(cs)
+    return "".join(out), seq
 
-    def node_text(self, b, i, kids, ordered, child_text):
-        c = b.control(i)
-        head = c.name
-        if b.params[i]:
-            head += "(%s)" % ",".join(_render_value(v) for v in b.params[i])
-        if c.arity:
-            head += "{%s}" % ",".join(h[1] for h in b.ports[i])
-        if c.atomic:
-            return head
-        cs = ordered(kids[("n", i)])
-        if not cs:
-            return head + ".1"
-        if len(cs) == 1:
-            # a lone child is itself a nest chain; no parentheses needed
-            return head + "." + child_text(cs[0])[0]
-        return head + ".(" + " | ".join(child_text(c)[0] for c in cs) + ")"
 
-    def loose_link_text(self, b: Bigraph):
-        points = b.link_points()
-        idles = sorted(x for x in b.outer if not points[("o", x)])
-        pieces = []
-        if idles:
-            pieces.append("{%s}" % ",".join(idles))
-        for x, h in b.inner:
-            if h != ("o", x):
-                raise UnprintableBigraph(
-                    "inner name %s is not identity-wired; no source form" % x)
-            pieces.append("id{%s}" % x)
-        return pieces
+def _render(b: Bigraph):
+    """Text of b and its site indices in text order. A place DAG is peeled
+    layer by layer, bottom up: its deepest shared vertices and everything
+    below them become the contents of a ``share ... in`` whose host is the
+    rest, until the host is a forest; the text is then wrapped from the
+    top host down, one share per layer."""
+    layers = []
+    while True:
+        multi = {("n", i) for i, ps in enumerate(b.node_parents) if len(ps) > 1} | {
+            ("s", k) for k, ps in enumerate(b.site_parents) if len(ps) > 1}
+        if not multi:
+            break
+        kids = b.children()
+        least = _least_sites(b)
+        shared_below: dict = {}
+        for v in least:                            # bottom up
+            shared_below[v] = any(c in multi or shared_below[c] for c in kids.get(v, ()))
+        deepest = [v for v in multi if not shared_below[v]]
+        lower = set(deepest)
+        for v in reversed(least):                  # top down
+            if v in lower:
+                lower.update(kids.get(v, ()))
+        tops = deepest + [("s", k) for k in range(b.sites) if ("s", k) not in lower]
+        tops.sort(key=lambda v: (least[v], v))
+        lower.update(("s", k) for k in range(b.sites))
 
-    def render_shared(self, b: Bigraph):
-        multi = set(_multi_parent_vertices(b))
-        deepest = [v for v in multi if not (_descendants(b, v) & multi)]
-        lower: set = set()
-        for v in deepest:
-            lower.add(v)
-            lower |= _descendants(b, v)
-        tops = list(deepest) + [("s", k) for k in range(b.sites)
-                                if ("s", k) not in lower]
-        tops.sort(key=lambda v: (_min_site(b, v), v))
-        for k in range(b.sites):
-            if ("s", k) not in lower:
-                lower.add(("s", k))
-
-        positions: list = []
-        pos_index: dict = {}
+        pos_index: dict = {}                       # a top's parent -> its host site
+        rows = []
         for t in tops:
-            parents = b.site_parents[t[1]] if t[0] == "s" else b.node_parents[t[1]]
-            for p in sorted(parents):
-                if p not in pos_index:
-                    pos_index[p] = len(positions)
-                    positions.append(p)
+            parents = sorted(b.site_parents[t[1]] if t[0] == "s" else b.node_parents[t[1]])
+            rows.append([pos_index.setdefault(p, len(pos_index)) for p in parents])
+        layers.append((_contents(b, lower, tops), rows, len(pos_index)))
+        b = _host(b, lower, list(pos_index))
 
-        host = self.build_host(b, lower, positions)
-        htext, hseq = self.render(host)
-        hole_rank = {j: hseq.index(j) for j in range(len(positions))}
+    text, seq = _render_forest(b)
+    for contents, rows, holes in reversed(layers):
+        rank = {j: r for r, j in enumerate(seq)}
+        ptext = ", ".join("{%s}" % ",".join(map(str, sorted(rank[j] for j in row)))
+                          for row in rows)
+        ctext, seq = _render_forest(contents)
+        text = "share (%s) by ([%s], %d) in (%s)" % (ctext, ptext, holes, text)
+    return text, seq
 
-        contents = self.build_contents(b, lower, tops)
-        ctext, cseq = self.render(contents)
 
-        placement = []
-        for t in tops:
-            parents = b.site_parents[t[1]] if t[0] == "s" else b.node_parents[t[1]]
-            placement.append(sorted(hole_rank[pos_index[p]] for p in parents))
-        ptext = ", ".join("{%s}" % ",".join(str(j) for j in row) for row in placement)
-        text = "share (%s) by ([%s], %d) in (%s)" % (
-            ctext, ptext, len(positions), htext)
-        return text, cseq
+def _host(b: Bigraph, lower, positions) -> Bigraph:
+    """The part of b above lower, with one site under each position."""
+    nodes = [i for i in range(b.n) if ("n", i) not in lower]
+    local = {i: j for j, i in enumerate(nodes)}
+    up = lambda p: p if p[0] == "r" else ("n", local[p[1]])
+    return _part(b, nodes, b.regions, [frozenset(map(up, b.node_parents[i])) for i in nodes],
+                 [frozenset({up(p)}) for p in positions], (), ())
 
-    def build_host(self, b: Bigraph, lower, positions) -> Bigraph:
-        nodes = [i for i in range(b.n) if ("n", i) not in lower]
-        local = {i: j for j, i in enumerate(nodes)}
-        node_parents = tuple(
-            frozenset(p if p[0] == "r" else ("n", local[p[1]])
-                      for p in b.node_parents[i])
-            for i in nodes)
-        site_parents = tuple(
-            frozenset({p if p[0] == "r" else ("n", local[p[1]])})
-            for p in positions)
-        return Bigraph(b.sig, b.regions, len(positions),
-                       tuple(b.ctrl[i] for i in nodes),
-                       tuple(b.params[i] for i in nodes),
-                       node_parents, site_parents,
-                       tuple(b.ports[i] for i in nodes), (),
-                       frozenset(h[1] for i in nodes for h in b.ports[i]), 0)
 
-    def build_contents(self, b: Bigraph, lower, tops) -> Bigraph:
-        nodes = [i for i in range(b.n) if ("n", i) in lower]
-        local = {i: j for j, i in enumerate(nodes)}
-        region_of = {t: j for j, t in enumerate(tops)}
+def _contents(b: Bigraph, lower, tops) -> Bigraph:
+    """The part of b in lower, with one region over each top."""
+    nodes = [i for i in range(b.n) if ("n", i) in lower]
+    local = {i: j for j, i in enumerate(nodes)}
+    region_of = {t: j for j, t in enumerate(tops)}
 
-        def parents_of(key, ps):
-            if key in region_of:
-                return frozenset({("r", region_of[key])})
-            return frozenset(("n", local[p[1]]) for p in ps)
+    def parents_of(key, ps):
+        if key in region_of:
+            return frozenset({("r", region_of[key])})
+        return frozenset(("n", local[p[1]]) for p in ps)
 
-        node_parents = tuple(parents_of(("n", i), b.node_parents[i]) for i in nodes)
-        site_parents = tuple(parents_of(("s", k), b.site_parents[k])
-                             for k in range(b.sites))
-        # idle names and identity-wired inner names travel with the contents
-        points = b.link_points()
-        idles = {x for x in b.outer if not points[("o", x)]}
-        outer = frozenset(h[1] for i in nodes for h in b.ports[i]) \
-            | idles | frozenset(x for x, _ in b.inner)
-        return Bigraph(b.sig, len(tops), b.sites,
-                       tuple(b.ctrl[i] for i in nodes),
-                       tuple(b.params[i] for i in nodes),
-                       node_parents, site_parents,
-                       tuple(b.ports[i] for i in nodes), b.inner, outer, 0)
+    # idle names and identity-wired inner names travel with the contents
+    points = b.link_points()
+    names = [x for x in b.outer if not points[("o", x)]] + [x for x, _ in b.inner]
+    return _part(b, nodes, len(tops), [parents_of(("n", i), b.node_parents[i]) for i in nodes],
+                 [parents_of(("s", k), ps) for k, ps in enumerate(b.site_parents)],
+                 b.inner, names)
+
+
+def _part(b: Bigraph, nodes, regions, node_parents, site_parents, inner, names) -> Bigraph:
+    """b's listed nodes, renumbered in that order, with the given parents
+    and inner names; the outer names are their ports' and names."""
+    return Bigraph(b.sig, regions, len(site_parents), tuple(b.ctrl[i] for i in nodes),
+                   tuple(b.params[i] for i in nodes), tuple(node_parents),
+                   tuple(site_parents), tuple(b.ports[i] for i in nodes), inner,
+                   frozenset(h[1] for i in nodes for h in b.ports[i]) | frozenset(names), 0)
 
 
 def print_bigraph(b: Bigraph) -> str:
-    """Source text of b. A place graph nested deeper than Python's
-    recursion limit allows is reported as UnprintableBigraph."""
-    try:
-        return _print_bigraph(b)
-    except RecursionError:
-        raise UnprintableBigraph("bigraph nested too deeply to print") from None
-
-
-def _print_bigraph(b: Bigraph) -> str:
+    """Source text of b."""
     named, fresh = _edges_to_names(b)
-    text, seq = _Printer().render(named)
+    text, seq = _render(named)
     if seq != list(range(named.sites)):
         # re-parsing numbers the holes of text in textual order, so site k,
         # emitted at position seq.index(k), goes under that hole
@@ -269,10 +236,8 @@ def print_rule(rule) -> str:
     label = rule.label
     if label.kind == "plain":
         arrow = "-->"
-    elif label.kind == "rate":
-        arrow = "-[%s]->" % _point(fmt_number(label.rate))
     else:
-        arrow = "-[%s]->" % _point(fmt_number(label.weight))
+        arrow = "-[%s]->" % _point(fmt_number(label.rate if label.kind == "rate" else label.weight))
     text = "%s %s %s" % (print_bigraph(rule.lhs), arrow, print_bigraph(rule.rhs))
     if rule.inst is not None and (rule.lhs.sites != rule.rhs.sites
                                   or rule.inst.entries != tuple(range(rule.rhs.sites))):
@@ -318,13 +283,9 @@ def print_spec(spec) -> str:
     plain identifiers."""
     lines = []
     for c in spec.signature.controls():
-        head = "atomic ctrl" if c.atomic else "ctrl"
-        if c.param_names:
-            lines.append("%s %s(%s) = %d;" % (
-                "atomic fun ctrl" if c.atomic else "fun ctrl",
-                c.name, ", ".join(c.param_names), c.arity))
-        else:
-            lines.append("%s %s = %d;" % (head, c.name, c.arity))
+        params = "(%s)" % ", ".join(c.param_names) if c.param_names else ""
+        lines.append("%s%sctrl %s%s = %d;" % ("atomic " if c.atomic else "",
+                                              "fun " if params else "", c.name, params, c.arity))
     lines.append("")
     taken: set = set()
     renamed: dict[str, str] = {}

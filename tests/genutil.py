@@ -3,9 +3,9 @@ renumbering (``permuted``) and port swaps (``swapped``), a brute-force occurrenc
 the matcher oracle, two isomorphism oracles (``brute_iso`` and, over
 ``networkx``, ``nx_iso``), the rewrite by the algebra
 (``reference_recompose``) used as the oracle of the one-pass
-``matching.recompose``, the binary products written out
-(``reference_product``) as the oracle of the n-ary ``merge`` and
-``parallel``, a structural sanity check (``well_formed``),
+``matching.recompose``, the binary products and nest written out
+(``reference_product``, ``reference_nest``) as the oracles of the n-ary
+``merge``, ``parallel`` and ``nest``, a structural sanity check (``well_formed``),
 every application of a rule (``all_applications``) and a parser of
 ``.tra`` files (``read_tra``).
 
@@ -21,7 +21,7 @@ from functools import reduce
 from itertools import product
 
 from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, nest, parallel
-from bigengine.errors import SignatureError
+from bigengine.errors import AtomicViolation, SignatureError, WidthMismatch
 from bigengine.matching import check_constraints, find_occurrences
 from bigengine.rules import apply_at
 
@@ -488,6 +488,35 @@ def reference_product(a: Bigraph, b: Bigraph, flat: bool) -> Bigraph:
     return _mk(a.sig, 1 if flat else a.regions + b.regions, a.sites + b.sites,
                a.ctrl + b.ctrl, a.params + b.params, nps, sps, ports, inner,
                a.outer | b.outer, a.edges + b.edges)
+
+
+def reference_nest(a: Bigraph, b: Bigraph) -> Bigraph:
+    """The binary nest a.b written out directly, the oracle of bigraph's
+    n-ary nest: b's region k goes under the parents of a's site k, b's
+    nodes and edges are numbered after a's, and the result has b's sites
+    and inner names."""
+    if a.sig is not b.sig:
+        raise SignatureError("operands built over different signatures")
+    if a.inner:
+        raise WidthMismatch("cannot nest below a bigraph with inner names")
+    if a.sites != b.regions:
+        if a.sites == 0 and a.n == 1 and a.control(0).atomic and b.regions >= 1:
+            raise AtomicViolation("atomic control %s admits no children" % a.ctrl[0])
+        raise WidthMismatch("nesting needs %d region(s) to fill %d site(s)"
+                            % (a.sites, b.regions))
+
+    def lift(ps):
+        return frozenset().union(*(a.site_parents[p[1]] if p[0] == "r"
+                                   else {("n", p[1] + a.n)} for p in ps))
+
+    def handle(h):
+        return ("e", h[1] + a.edges) if h[0] == "e" else h
+
+    return _mk(a.sig, a.regions, b.sites, a.ctrl + b.ctrl, a.params + b.params,
+               a.node_parents + tuple(lift(ps) for ps in b.node_parents),
+               [lift(ps) for ps in b.site_parents],
+               a.ports + tuple(tuple(handle(h) for h in hs) for hs in b.ports),
+               [(x, handle(h)) for x, h in b.inner], a.outer | b.outer, a.edges + b.edges)
 
 
 def rename_outer(b: Bigraph, mapping: dict) -> Bigraph:

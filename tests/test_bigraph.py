@@ -31,6 +31,7 @@ from genutil import (
     make_sig,
     random_ground,
     random_solid_pattern,
+    reference_nest,
     reference_product,
     well_formed,
 )
@@ -239,6 +240,54 @@ def test_nary_errors_match_the_fold():
     for names in (["x", "x"], ["y"], ["z"], ["z", "y"], ["y", "z"], ["z", "x", "x"]):
         got = _outcome(lambda: close(names, b))
         assert isinstance(got, tuple) and got == _outcome(lambda: _close_each(names, b))
+
+
+def _nest_operand(rng, sig, regions):
+    """An operand of the given width: one random piece per region (some
+    with sites, shared sites, closed edges or atomic), sometimes with an
+    inner name; a width of 0 is an idle name."""
+    if not regions:
+        return idle(sig, [rng.choice("ab")])
+    pieces = []
+    for _ in range(regions):
+        pick = rng.randrange(6)
+        if pick == 0:
+            pieces.append(identity(sig))
+        elif pick == 1:
+            pieces.append(make_atom(sig, rng.choice("AD")))
+        elif pick == 2:
+            pieces.append(make_atom(sig, "B", names=[rng.choice("ab")]))
+        elif pick == 3:
+            pieces.append(random_solid_pattern(rng, sig, max_regions=1, share_prob=0.3))
+        elif pick == 4:
+            pieces.append(random_ground(rng, sig, max_regions=1, share_prob=0.3))
+        else:
+            pieces.append(one(sig))
+    if rng.random() < 0.15:
+        pieces.append(link_identity(sig, ["y"]))
+    return parallel(*pieces)
+
+
+def test_nary_nest_numbers_as_the_right_fold():
+    # nest(b0, b1, ...) is nest(b0, nest(b1, ...)) field by field, and a
+    # chain with bad pairs raises the first error of the fold, from its
+    # rightmost bad pair
+    sig, other = make_sig(DEFAULT_CONTROLS), make_sig(DEFAULT_CONTROLS)
+    rng = random.Random(5)
+    built = 0
+    for _ in range(400):
+        ops = [_nest_operand(rng, sig, rng.randint(0, 2))]
+        for _ in range(rng.randint(1, 4)):
+            width = ops[-1].sites if rng.random() < 0.85 else rng.randint(0, 2)
+            ops.append(_nest_operand(rng, other if rng.random() < 0.03 else sig, width))
+        got = _outcome(lambda: nest(*ops))
+        folds = [_outcome(lambda: reduce(lambda inner, outer: f(outer, inner), reversed(ops)))
+                 for f in (nest, reference_nest)]
+        assert folds == [got, got]
+        if not isinstance(got, tuple):
+            assert well_formed(got)
+            built += 1
+    assert 100 < built < 350
 
 
 def shared_room(sig):

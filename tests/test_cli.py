@@ -1,4 +1,5 @@
 import random
+import re
 import subprocess
 import sys
 
@@ -98,21 +99,74 @@ def test_error_exit_and_message(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data, message", [
-    (b"ctrl R = 0;\nbig b = " + b"R." * 990 + b"1;\n",
-     "error: line 2, column "),
-    (b"ctrl R = 0;\nbig b = " + b"R.(" * 200 + b"\n",
+    (b"ctrl R = 0;\nbig b = " + b"R.(" * 5000 + b"\n",
      "error: line 2, column "),
     (b"\xff\xfe ctrl",
      "error: line 1, column 1: byte 0xff is not valid UTF-8"),
     (b"fun ctrl P(x) = 0;\nbig b = P(1.0/0.0);\nbegin brs init b; rules = []; end\n",
      "error: 1.0 / 0.0 is not a number"),
-], ids=["deep-nest", "deep-paren", "not-utf8", "float-div-zero"])
+], ids=["deep-paren", "not-utf8", "float-div-zero"])
 def test_hostile_model_gives_diagnostic(tmp_path, capsys, data, message):
     model = tmp_path / "hostile.big"
     model.write_bytes(data)
     assert run_cli(["validate", str(model)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
+
+
+def test_long_nest_chain_validates(tmp_path, capsys):
+    # 990 levels of `R.` once ran out of frames; a `.` chain is now one
+    # builder, so the same model validates
+    model = tmp_path / "chain.big"
+    model.write_bytes(b"ctrl R = 0;\nbig b = " + b"R." * 990 + b"1;\n"
+                      b"begin brs init b; rules = []; end\n")
+    assert run_cli(["validate", str(model)]) == 0
+    captured = capsys.readouterr()
+    assert "ok" in captured.out and captured.err == ""
+
+
+# each form nests one bracket per level: parentheses, a nest into
+# parentheses, the host of a `share ... in`, a closure's parenthesised
+# body, and parenthesised parameter arithmetic
+BRACKETS = {
+    "paren": lambda d: "(" * d + "1" + ")" * d,
+    "nest-paren": lambda d: "R.(" * d + "1" + ")" * d,
+    "share": lambda d: "share id by ([{0}], 1) in " * d + "R",
+    "closure": lambda d: "".join("/x%d (L{x%d} | " % (k, k) for k in range(d)) + "1" + ")" * d,
+    "arith": lambda d: "P(" + "(1 + " * d + "1" + ")" * d + ")",
+}
+
+
+@pytest.mark.parametrize("form", BRACKETS)
+def test_bracket_depth_has_one_guard(tmp_path, capsys, form):
+    # chains have no length limit, so bracket depth is the only one, and
+    # the parser's guard reports it before elaboration can run out of frames
+    model = tmp_path / "deep.big"
+    for depth, rc in ((100, 0), (5000, 1)):
+        model.write_text("ctrl R = 0;\natomic ctrl L = 1;\natomic fun ctrl P(x) = 0;\n"
+                         "big b = %s;\nbig start = 1;\nbegin brs init start; rules = []; end\n"
+                         % BRACKETS[form](depth))
+        assert run_cli(["validate", str(model)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert re.fullmatch(r"error: line 4, column \d+: expression nested too deeply\n", err)
+        else:
+            assert err == ""
+
+
+def test_many_names_match_without_recursion(tmp_path, capsys):
+    # a 1,200-node predicate on 1,200 links: the node order scans no lists
+    # and the link assignment keeps an explicit stack, not a frame per link
+    n = 1200
+    model = tmp_path / "names.big"
+    model.write_text("atomic ctrl L = 1;\nbig p = %s;\nbig s = %s;\n"
+                     "begin brs\n  init s;\n  rules = [];\n  preds = {p};\nend\n"
+                     % (" | ".join("L{x%d}" % i for i in range(n)),
+                        " | ".join("L{y%d}" % i for i in range(n))))
+    labels = tmp_path / "names.csl"
+    assert run_cli(["full", "-M", "2", "-l", str(labels), str(model)]) == 0
+    assert labels.read_text() == '0="init" 1="p"\n0: 0 1\n'
+    capsys.readouterr()
 
 
 def test_fuzzed_models_exit_0_or_1(tmp_path, capsys):

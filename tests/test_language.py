@@ -427,18 +427,43 @@ def test_arithmetic_overflow_is_a_diagnostic(op):
         load(src)
 
 
+@pytest.mark.parametrize("arg, value", [
+    (" + ".join(["1"] * 3000), 3000),
+    ("7" + " * 2 / 2" * 1500, 7),
+    ("-" * 3000 + "5", 5),
+], ids=["long-sum", "long-product", "minus-run"])
+def test_long_arithmetic_loads(arg, value):
+    # an arithmetic chain or a run of unary minuses is one builder
+    spec = load("atomic fun ctrl P(x) = 0;\nbig probe = P(%s);\nbig start = 1;%s"
+                % (arg, BLOCK))
+    assert spec.bigs["probe"].params == ((value,),)
+
+
+@pytest.mark.parametrize("arg, message", [
+    ('- - "s"', "cannot negate a string parameter"),
+    ('1 + "s" + y', "arithmetic on string parameters"),
+    ('2 * "s" / 0', "arithmetic on string parameters"),
+    ('1 + 2 / 0 + "s"', "2 / 0 is not an integer"),
+])
+def test_arithmetic_chain_fails_at_its_first_bad_step(arg, message):
+    # operands are evaluated and applied left to right, one at a time
+    with pytest.raises(ElaborationError, match=message):
+        load("atomic fun ctrl P(x) = 0;\nbig probe = P(%s);\nbig start = 1;%s"
+             % (arg, BLOCK))
+
+
 # 800 names closed over 800 nodes, one closure prefix
 LONG_CLOSURE = "".join("/x%d " % i for i in range(800)) + " | ".join(
     "L{x%d}" % i for i in range(800))
 
 
 @pytest.mark.parametrize("chain, n", [
-    ("R." * 800 + "A", 801), ("A | " * 800 + "A", 801), ("A || " * 800 + "A", 801),
+    ("R." * 20000 + "A", 20001), ("A | " * 800 + "A", 801), ("A || " * 800 + "A", 801),
     ("A | " * 19999 + "A", 20000), ("A || " * 999 + "A", 1000), (LONG_CLOSURE, 800),
 ], ids=["nest", "merge", "parallel", "long-merge", "long-parallel", "long-closure"])
 def test_deep_expressions_load(chain, n):
-    # a `|` or `||` chain or a closure prefix is one builder however long;
-    # `.` nesting costs one Python frame per level, about 950 under pytest
+    # a `.`, `|` or `||` chain or a closure prefix is one builder however
+    # long; only brackets cost Python frames
     spec = load("ctrl R = 0;\natomic ctrl A = 0;\natomic ctrl L = 1;\nbig probe = %s;"
                 "\nbig start = 1;%s" % (chain, BLOCK))
     probe = spec.bigs["probe"]

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from bigengine import close, iso_equal, make_atom, merge, nest, one, parallel, share
-from bigengine.bigraph import _mk
+from bigengine import (
+    close, identity, iso_equal, link_identity, make_atom, merge, nest, one, parallel, share,
+)
+from bigengine.bigraph import _mk, exact_fields
 from bigengine.elaborate import load, load_file
 from bigengine.errors import UnprintableBigraph
 from bigengine.printing import print_bigraph, print_rule, print_spec
@@ -149,11 +151,21 @@ def test_pretty_print_dispatch():
     assert pretty_print(spec).startswith("atomic ctrl")
 
 
-def test_deep_nesting_is_a_diagnostic():
-    # the model loads, but the printer recurses once per nesting level
-    spec = load("ctrl R = 0;\nbig start = %s1;%s" % ("R." * 600, BLOCK))
-    with pytest.raises(UnprintableBigraph):
-        print_spec(spec)
+def test_deep_nesting_roundtrip():
+    # every walk of the printer keeps an explicit stack; exact_fields,
+    # not iso_equal, because the certificate is slow on deep chains
+    spec = load("ctrl R = 0;\nbig start = %s1;%s" % ("R." * 20000, BLOCK))
+    text = print_spec(spec)
+    assert exact_fields(load(text).init) == exact_fields(spec.init)
+
+
+def test_unprintable_bigraphs_are_diagnostics(building_sig):
+    sig = building_sig
+    with pytest.raises(UnprintableBigraph, match="empty zero-width bigraph has no syntax"):
+        print_bigraph(_mk(sig, 0, 0, (), (), (), (), (), (), frozenset(), 0))
+    inner_edge = close("x", link_identity(sig, ["x"]))
+    with pytest.raises(UnprintableBigraph, match="inner name x is not identity-wired"):
+        print_bigraph(nest(make_atom(sig, "Room"), merge(identity(sig), inner_edge)))
 
 
 def test_wide_state_roundtrip(building_sig):
