@@ -25,13 +25,13 @@ the other's.
 
 Colours are ints: a node is seeded from a stable, memoised digest of its
 label and of its fixed neighbours, and each round recolours with the
-built-in ``hash`` of a tuple of ints. No ``str`` is ever hashed, so
-colours, and the certificates ordered by them, are the same in every
-process whatever ``PYTHONHASHSEED`` is. Refinement stops once the
-colours order the nodes up to twins and each closed edge has its own
-colour, or at the stable partition: the first round that splits no
-colour class. Bigraphs are immutable, so each one's colours, colour
-classes and certificate are computed once and cached on it
+built-in ``hash`` of a tuple of ints, so colours, and the certificates
+ordered by them, are the same in every process whatever
+``PYTHONHASHSEED`` is. A round recolours each twin class from one sorted
+list of its neighbours' colours, then each edge from this round's node
+colours (Gauss-Seidel order), until the colours order the nodes up to
+twins or are stable. Bigraphs are immutable, so each one's colours,
+colour classes and certificate are computed once and cached on it
 (``Bigraph._cache``).
 
 Regions, sites, outer and inner names are fixed points of any
@@ -75,50 +75,50 @@ def _refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
     multiset: swapping two is an automorphism that fixes every edge, so
     they get equal colours in every round and each twin class is
     recoloured once. A node's seed covers its label, region parents,
-    site children and open names; an edge's, its inner names. A round
-    recolours each node from its own colour and the sorted colours of its
-    node parents, node children (every twin listed) and edges, and each
-    edge from its own and its ports' nodes', so it can only split
-    classes. Refinement stops once each colour is one twin class and each
-    closed edge has its own colour, or at the first round after which the
-    number of node plus edge classes has not grown: that partition is
-    stable. The round count depends only on the isomorphism class, so
-    isomorphic bigraphs get equal colours.
+    site children and open names; an edge's, its inner names. A class's
+    node parents, edges and node children (every twin listed) are one
+    list of indices into the last round's class colours, edge colours
+    and class colours salted for the child role. A round recolours each
+    class from its colour and that list's sorted colours, then each edge
+    from its colour and this round's colours of its ports' nodes, so it
+    only splits classes. It stops once each colour is one twin class and
+    each closed edge has its own colour, or after a round that split no
+    class: that partition is stable, the one that recolouring edges from
+    the last round's colours reaches too. The round count depends only
+    on the isomorphism class, so isomorphic bigraphs get equal colours.
     """
     got = b._cache.get("colours")
     if got is not None:
         return got
     kids, label = b.children(), labels(b)
-    twins: dict = {}                             # twin key -> twin class
-    cls, first = [], []                          # node -> its class; class -> first node
-    for i, key in enumerate(_twin_keys(b)):
-        c = twins.setdefault(key, len(first))
-        if c == len(first):
-            first.append(i)
-        cls.append(c)
+    twins: dict = {}                             # twin key -> (twin class, its first node)
+    cls = [twins.setdefault(key, (len(twins), i))[0] for i, key in enumerate(_twin_keys(b))]
+    first = [i for _, i in twins.values()]
+    nc, ne = len(first), b.edges
     around, ccol = [], []                        # per twin class, from its first node
     for i in first:
-        xss = (b.node_parents[i], kids[("n", i)], b.ports[i])
-        around.append(tuple([cls[x[1]] if x[0] == "n" else x[1] for x in xs if x[0] in "ne"]
-                            for xs in xss))
-        fixed = sorted(_digest(x) for xs in xss for x in xs if x[0] in "rso")
-        ccol.append(hash((_digest(("n", label[i])), *fixed)))
-    points = [b.link_points()[("e", k)] for k in range(b.edges)]
+        near, fixed = [], []
+        for off, xs, at in ((0, b.node_parents[i], cls), (nc + ne, kids[("n", i)], cls),
+                            (nc, b.ports[i], range(ne))):
+            for x in xs:
+                if x[0] in "ne":
+                    near.append(off + at[x[1]])
+                else:
+                    fixed.append(_digest(x))
+        around.append(near)
+        ccol.append(hash((_digest(("n", label[i])), *sorted(fixed))))
+    points = [b.link_points()[("e", k)] for k in range(ne)]
     ends = [[cls[pt[1]] for pt in pts if pt[0] == "p"] for pts in points]
     ecol = [hash(tuple(sorted(_digest(pt) for pt in pts if pt[0] == "i"))) for pts in points]
 
-    counts = (len(set(ccol)), len(set(ecol)))
-    while counts != (len(first), b.edges):
+    counts, last = (len(set(ccol)), len(set(ecol))), -1
+    while counts != (nc, ne) and sum(counts) > last:    # not discrete, and still growing
+        col = (ccol + ecol + [~c for c in ccol]).__getitem__
+        ccol = [hash((c, *sorted(map(col, near)))) for c, near in zip(ccol, around)]
         col = ccol.__getitem__
-        ccol = [hash((c, tuple(sorted(map(col, ps))), tuple(sorted(map(col, cs))),
-                      tuple(sorted(map(ecol.__getitem__, es)))))
-                for c, (ps, cs, es) in zip(ccol, around)]
         ecol = [hash((c, *sorted(map(col, ns)))) for c, ns in zip(ecol, ends)]
-        refined = (len(set(ccol)), len(set(ecol)))
-        stable, counts = sum(refined) <= sum(counts), refined
-        if stable:
-            break
-    got = b._cache["colours"] = ([ccol[c] for c in cls], ecol, counts[0] == len(first))
+        last, counts = sum(counts), (len(set(ccol)), len(set(ecol)))
+    got = b._cache["colours"] = ([ccol[c] for c in cls], ecol, counts[0] == nc)
     return got
 
 

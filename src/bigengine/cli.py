@@ -21,7 +21,7 @@ import sys
 from .canon import StateStore
 from .elaborate import load_file
 from .engine import SimTrace, TransitionSystem, explore, label_states, simulate
-from .errors import BigraphError
+from .errors import BigraphError, PartialSystem
 from .export import fmt_label, write_dot, write_labels, write_tra
 
 
@@ -110,6 +110,10 @@ def run_cli(argv=None) -> int:
                     fh.write(_trace_label_file(spec, trace))
             return 0
         ts = explore(spec, args.max_states, check_confluence=args.check_confluence)
+        if ts.partial and not args.allow_partial and (args.transitions or args.labels or args.dot):
+            # refused before any output file is opened, so none is created or emptied
+            raise PartialSystem("transition system is partial (state bound %d hit); pass "
+                                "--allow-partial to export anyway" % args.max_states)
         if args.transitions:
             with open(args.transitions, "wb") as fh:
                 fh.write(write_tra(ts, allow_partial=args.allow_partial))

@@ -1,7 +1,9 @@
 """Shared test helpers: seeded random bigraph generators, random
 renumbering (``permuted``) and port swaps (``swapped``), a brute-force occurrence enumerator used as
 the matcher oracle, two isomorphism oracles (``brute_iso`` and, over
-``networkx``, ``nx_iso``), the rewrite by the algebra
+``networkx``, ``nx_iso``), colour refinement in three sorted tuples per
+class with edges recoloured from the last round (``reference_refine``)
+as the oracle of ``canon._refine``'s partition, the rewrite by the algebra
 (``reference_recompose``) used as the oracle of the one-pass
 ``matching.recompose``, the binary products and nest written out
 (``reference_product``, ``reference_nest``) as the oracles of the n-ary
@@ -20,7 +22,8 @@ from collections import Counter
 from functools import reduce
 from itertools import product
 
-from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, nest, parallel
+from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, labels, nest, parallel
+from bigengine.canon import _digest, _twin_keys
 from bigengine.errors import AtomicViolation, SignatureError, WidthMismatch
 from bigengine.matching import check_constraints, find_occurrences
 from bigengine.rules import apply_at
@@ -437,6 +440,46 @@ def brute_same_orbit(state: Bigraph, o1, o2) -> bool:
             if all(g(o1.link_map[h]) == o2.link_map[h] for h in o1.link_map):
                 return True
     return False
+
+
+def reference_refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
+    """Colour refinement with three sorted tuples per twin class (node
+    parents, node children, edges) and each edge recoloured from the last
+    round's node colours, stopping once the colours order the nodes up to
+    twins with one colour per edge, or after a round that grew no class
+    count; and whether they order the nodes. ``canon._refine`` must stop
+    at the same node and edge partitions with the same flag. Not cached."""
+    kids, label = b.children(), labels(b)
+    twins: dict = {}                             # twin key -> twin class
+    cls, first = [], []                          # node -> its class; class -> first node
+    for i, key in enumerate(_twin_keys(b)):
+        c = twins.setdefault(key, len(first))
+        if c == len(first):
+            first.append(i)
+        cls.append(c)
+    around, ccol = [], []                        # per twin class, from its first node
+    for i in first:
+        xss = (b.node_parents[i], kids[("n", i)], b.ports[i])
+        around.append(tuple([cls[x[1]] if x[0] == "n" else x[1] for x in xs if x[0] in "ne"]
+                            for xs in xss))
+        fixed = sorted(_digest(x) for xs in xss for x in xs if x[0] in "rso")
+        ccol.append(hash((_digest(("n", label[i])), *fixed)))
+    points = [b.link_points()[("e", k)] for k in range(b.edges)]
+    ends = [[cls[pt[1]] for pt in pts if pt[0] == "p"] for pts in points]
+    ecol = [hash(tuple(sorted(_digest(pt) for pt in pts if pt[0] == "i"))) for pts in points]
+
+    counts = (len(set(ccol)), len(set(ecol)))
+    while counts != (len(first), b.edges):
+        col = ccol.__getitem__
+        ccol = [hash((c, tuple(sorted(map(col, ps))), tuple(sorted(map(col, cs))),
+                      tuple(sorted(map(ecol.__getitem__, es)))))
+                for c, (ps, cs, es) in zip(ccol, around)]
+        ecol = [hash((c, *sorted(map(col, ns)))) for c, ns in zip(ecol, ends)]
+        refined = (len(set(ccol)), len(set(ecol)))
+        stable, counts = sum(refined) <= sum(counts), refined
+        if stable:
+            break
+    return [ccol[c] for c in cls], ecol, counts[0] == len(first)
 
 
 def reference_recompose(occ, pattern: Bigraph, fillers=None) -> Bigraph:

@@ -20,7 +20,8 @@ from bigengine.printing import print_bigraph  # noqa: E402
 
 from conftest import MODELS  # noqa: E402
 from genutil import (DEFAULT_CONTROLS, brute_iso, brute_same_orbit, make_sig,  # noqa: E402
-                     nx_iso, permuted, random_ground, random_solid_pattern, swapped)
+                     nx_iso, permuted, random_ground, random_solid_pattern,
+                     reference_refine, swapped)
 from test_engine import CYCLES  # noqa: E402
 
 SIG = make_sig(DEFAULT_CONTROLS)
@@ -158,6 +159,33 @@ def test_states_without_certificate_merge_through_iso_equal(monkeypatch, source)
     for k, s in enumerate(states):
         assert store.insert(permuted(s, rng)) == (k, False)
     assert len(checks) >= bare
+
+
+def partitions(colours):
+    """(node partition, edge partition, exact) of ``_refine``'s result:
+    each partition as the sorted lists of indices that share a colour."""
+    def blocks(cs):
+        got: dict = {}
+        for i, c in enumerate(cs):
+            got.setdefault(c, []).append(i)
+        return sorted(got.values())
+    ncol, ecol, exact = colours
+    return blocks(ncol), blocks(ecol), exact
+
+
+def test_refinement_partition_matches_reference():
+    # one neighbour list per class and edges recoloured from the same
+    # round's node colours must stop at the partition that three tuples
+    # per class and last-round edge colours stop at, with the same flag
+    stored = [s for path in sorted(MODELS.glob("*.big"))
+              for s in explore(load_file(path), 60).states]
+    assert (len(stored), sum(certificate(s)[0] for s in stored)) == (346, 344)
+    rng = random.Random(17)
+    drawn = [with_twins(random_ground(rng, SIG, max_nodes=8, share_prob=0.2), rng)
+             for _ in range(300)]
+    assert any(b.outer for b in drawn) and any(len(ps) > 1 for b in drawn for ps in b.node_parents)
+    for b in stored + explore(load(CYCLES), 60).states + drawn:
+        assert partitions(canon._refine(b)) == partitions(reference_refine(b))
 
 
 SIGNED_ZERO = """

@@ -38,6 +38,18 @@ def test_full_partial_needs_flag(tmp_path, capsys):
     assert rc == 0 and tra.exists()
 
 
+@pytest.mark.parametrize("flag", ["-p", "-l", "--dot"])
+def test_partial_export_refused_before_writing(tmp_path, capsys, flag):
+    # every export of a partial system needs the flag, and a refused one
+    # neither creates its file nor empties one that is there
+    new, old = tmp_path / "new.out", tmp_path / "old.out"
+    old.write_bytes(b"earlier contents\n")
+    for path in (new, old):
+        assert run_cli(["full", "-M", "3", flag, str(path), str(MODELS / "pbrs_detect.big")]) == 1
+        assert "partial" in capsys.readouterr().err
+    assert not new.exists() and old.read_bytes() == b"earlier contents\n"
+
+
 def test_check_confluence_flag(tmp_path, capsys):
     rc = run_cli(["full", "-M", "50", "--check-confluence",
                   str(MODELS / "fix_leave_inst.big")])
