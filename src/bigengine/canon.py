@@ -5,9 +5,10 @@ Colour refinement (``_refine``) colours the nodes and closed edges of
 the combined place and link structure; equal on isomorphic bigraphs.
 Twins, childless nodes with equal label, parents and port multiset, are
 interchangeable: swapping two is an automorphism that fixes every edge.
-``certificate`` renumbers a bigraph in colour order, a hashable tuple
-equal on isomorphic bigraphs, and the one identity of a state. It is
-exact when each colour is one twin class: the colours then order the
+``_refine`` returns its twin classes with the colours. ``certificate``
+renumbers a bigraph in colour order, one row per twin class: a hashable
+tuple equal on isomorphic bigraphs, and the one identity of a state. It
+is exact when each colour is one twin class: the colours then order the
 nodes up to twins, and equal exact certificates mean isomorphic
 bigraphs, found with no search. ``StateStore.insert`` is the one place
 that merges states: a dict from certificate to indices, whose hits are
@@ -17,11 +18,10 @@ uses too, with candidates drawn from each node's colour class, and
 accepts the first full map that passes one exact check
 (``_full_map_ok``), so a colour collision cannot make it wrong.
 ``same_orbit`` asks whether an automorphism of a state maps one
-occurrence onto another. On a state with an exact certificate the
-automorphisms permute only twins and closed edges with the same ports,
-so it compares the two images; otherwise it runs the same search and
-check on (state, state), with one occurrence's image nodes pinned to
-the other's.
+occurrence onto another, and only on a state with an exact certificate:
+there the automorphisms permute only twins and closed edges with the
+same ports, so it compares the two images. On any other state it
+answers False without a search, and the caller applies the hit.
 
 Colours are ints: a node is seeded from a stable, memoised digest of its
 label and of its fixed neighbours, and each round recolours with the
@@ -31,7 +31,7 @@ ordered by them, are the same in every process whatever
 list of its neighbours' colours, then each edge from this round's node
 colours (Gauss-Seidel order), until the colours order the nodes up to
 twins or are stable. Bigraphs are immutable, so each one's colours,
-colour classes and certificate are computed once and cached on it
+twin classes and certificate are computed once and cached on it
 (``Bigraph._cache``).
 
 Regions, sites, outer and inner names are fixed points of any
@@ -65,11 +65,12 @@ def _twin_keys(b: Bigraph) -> list:
             for i, ps in enumerate(b.node_parents)]
 
 
-def _refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
+def _refine(b: Bigraph) -> tuple[list[int], list[int], bool, list[list[int]]]:
     """Colours of nodes and edges, seeded by structure-invariant data and
-    refined until they order the nodes up to twins or are stable; and
-    whether they do order them (each node colour is one twin class).
-    Computed once per bigraph and cached.
+    refined until they order the nodes up to twins or are stable; whether
+    they do order them (each node colour is one twin class); and the twin
+    classes, each one's nodes in index order. Computed once per bigraph
+    and cached.
 
     Twins are childless nodes with equal label, parents and port
     multiset: swapping two is an automorphism that fixes every edge, so
@@ -91,13 +92,15 @@ def _refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
     if got is not None:
         return got
     kids, label = b.children(), labels(b)
-    twins: dict = {}                             # twin key -> (twin class, its first node)
-    cls = [twins.setdefault(key, (len(twins), i))[0] for i, key in enumerate(_twin_keys(b))]
-    first = [i for _, i in twins.values()]
-    nc, ne = len(first), b.edges
+    twins: dict = {}                             # twin key -> twin class
+    cls = [twins.setdefault(key, len(twins)) for key in _twin_keys(b)]
+    classes: list[list[int]] = [[] for _ in twins]    # twin class -> its nodes
+    for i, c in enumerate(cls):
+        classes[c].append(i)
+    nc, ne = len(classes), b.edges
     around, ccol = [], []                        # per twin class, from its first node
-    for i in first:
-        near, fixed = [], []
+    for same in classes:
+        i, near, fixed = same[0], [], []
         for off, xs, at in ((0, b.node_parents[i], cls), (nc + ne, kids[("n", i)], cls),
                             (nc, b.ports[i], range(ne))):
             for x in xs:
@@ -118,27 +121,8 @@ def _refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
         col = ccol.__getitem__
         ecol = [hash((c, *sorted(map(col, ns)))) for c, ns in zip(ecol, ends)]
         last, counts = sum(counts), (len(set(ccol)), len(set(ecol)))
-    got = b._cache["colours"] = ([ccol[c] for c in cls], ecol, counts[0] == nc)
+    got = b._cache["colours"] = ([ccol[c] for c in cls], ecol, counts[0] == nc, classes)
     return got
-
-
-def _classes(b: Bigraph) -> dict:
-    """Node colour -> the nodes of that colour in index order; cached on
-    ``b`` with its colours."""
-    got = b._cache.get("classes")
-    if got is None:
-        got = b._cache["classes"] = {}
-        for i, c in enumerate(_refine(b)[0]):
-            got.setdefault(c, []).append(i)
-    return got
-
-
-def _twin_classes(nodes: list, keys: list) -> list:
-    """nodes split into twin classes by their keys (``_twin_keys``)."""
-    got: dict = {}
-    for i in nodes:
-        got.setdefault(keys[i], []).append(i)
-    return list(got.values())
 
 
 def certificate(b: Bigraph) -> tuple:
@@ -147,40 +131,41 @@ def certificate(b: Bigraph) -> tuple:
     Equal exact certificates mean isomorphic bigraphs. Cached on b.
 
     Each colour takes the next block of positions, and each twin class
-    in it is one row: its colour's position, size, label (``labels``),
-    parents (region k as ~k, a node as its colour's position) and open
-    names; the rows of one colour are sorted. A closed edge is the sorted
-    positions of its ports, and ~r for each inner name b.inner[r] on it.
-    Then come the sites' parents and the inner names, those wired to an
-    outer name paired with it. It is exact when each colour is one twin
-    class: each parent (it has children, so it is no twin) then has a
-    position of its own, and the tuple describes b up to swapping twins."""
+    is one row: its colour's position, size, label (``labels``), parents
+    (region k as ~k, a node as its colour's position) and open names;
+    the rows are sorted. A closed edge is the sorted positions of its
+    ports, and ~r for each inner name b.inner[r] on it. Then come the
+    sites' parents and the inner names, those wired to an outer name
+    paired with it. It is exact when each colour is one twin class: each
+    parent (it has children, so it is no twin) then has a position of
+    its own, and the tuple describes b up to swapping twins."""
     got = b._cache.get("certificate")
     if got is not None:
         return got
-    ncol, _, exact = _refine(b)
-    classes = _classes(b)
-    colours = sorted(classes)
-    start, p = {}, 0
-    for c in colours:
-        start[c] = p
-        p += len(classes[c])
+    ncol, _, exact, twins = _refine(b)
+    start: dict = {}                             # colour -> its size, then its first position
+    for same in twins:
+        c = ncol[same[0]]
+        start[c] = start.get(c, 0) + len(same)
+    p = 0
+    for c in sorted(start):
+        start[c], p = p, p + start[c]
 
     def places(ps):
         return tuple(sorted([start[ncol[x[1]]] if x[0] == "n" else ~x[1] for x in ps]))
 
-    label, keys = labels(b), None if exact else _twin_keys(b)
+    label = labels(b)
     ends: list[list[int]] = [[] for _ in range(b.edges)]
     rows = []
-    for c in colours:
-        for same in (classes[c],) if exact else _twin_classes(classes[c], keys):
-            i, k, p, names = same[0], len(same), start[c], []
-            for h in b.ports[i]:
-                if h[0] == "e":
-                    ends[h[1]] += [p] * k
-                else:
-                    names.append(h[1])
-            rows.append((p, k, label[i], places(b.node_parents[i]), tuple(sorted(names))))
+    for same in twins:
+        i, k, names = same[0], len(same), []
+        p = start[ncol[i]]
+        for h in b.ports[i]:
+            if h[0] == "e":
+                ends[h[1]] += [p] * k
+            else:
+                names.append(h[1])
+        rows.append((p, k, label[i], places(b.node_parents[i]), tuple(sorted(names))))
     sites = inner = ()
     if b.sites or b.inner:
         for r, (_, h) in enumerate(b.inner):
@@ -189,12 +174,12 @@ def certificate(b: Bigraph) -> tuple:
         sites = tuple(map(places, b.site_parents))
         inner = tuple([(x, h[1]) if h[0] == "o" else x for x, h in b.inner])
     got = b._cache["certificate"] = (
-        exact, b.regions, tuple(sorted(b.outer)), tuple(rows if exact else sorted(rows)),
+        exact, b.regions, tuple(sorted(b.outer)), tuple(sorted(rows)),
         tuple(sorted([tuple(sorted(e)) for e in ends])), sites, inner)
     return got
 
 
-def _edge_signature(big: Bigraph, k: int, trans) -> tuple:
+def _edge_signature(big: Bigraph, k: int, trans=lambda j: j) -> tuple:
     """Closed edge k's points, nodes renamed by trans, as a sorted tuple."""
     return tuple(sorted(("p", trans(pt[1])) if pt[0] == "p" else ("i", pt[1])
                         for pt in big.link_points()[("e", k)]))
@@ -218,50 +203,48 @@ def _full_map_ok(a: Bigraph, b: Bigraph, fwd: dict, b_edges: list) -> bool:
     return sorted(_edge_signature(a, k, fwd.__getitem__) for k in range(a.edges)) == b_edges
 
 
-def _full_maps(a: Bigraph, b: Bigraph, pins: dict):
-    """Every node map a -> b that sends each pinned node i to pins[i] and
-    passes ``_full_map_ok``; the one search of iso_equal and same_orbit.
-    Candidates share i's colour; pinned nodes go first, then the most
-    constrained colour classes."""
-    acol, bcol = _refine(a)[0], _refine(b)[0]
-    by_colour = _classes(b)
-
-    def candidates(i):
-        j = pins.get(i)
-        if j is None:
-            return by_colour.get(acol[i], ())
-        return (j,) if bcol[j] == acol[i] else ()
-
-    order = sorted(range(a.n), key=lambda i: (i not in pins,
-                                               len(by_colour.get(acol[i], ())), i))
-    b_edges = sorted(_edge_signature(b, k, lambda j: j) for k in range(b.edges))
-    return (fwd for fwd in _node_maps(a, b, order, candidates)
-            if _full_map_ok(a, b, fwd, b_edges))
-
-
 def iso_equal(a: Bigraph, b: Bigraph) -> bool:
     """Exact structure-preserving bijection on nodes and edges.
 
     Controls, parameters, place parentship, link membership, region and
     site indices, and outer/inner name identities must all be respected;
     ports are unordered, closed edge identities are not compared. Equal
-    certificates are needed, and enough when they are exact; otherwise
-    a full node map is searched for.
+    certificates are needed, and enough when they are exact. Otherwise
+    node maps a -> b are searched for, each node's candidates sharing
+    its colour and the most constrained colour classes first, and the
+    first one that passes ``_full_map_ok`` is accepted.
     """
     cert = certificate(a)
     if cert != certificate(b):
         return False
-    return cert[0] or any(True for _ in _full_maps(a, b, {}))
+    if cert[0]:
+        return True
+    acol, by_colour = _refine(a)[0], {}
+    for j, c in enumerate(_refine(b)[0]):
+        by_colour.setdefault(c, []).append(j)
+
+    def candidates(i):
+        return by_colour.get(acol[i], ())
+
+    order = sorted(range(a.n), key=lambda i: (len(candidates(i)), i))
+    b_edges = sorted(_edge_signature(b, k) for k in range(b.edges))
+    return any(_full_map_ok(a, b, fwd, b_edges) for fwd in _node_maps(a, b, order, candidates))
 
 
 def same_orbit(state: Bigraph, h1, h2) -> bool:
-    """True when an automorphism of state maps occurrence h1 onto h2 (two
-    occurrences of one pattern): h1's image of each pattern node onto
-    h2's, and h1's image of each pattern link onto h2's (open names
-    fixed, closed edges carried by the node map). Only occurrences whose
-    images have equal colours, node by node and link by link, and whose
-    link images pair off one to one, are compared further."""
-    ncol, ecol, ordered = _refine(state)
+    """True when state's certificate is exact and an automorphism of state
+    maps occurrence h1 onto h2 (two occurrences of one pattern): h1's
+    image of each pattern node onto h2's, and h1's image of each pattern
+    link onto h2's (open names fixed, closed edges carried by the node
+    map). On any other state it is False, with no search. The
+    automorphisms of a state whose colours order its nodes up to twins
+    permute twins, which keeps every edge's points, and edges with equal
+    points: so the images must have equal colours, node by node and link
+    by link, the link images must pair off one to one, and each edge
+    must have its partner's points."""
+    ncol, ecol, ordered, _ = _refine(state)
+    if not ordered:
+        return False
 
     def colour_image(h):
         return ([ncol[t] for _, t in sorted(h.node_map.items())],
@@ -272,20 +255,8 @@ def same_orbit(state: Bigraph, h1, h2) -> bool:
     pairs = {(t1, h2.link_map[h]) for h, t1 in h1.link_map.items()}
     if not len(pairs) == len(dict(pairs)) == len({t2 for _, t2 in pairs}):
         return False                      # one joins links the other keeps apart
-    edges = [(t1[1], _edge_signature(state, t2[1], lambda j: j))
-             for t1, t2 in pairs if t1[0] == "e"]
-    if ordered:
-        # the automorphisms permute twins, which keeps every edge's
-        # points, and edges with equal points: the node images already
-        # agree up to twins, and each edge must have its partner's points
-        return all(_edge_signature(state, k, lambda j: j) == want for k, want in edges)
-    pins = {t1: h2.node_map[u] for u, t1 in h1.node_map.items()}
-    # edges with equal signatures are interchangeable, so a map carrying
-    # each edge's signature onto its partner's extends to one carrying
-    # the edges themselves
-    return any(all(_edge_signature(state, k, fwd.__getitem__) == want
-                   for k, want in edges)
-               for fwd in _full_maps(state, state, pins))
+    return all(_edge_signature(state, t1[1]) == _edge_signature(state, t2[1])
+               for t1, t2 in pairs if t1[0] == "e")
 
 
 class StateStore:

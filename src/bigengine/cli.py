@@ -20,7 +20,8 @@ import sys
 
 from .canon import StateStore
 from .elaborate import load_file
-from .engine import SimTrace, TransitionSystem, explore, label_states, simulate
+from .engine import (CONFLUENCE_FANOUT, SimTrace, TransitionSystem, explore,
+                     label_states, simulate)
 from .errors import BigraphError, PartialSystem
 from .export import fmt_label, write_dot, write_labels, write_tra
 
@@ -63,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_full.add_argument("--allow-partial", action="store_true",
                         help="export even when the state bound was hit")
     p_full.add_argument("--check-confluence", action="store_true",
-                        help="verify instantaneous rules settle independently of order")
+                        help="verify instantaneous rules settle independently of order "
+                             "(a state with more than %d instantaneous matches is followed "
+                             "in one application order only)" % CONFLUENCE_FANOUT)
     p_full.add_argument("model")
     return parser
 

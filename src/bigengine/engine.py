@@ -9,8 +9,9 @@ state has an enabled instantaneous occurrence. The settle stops at the
 first normal class that is enabled or that no instantaneous class
 follows, and hands its index to the step from the state, which starts
 its search there: every class above it is known empty.
-A step applies a hit only if no automorphism of the state maps it onto
-an earlier hit whose settle fired nothing (``_group_results``).
+On a state with an exact certificate, a step does not apply a hit that
+an automorphism of the state maps onto an earlier hit whose settle fired
+nothing (``_group_results``); on any other state it applies every hit.
 """
 
 from __future__ import annotations
@@ -187,6 +188,9 @@ def _group_results(state, spec, hits, check_confluence=False):
     is isomorphic to the head's, so it too would settle to itself and be
     merged into that group. A settle that fired picks by image index, so
     hits mapped onto its hit may settle elsewhere: they are applied.
+    Orbit skipping happens only on states with an exact certificate: on
+    any other state same_orbit answers False, every hit is applied, and
+    the store merges each result into its group.
     """
     store = StateStore()
     groups = []

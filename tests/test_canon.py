@@ -195,7 +195,9 @@ def test_iso_equal_exact_without_colours(monkeypatch):
     # colours only pick candidates: with every node in one colour class
     # the check of a full node map alone must keep iso_equal exact
     from bigengine import canon
-    monkeypatch.setattr(canon, "_refine", lambda b: ([b""] * b.n, [b""] * b.edges, False))
+    real = canon._refine
+    monkeypatch.setattr(canon, "_refine",
+                        lambda b: ([b""] * b.n, [b""] * b.edges, False, real(b)[3]))
     sig = make_sig(DEFAULT_CONTROLS)
     rng = random.Random(20261018)
     outcomes = []
@@ -214,7 +216,7 @@ def test_iso_equal_deep_flat_state(monkeypatch):
     # level, deeper than Python's default recursion limit
     from bigengine import canon
     real = canon._refine
-    monkeypatch.setattr(canon, "_refine", lambda b: (*real(b)[:2], False))
+    monkeypatch.setattr(canon, "_refine", lambda b: (*real(b)[:2], False, real(b)[3]))
     sig = Signature([Control("A", 0, atomic=True), Control("B", 0, atomic=True)])
     n = 1101
 
@@ -248,12 +250,16 @@ def test_store_merges_large_flat_state_quickly():
 
 @pytest.mark.parametrize("refined", [True, False], ids=["refined", "one-colour"])
 def test_same_orbit_agrees_with_brute_force(monkeypatch, refined):
-    # for every ordered pair of occurrences of one pattern, same_orbit
-    # must find an automorphism carrying one onto the other exactly when
-    # an exhaustive search over node and edge permutations does
+    # for every ordered pair of occurrences of one pattern on a state
+    # whose colours order its nodes up to twins, same_orbit must find an
+    # automorphism carrying one onto the other exactly when an exhaustive
+    # search over node and edge permutations does; on any other state
+    # (every state, with one colour class) it answers False
+    from bigengine import canon
     if not refined:
-        from bigengine import canon
-        monkeypatch.setattr(canon, "_refine", lambda b: ([0] * b.n, [0] * b.edges, False))
+        real = canon._refine
+        monkeypatch.setattr(canon, "_refine",
+                            lambda b: ([0] * b.n, [0] * b.edges, False, real(b)[3]))
     sig = make_sig(DEFAULT_CONTROLS)
     rng = random.Random(20261019)
     draws = [(random_ground(rng, sig, max_nodes=6, name_pool=("a", "b")),
@@ -272,13 +278,16 @@ def test_same_orbit_agrees_with_brute_force(monkeypatch, refined):
     draws.append((_mk(sig, 1, 0, "CCD", ((),) * 3, (region,) * 3, (),
                       [(("e", 0), ("e", 1)), (("e", 1), ("e", 0)), ()], (), frozenset(), 2),
                   draws[-1][1]))
-    outcomes = []
+    outcomes, shortcuts = [], 0
     for state, pattern in draws:
+        ordered = canon._refine(state)[2]
         for h1, h2 in permutations(find_occurrences(state, pattern), 2):
-            same = same_orbit(state, h1, h2)
-            assert same == brute_same_orbit(state, h1, h2)
+            same = brute_same_orbit(state, h1, h2)
+            assert same_orbit(state, h1, h2) == (ordered and same)
             outcomes.append(same)
+            shortcuts += ordered and same
     assert outcomes.count(True) >= 30 and outcomes.count(False) >= 30
+    assert shortcuts >= 30 if refined else shortcuts == 0
 
 
 KEYS_OF_STATES = """

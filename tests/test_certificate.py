@@ -11,11 +11,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from bigengine import canon, find_occurrences, iso_equal  # noqa: E402
+from bigengine import canon, engine, find_occurrences, iso_equal  # noqa: E402
 from bigengine.bigraph import _mk  # noqa: E402
 from bigengine.canon import StateStore, certificate, same_orbit  # noqa: E402
 from bigengine.elaborate import load, load_file  # noqa: E402
-from bigengine.engine import explore  # noqa: E402
+from bigengine.engine import explore, step_distribution  # noqa: E402
 from bigengine.printing import print_bigraph  # noqa: E402
 
 from conftest import MODELS  # noqa: E402
@@ -161,6 +161,36 @@ def test_states_without_certificate_merge_through_iso_equal(monkeypatch, source)
     assert len(checks) >= bare
 
 
+def test_only_vault_states_lack_exact_certificates(monkeypatch):
+    # 344 of the 346 states that explore -M 60 stores over the bundled
+    # models have an exact certificate, and the other 2 are vault.big's;
+    # on those, and on the CYCLES init, same_orbit skips no hit, so the
+    # step applies (and settles) every hit
+    stored = {path.name: explore(load_file(path), 60).states
+              for path in sorted(MODELS.glob("*.big"))}
+    assert (len(stored), sum(map(len, stored.values()))) == (22, 346)
+    bare = [(name, s) for name, states in stored.items() for s in states
+            if not certificate(s)[0]]
+    assert [name for name, _ in bare] == ["vault.big"] * 2
+    vault, cycles = load_file(MODELS / "vault.big"), load(CYCLES)
+    assert not certificate(cycles.init)[0]
+    settles = 0
+    real = engine._settle
+
+    def counted(*args):
+        nonlocal settles
+        settles += 1
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_settle", counted)
+    hits = []
+    for spec, state in [(vault, s) for _, s in bare] + [(cycles, cycles.init)]:
+        settles = 0
+        hits.append(sum(len(g.members) for g in step_distribution(state, spec)))
+        assert settles == hits[-1]
+    assert hits == [1, 2, 7]
+
+
 def partitions(colours):
     """(node partition, edge partition, exact) of ``_refine``'s result:
     each partition as the sorted lists of indices that share a colour."""
@@ -169,7 +199,7 @@ def partitions(colours):
         for i, c in enumerate(cs):
             got.setdefault(c, []).append(i)
         return sorted(got.values())
-    ncol, ecol, exact = colours
+    ncol, ecol, exact = colours[:3]
     return blocks(ncol), blocks(ecol), exact
 
 
