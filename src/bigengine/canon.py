@@ -1,21 +1,20 @@
 """State identity: certificates, exact isomorphism and orbits of
 occurrences.
 
-Colour refinement (``_refine``) colours the nodes and closed edges of
-the combined place and link structure; equal on isomorphic bigraphs.
 Twins, childless nodes with equal label, parents and port multiset, are
 interchangeable: swapping two is an automorphism that fixes every edge.
-``_refine`` returns its twin classes with the colours. ``certificate``
-renumbers a bigraph in colour order, one row per twin class: a hashable
-tuple equal on isomorphic bigraphs, and the one identity of a state. It
-is exact when each colour is one twin class: the colours then order the
-nodes up to twins, and equal exact certificates mean isomorphic
-bigraphs, found with no search. ``StateStore.insert`` is the one place
-that merges states: a dict from certificate to indices, whose hits are
-confirmed by ``iso_equal`` only when the certificate is not exact. That
-exact check runs ``bigraph._node_maps``, the node-map search the matcher
-uses too, with candidates drawn from each node's colour class, and
-accepts the first full map that passes one exact check
+``certificate`` walks a bigraph once into its twin quotient, refines
+colours of its twin classes and closed edges (``_refine``'s colours),
+and renumbers the quotient in colour order, one row per twin class: a
+hashable tuple equal on isomorphic bigraphs, and the one identity of a
+state. It is exact when each colour is one twin class: the colours then
+order the nodes up to twins, and equal exact certificates mean
+isomorphic bigraphs, found with no search. ``StateStore.insert`` is the
+one place that merges states: a dict from certificate to indices, whose
+hits are confirmed by ``iso_equal`` only when the certificate is not
+exact. That exact check runs ``bigraph._node_maps``, the node-map search
+the matcher uses too, with candidates drawn from each node's colour
+class, and accepts the first full map that passes one exact check
 (``_full_map_ok``), so a colour collision cannot make it wrong.
 ``same_orbit`` asks whether an automorphism of a state maps one
 occurrence onto another, and only on a state with an exact certificate:
@@ -27,12 +26,9 @@ Colours are ints: a node is seeded from a stable, memoised digest of its
 label and of its fixed neighbours, and each round recolours with the
 built-in ``hash`` of a tuple of ints, so colours, and the certificates
 ordered by them, are the same in every process whatever
-``PYTHONHASHSEED`` is. A round recolours each twin class from one sorted
-list of its neighbours' colours, then each edge from this round's node
-colours (Gauss-Seidel order), until the colours order the nodes up to
-twins or are stable. Bigraphs are immutable, so each one's colours,
-twin classes and certificate are computed once and cached on it
-(``Bigraph._cache``).
+``PYTHONHASHSEED`` is. Bigraphs are immutable, so each one's colours,
+twin classes and certificate are computed once, in one call, and cached
+on it (``Bigraph._cache``); the quotient is not kept.
 
 Regions, sites, outer and inner names are fixed points of any
 isomorphism (compared by index / by name); only nodes, closed edges and
@@ -56,63 +52,97 @@ def _digest(key) -> int:
     return int.from_bytes(hashlib.blake2b(repr(key).encode(), digest_size=8).digest(), "big")
 
 
-def _twin_keys(b: Bigraph) -> list:
-    """Per node, the key it shares with its twins: childless nodes with
-    equal label, parents and port multiset. A node with children is its
-    own key, its index."""
-    kids, label = b.children(), labels(b)
-    return [i if kids[("n", i)] else (label[i], ps, tuple(sorted(b.ports[i])))
-            for i, ps in enumerate(b.node_parents)]
-
-
 def _refine(b: Bigraph) -> tuple[list[int], list[int], bool, list[list[int]]]:
-    """Colours of nodes and edges, seeded by structure-invariant data and
-    refined until they order the nodes up to twins or are stable; whether
-    they do order them (each node colour is one twin class); and the twin
-    classes, each one's nodes in index order. Computed once per bigraph
-    and cached.
+    """Colours of nodes and edges; whether they order the nodes up to
+    twins (each node colour is one twin class); and the twin classes,
+    each one's nodes in index order. ``certificate`` computes and caches
+    them in the same call as the certificate."""
+    if "colours" not in b._cache:
+        certificate(b)
+    return b._cache["colours"]
 
-    Twins are childless nodes with equal label, parents and port
-    multiset: swapping two is an automorphism that fixes every edge, so
-    they get equal colours in every round and each twin class is
-    recoloured once. A node's seed covers its label, region parents,
-    site children and open names; an edge's, its inner names. A class's
-    node parents, edges and node children (every twin listed) are one
-    list of indices into the last round's class colours, edge colours
-    and class colours salted for the child role. A round recolours each
-    class from its colour and that list's sorted colours, then each edge
-    from its colour and this round's colours of its ports' nodes, so it
-    only splits classes. It stops once each colour is one twin class and
-    each closed edge has its own colour, or after a round that split no
-    class: that partition is stable, the one that recolouring edges from
-    the last round's colours reaches too. The round count depends only
-    on the isomorphism class, so isomorphic bigraphs get equal colours.
-    """
-    got = b._cache.get("colours")
+
+def certificate(b: Bigraph) -> tuple:
+    """b renumbered in colour order, led by a flag that says whether it is
+    exact: a hashable tuple, equal on isomorphic bigraphs, ground or not.
+    Equal exact certificates mean isomorphic bigraphs. Cached on b.
+
+    One walk over the parent sets, ports and inner names builds the twin
+    quotient: the twin classes; each one's seed (its label, region
+    parents, site children and open names) and neighbour list (node
+    parents, edges and node children, every twin listed, as indices into
+    the last round's class colours, edge colours and class colours
+    salted for the child role); its parents (a class, or ~k for region
+    k) and open names; and each closed edge's seed (its inner names) and
+    port classes. A round recolours each class from its colour and its
+    neighbours' sorted colours, then each edge from its colour and this
+    round's colours of its ports' classes, so it only splits classes. It
+    stops once each colour is one twin class and each closed edge has its
+    own colour, or after a round that split no class: that partition is
+    stable, the one that recolouring edges from the last round's colours
+    reaches too. The round count depends only on the isomorphism class.
+
+    Then each colour takes the next block of positions, and each twin
+    class is one row: its colour's position, size, label (``labels``),
+    parents (a class as its colour's position) and open names; the rows
+    are sorted. A closed edge is the sorted positions of its ports, and
+    ~r for each inner name b.inner[r] on it. Then come the sites'
+    parents and the inner names, those wired to an outer name paired
+    with it. It is exact when each colour is one twin class: each parent
+    (it has children, so it is no twin) then has a position of its own,
+    and the tuple describes b up to swapping twins."""
+    got = b._cache.get("certificate")
     if got is not None:
         return got
-    kids, label = b.children(), labels(b)
+    label, ne = labels(b), b.edges
+    kids: dict = {}                              # node -> its children, ("n", j) / ("s", k)
+    for tag, pss in (("n", b.node_parents), ("s", b.site_parents)):
+        for i, ps in enumerate(pss):
+            for p in ps:
+                if p[0] == "n":
+                    kids.setdefault(p[1], []).append((tag, i))
     twins: dict = {}                             # twin key -> twin class
-    cls = [twins.setdefault(key, len(twins)) for key in _twin_keys(b)]
+    cls = [twins.setdefault(i if i in kids else (label[i], ps, tuple(sorted(hs))), len(twins))
+           for i, (ps, hs) in enumerate(zip(b.node_parents, b.ports))]
+    nc = len(twins)
     classes: list[list[int]] = [[] for _ in twins]    # twin class -> its nodes
+    around, ccol, rows = [], [], []              # per twin class, from its first node
+    ends: list[list[int]] = [[] for _ in range(ne)]   # edge -> a class per port
     for i, c in enumerate(cls):
         classes[c].append(i)
-    nc, ne = len(classes), b.edges
-    around, ccol = [], []                        # per twin class, from its first node
-    for same in classes:
-        i, near, fixed = same[0], [], []
-        for off, xs, at in ((0, b.node_parents[i], cls), (nc + ne, kids[("n", i)], cls),
-                            (nc, b.ports[i], range(ne))):
-            for x in xs:
-                if x[0] in "ne":
-                    near.append(off + at[x[1]])
-                else:
-                    fixed.append(_digest(x))
+        hs = b.ports[i]
+        for h in hs:
+            if h[0] == "e":
+                ends[h[1]].append(c)
+        if c < len(rows):                        # a twin of an earlier node
+            continue
+        near, fixed, ups, names = [], [], [], []
+        for p in b.node_parents[i]:
+            if p[0] == "n":
+                near.append(cls[p[1]])
+            else:
+                fixed.append(_digest(p))
+                ups.append(~p[1])
+        ups += near                              # parents: a class, region k as ~k
+        for h in hs:
+            if h[0] == "e":
+                near.append(nc + h[1])
+            else:
+                fixed.append(_digest(h))
+                names.append(h[1])
+        for x in kids.get(i, ()):
+            if x[0] == "n":
+                near.append(nc + ne + cls[x[1]])
+            else:
+                fixed.append(_digest(x))
         around.append(near)
         ccol.append(hash((_digest(("n", label[i])), *sorted(fixed))))
-    points = [b.link_points()[("e", k)] for k in range(ne)]
-    ends = [[cls[pt[1]] for pt in pts if pt[0] == "p"] for pts in points]
-    ecol = [hash(tuple(sorted(_digest(pt) for pt in pts if pt[0] == "i"))) for pts in points]
+        rows.append((label[i], ups, tuple(sorted(names))))
+    pins: list[list[int]] = [[] for _ in range(ne)]   # edge -> its inner names' indices
+    for r, (_, h) in enumerate(b.inner):
+        if h[0] == "e":
+            pins[h[1]].append(r)
+    ecol = [hash(tuple(sorted(_digest(("i", b.inner[r][0])) for r in rs))) for rs in pins]
 
     counts, last = (len(set(ccol)), len(set(ecol))), -1
     while counts != (nc, ne) and sum(counts) > last:    # not discrete, and still growing
@@ -121,61 +151,23 @@ def _refine(b: Bigraph) -> tuple[list[int], list[int], bool, list[list[int]]]:
         col = ccol.__getitem__
         ecol = [hash((c, *sorted(map(col, ns)))) for c, ns in zip(ecol, ends)]
         last, counts = sum(counts), (len(set(ccol)), len(set(ecol)))
-    got = b._cache["colours"] = ([ccol[c] for c in cls], ecol, counts[0] == nc, classes)
-    return got
+    b._cache["colours"] = ([ccol[c] for c in cls], ecol, counts[0] == nc, classes)
 
-
-def certificate(b: Bigraph) -> tuple:
-    """b renumbered in colour order, led by a flag that says whether it is
-    exact: a hashable tuple, equal on isomorphic bigraphs, ground or not.
-    Equal exact certificates mean isomorphic bigraphs. Cached on b.
-
-    Each colour takes the next block of positions, and each twin class
-    is one row: its colour's position, size, label (``labels``), parents
-    (region k as ~k, a node as its colour's position) and open names;
-    the rows are sorted. A closed edge is the sorted positions of its
-    ports, and ~r for each inner name b.inner[r] on it. Then come the
-    sites' parents and the inner names, those wired to an outer name
-    paired with it. It is exact when each colour is one twin class: each
-    parent (it has children, so it is no twin) then has a position of
-    its own, and the tuple describes b up to swapping twins."""
-    got = b._cache.get("certificate")
-    if got is not None:
-        return got
-    ncol, _, exact, twins = _refine(b)
-    start: dict = {}                             # colour -> its size, then its first position
-    for same in twins:
-        c = ncol[same[0]]
-        start[c] = start.get(c, 0) + len(same)
-    p = 0
-    for c in sorted(start):
-        start[c], p = p, p + start[c]
-
-    def places(ps):
-        return tuple(sorted([start[ncol[x[1]]] if x[0] == "n" else ~x[1] for x in ps]))
-
-    label = labels(b)
-    ends: list[list[int]] = [[] for _ in range(b.edges)]
-    rows = []
-    for same in twins:
-        i, k, names = same[0], len(same), []
-        p = start[ncol[i]]
-        for h in b.ports[i]:
-            if h[0] == "e":
-                ends[h[1]] += [p] * k
-            else:
-                names.append(h[1])
-        rows.append((p, k, label[i], places(b.node_parents[i]), tuple(sorted(names))))
-    sites = inner = ()
-    if b.sites or b.inner:
-        for r, (_, h) in enumerate(b.inner):
-            if h[0] == "e":
-                ends[h[1]].append(~r)
-        sites = tuple(map(places, b.site_parents))
-        inner = tuple([(x, h[1]) if h[0] == "o" else x for x, h in b.inner])
+    start, at = {}, 0                            # colour -> its first position
+    for c, k in sorted(zip(ccol, map(len, classes))):
+        start.setdefault(c, at)
+        at += k
+    pos = [start[c] for c in ccol]               # twin class -> its colour's position
     got = b._cache["certificate"] = (
-        exact, b.regions, tuple(sorted(b.outer)), tuple(sorted(rows)),
-        tuple(sorted([tuple(sorted(e)) for e in ends])), sites, inner)
+        counts[0] == nc, b.regions, tuple(sorted(b.outer)),
+        tuple(sorted([(pos[c], len(same), lab, tuple(sorted([pos[u] if u >= 0 else u
+                                                              for u in ups])), names)
+                      for c, (same, (lab, ups, names)) in enumerate(zip(classes, rows))])),
+        tuple(sorted([tuple(sorted([pos[c] for c in cs] + [~r for r in rs]))
+                      for cs, rs in zip(ends, pins)])),
+        tuple([tuple(sorted([pos[cls[x[1]]] if x[0] == "n" else ~x[1] for x in ps]))
+               for ps in b.site_parents]),
+        tuple([(x, h[1]) if h[0] == "o" else x for x, h in b.inner]))
     return got
 
 
@@ -214,12 +206,12 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
     its colour and the most constrained colour classes first, and the
     first one that passes ``_full_map_ok`` is accepted.
     """
-    cert = certificate(a)
-    if cert != certificate(b):
+    if certificate(a) != certificate(b):
         return False
-    if cert[0]:
+    acol, _, ordered, _ = _refine(a)
+    if ordered:                           # the certificates are exact
         return True
-    acol, by_colour = _refine(a)[0], {}
+    by_colour: dict = {}
     for j, c in enumerate(_refine(b)[0]):
         by_colour.setdefault(c, []).append(j)
 
@@ -279,7 +271,7 @@ class StateStore:
         require_ground(b)
         cert = certificate(b)
         for idx in self._certificates.get(cert, ()):
-            if cert[0] or iso_equal(self.states[idx], b):
+            if _refine(b)[2] or iso_equal(self.states[idx], b):
                 return idx, False
         if self.max_states is not None and len(self.states) >= self.max_states:
             return None, False

@@ -51,8 +51,14 @@ class TransitionSystem:
     semantics: str
     predicates: tuple[str, ...]
     actions: tuple[str, ...] = ()
-    partial: bool = False
     init_index: int = 0
+    # successor groups the state bound dropped: (src, label, rule names)
+    dropped: list[tuple[int, object, frozenset]] = field(default_factory=list)
+
+    @property
+    def partial(self) -> bool:
+        """Whether the state bound cut the system off."""
+        return bool(self.dropped)
 
 
 @dataclass
@@ -326,9 +332,10 @@ def label_states(states: list[Bigraph], spec: BrsSpec) -> dict[str, set[int]]:
 def explore(spec: BrsSpec, max_states: int,
             check_confluence: bool = False) -> TransitionSystem:
     """Breadth-first state-space construction from the settled initial
-    state. New states beyond max_states are dropped (the result is
-    marked partial); every stored state is still fully expanded towards
-    stored successors. States are deduplicated by ``canon.certificate``,
+    state. New states beyond max_states are dropped, each successor group
+    that leads to one recorded in ``dropped`` (the result is partial);
+    every stored state is still fully expanded towards stored
+    successors. States are deduplicated by ``canon.certificate``,
     confirmed by iso_equal only when it is not exact."""
     if not spec.init.is_ground():
         raise InitNotGround("Init bigraph is not ground")
@@ -337,14 +344,14 @@ def explore(spec: BrsSpec, max_states: int,
     store.insert(init)
     handoffs = {0: handoff}          # per stored state, until it is expanded
     transitions: list[Transition] = []
-    partial = False
+    dropped = []
     i = 0
     while i < len(store.states):
         state = store.states[i]
         for g in step_distribution(state, spec, check_confluence, handoffs.pop(i)):
             j, added = store.insert(g.dst)
             if j is None:
-                partial = True
+                dropped.append((i, g.label, g.rule_names))
                 continue
             if added:
                 handoffs[j] = g.handoff
@@ -353,4 +360,4 @@ def explore(spec: BrsSpec, max_states: int,
     return TransitionSystem(states=store.states, transitions=transitions,
                             labelling=label_states(store.states, spec),
                             semantics=spec.semantics, predicates=tuple(spec.preds),
-                            actions=tuple(spec.actions), partial=partial)
+                            actions=tuple(spec.actions), dropped=dropped)

@@ -26,6 +26,10 @@ expression tree and the elaborator never inspects expression forms.
 
 A token carries its offset in the source; a line and column are worked
 out from it only for a diagnostic or a declaration's line.
+
+A number has at most ``MAX_DIGITS`` digits, as a literal and as the
+integer result of arithmetic, so every integer converts to and from text
+on every Python version (3.11 and later refuse longer ones by default).
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ from typing import NamedTuple
 
 from .bigraph import close, identity, idle, link_identity, merge, nest, one, parallel, share
 from .errors import ElaborationError, ParseError, UnknownIdentifier
+
+MAX_DIGITS = 4300
+_INT_BOUND = 10 ** MAX_DIGITS
 
 KEYWORDS = {
     "ctrl", "atomic", "fun", "big", "react", "begin", "end", "init",
@@ -89,6 +96,9 @@ def tokenize(source: str) -> list[Token]:
             kind = text
         elif kind == "bad":
             raise ParseError("unexpected character %r" % text,
+                             *position(line_starts(source), m.start()))
+        elif kind in ("int", "float") and sum(map(str.isdigit, text)) > MAX_DIGITS:
+            raise ParseError("number with more than %d digits" % MAX_DIGITS,
                              *position(line_starts(source), m.start()))
         tokens.append(Token(kind, text, m.start()))
     end = Token("eof", "", len(source))
@@ -157,6 +167,8 @@ def _arith(operands, fns):
                 l = fn(l, r)
             except OverflowError:
                 raise ElaborationError("arithmetic result out of range") from None
+            if isinstance(l, int) and not -_INT_BOUND < l < _INT_BOUND:
+                raise ElaborationError("integer result with more than %d digits" % MAX_DIGITS)
         return l
     return arith
 

@@ -23,7 +23,7 @@ from functools import reduce
 from itertools import product
 
 from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, labels, nest, parallel
-from bigengine.canon import _digest, _twin_keys
+from bigengine.canon import _digest
 from bigengine.errors import AtomicViolation, SignatureError, WidthMismatch
 from bigengine.matching import check_constraints, find_occurrences
 from bigengine.rules import apply_at
@@ -452,7 +452,9 @@ def reference_refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
     kids, label = b.children(), labels(b)
     twins: dict = {}                             # twin key -> twin class
     cls, first = [], []                          # node -> its class; class -> first node
-    for i, key in enumerate(_twin_keys(b)):
+    for i, ps in enumerate(b.node_parents):
+        # twins: childless nodes with equal label, parents and port multiset
+        key = i if kids[("n", i)] else (label[i], ps, frozenset(Counter(b.ports[i]).items()))
         c = twins.setdefault(key, len(first))
         if c == len(first):
             first.append(i)

@@ -126,12 +126,16 @@ def test_criterion_04_stochastic_export(tmp_path):
                                  for n in range(k + 1) for m in [k - n])
     from bigengine.export import write_tra
     nstates, rows = read_tra(write_tra(ts, allow_partial=True), "sbrs")
-    idx = {p: i for i, p in enumerate(pop)}
+    sink = len(ts.states)           # the truncated sink the exporter adds
+    assert nstates == sink + 1
     for src, dst, value in rows:
-        if src == dst and not any(t.src == src for t in ts.transitions):
-            continue                # boundary sink self-loop added by the exporter
+        if src == sink:
+            assert (dst, value) == (sink, 1)
+            continue
         n, m = pop[src]
-        if pop[dst] == (n + 1, m):
+        if dst == sink:             # level 6, cut off: both arrival rates
+            assert n + m == 5 and abs(value - 0.21) < 1e-12
+        elif pop[dst] == (n + 1, m):
             assert value == 0.2
         elif pop[dst] == (n, m + 1):
             assert value == 0.01

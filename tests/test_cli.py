@@ -126,6 +126,31 @@ def test_hostile_model_gives_diagnostic(tmp_path, capsys, data, message):
     assert err.startswith(message) and "Traceback" not in err
 
 
+HUGE = "7" * 3000
+P_MODEL = "atomic fun ctrl P(x) = 0;\nbig b = P(%s);\nbegin brs init b; rules = []; end\n"
+
+
+@pytest.mark.parametrize("command, source, message", [
+    ("validate", "ctrl R = %s;\nbig b = R.1;\n" % ("1" * 4301),
+     "error: line 1, column 10: number with more than 4300 digits\n"),
+    ("full", P_MODEL % ("%s * %s" % (HUGE, HUGE)),
+     "error: integer result with more than 4300 digits\n"),
+    ("validate", P_MODEL % ("%s * %s / 2" % (HUGE, HUGE)),
+     "error: integer result with more than 4300 digits\n"),
+], ids=["literal", "product", "product-divided"])
+def test_huge_integer_gives_diagnostic(tmp_path, capsys, command, source, message):
+    # Python 3.11 and later refuse to convert an int of more than 4300
+    # digits to or from text, which ended these in a ValueError; the
+    # limit is the language's own, so every Python version says the same
+    model = tmp_path / "huge.big"
+    model.write_text(source)
+    assert run_cli([command, str(model)]) == 1
+    assert capsys.readouterr().err == message
+    model.write_text(P_MODEL % ("9" * 4300))          # the largest number allowed
+    assert run_cli(["full", str(model)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_long_nest_chain_validates(tmp_path, capsys):
     # 990 levels of `R.` once ran out of frames; a `.` chain is now one
     # builder, so the same model validates

@@ -314,6 +314,24 @@ def test_explore_partial_flag():
     spec = load_file(MODELS / "sbrs_entrance.big")
     ts = explore(spec, 5)
     assert ts.partial and len(ts.states) == 5
+    # each stored state's successor groups are kept or listed as dropped
+    assert ts.dropped
+    for i, state in enumerate(ts.states):
+        want = sorted((g.label, sorted(g.rule_names)) for g in step_distribution(state, spec))
+        kept = [(t.label, sorted(t.rule_names)) for t in ts.transitions if t.src == i]
+        cut = [(label, sorted(rules)) for src, label, rules in ts.dropped if src == i]
+        assert sorted(kept + cut) == want
+
+
+def test_certifying_builds_no_derived_maps():
+    # the certificate reads the parent sets and ports itself: it leaves
+    # no children or link_points map on a successor that may merge away
+    for path in sorted(MODELS.glob("*.big")):
+        for b in explore(load_file(path), 8).states:
+            fresh = dataclasses.replace(b, _cache={})
+            canon.certificate(fresh)
+            assert sorted(fresh._cache) == ["certificate", "colours", "labels"]
+            assert canon._refine(fresh) is fresh._cache["colours"]
 
 
 def test_explore_spawn_chain():

@@ -1,7 +1,7 @@
 import pytest
 
 from bigengine.elaborate import load, load_file
-from bigengine.engine import explore
+from bigengine.engine import explore, step_distribution
 from bigengine.errors import PartialSystem
 from bigengine.export import write_dot, write_labels, write_tra
 
@@ -121,7 +121,7 @@ def test_abrs_tra_shape():
     ts = explore(spec, 8)
     data = write_tra(ts, allow_partial=True)
     n, rows = read_tra(data, "abrs")
-    assert n == 8
+    assert n == 8 + 1                   # and the truncated sink
     for src, choice, dst, prob, action in rows:
         assert action in ("move", "check", None)
     # per (state, choice) probabilities sum to one
@@ -144,3 +144,55 @@ def test_roundtrip_reader_multiset():
         if not any(t.src == s for t in ts.transitions):
             want[(s, s)] += 1
     assert got == want
+
+
+# the bundled models whose state space -M 60 cuts off
+CUT_AT_60 = ("abrs_guards", "copy", "pbrs_detect", "sbrs_entrance", "turntaking")
+
+
+def test_bounded_frontier_is_no_deadlock():
+    # turntaking's state 4 has a successor the bound drops: it goes to the
+    # truncated sink, state 5, and does not get a deadlock loop
+    ts = explore(load_file(MODELS / "turntaking.big"), 5)
+    lines = write_tra(ts, allow_partial=True).decode().splitlines()
+    assert "4 4 1" not in lines
+    assert lines == ["6 6", "0 1 1", "1 2 1", "2 3 1", "3 4 1", "4 5 1", "5 5 1"]
+
+
+def test_bounded_pbrs_rows_sum_to_one():
+    ts = explore(load_file(MODELS / "pbrs_detect.big"), 5)
+    n, rows = read_tra(write_tra(ts, allow_partial=True), "pbrs")
+    sums = [0.0] * n
+    for src, _, p in rows:
+        sums[src] += p
+    assert n == 6 and all(abs(x - 1) < 1e-12 for x in sums)
+    assert (4, 5, 0.8) in rows and rows[-1] == (5, 5, 1)
+
+
+@pytest.mark.parametrize("name", CUT_AT_60)
+def test_bounded_exports_keep_every_rows_mass(name):
+    # every state's rows (each abrs choice's) sum to 1, sbrs rates to the
+    # state's exit rate, the dropped mass going to the sink; the .csl and
+    # .dot name the sink with a label no predicate can take
+    spec = load_file(MODELS / (name + ".big"))
+    ts = explore(spec, 60)
+    sink = len(ts.states)
+    abrs = spec.semantics == "abrs"
+    n, rows = read_tra(write_tra(ts, allow_partial=True), spec.semantics)
+    sums: dict = {}
+    for row in rows:
+        key, value = (row[:2], row[3]) if abrs else (row[0], row[2])
+        sums[key] = sums.get(key, 0.0) + value
+    if spec.semantics == "sbrs":
+        for s in range(sink):
+            sums[s] /= sum(g.weight for g in step_distribution(ts.states[s], spec))
+    assert n == sink + 1 and ts.partial
+    assert ((sink, 0, sink, 1.0, None) if abrs else (sink, sink, 1.0)) in rows
+    assert {key[0] if abrs else key for key in sums} == set(range(n))
+    assert all(abs(x - 1) < 1e-9 for x in sums.values())
+    into = {row[0] for row in rows if row[2 if abrs else 1] == sink and row[0] != sink}
+    assert into == {src for src, _, _ in ts.dropped}
+    labels = write_labels(ts).decode().splitlines()
+    k = len(ts.predicates) + 1
+    assert labels[0].endswith(' %d="_truncated"' % k) and labels[-1] == "%d: %d" % (sink, k)
+    assert '  %d [label="%d: _truncated"];' % (sink, sink) in write_dot(ts)
