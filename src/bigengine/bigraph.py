@@ -146,7 +146,7 @@ class Bigraph:
     # -- derived maps ------------------------------------------------------
 
     def children(self) -> dict:
-        """place key -> tuple of child keys (nodes then sites, index order)."""
+        """place key -> tuple of child keys (nodes then sites, index order: sorted as built)."""
         got = self._cache.get("children")
         if got is None:
             m: dict = {("r", k): [] for k in range(self.regions)}
@@ -158,7 +158,7 @@ class Bigraph:
             for k, ps in enumerate(self.site_parents):
                 for p in ps:
                     m[p].append(("s", k))
-            got = {p: tuple(sorted(cs)) for p, cs in m.items()}
+            got = {p: tuple(cs) for p, cs in m.items()}
             self._cache["children"] = got
         return got
 
@@ -469,56 +469,71 @@ def require_ground(b: Bigraph, what: str = "bigraph") -> None:
 
 
 def _node_maps(a: Bigraph, b: Bigraph, order: Sequence[int], candidates):
-    """Each injective map of a's nodes, assigned in ``order``, onto
-    ``candidates(i)`` in b that agrees on node-to-node parenthood and
-    keeps a's shared links shared.
+    """Each injective map of a's nodes, assigned in ``order`` (all of
+    them), onto ``candidates(i)`` in b (ascending, no repeats) that agrees
+    on node-to-node parenthood and keeps a's shared links shared.
 
     The one node-map search of the engine (occurrences and isomorphism).
-    A pair (i, j) is checked only against the already-mapped parents and
-    children of i and of j, through the inverse map, and against i's
-    mapped ``link_partners`` k: fwd[k] must share a link with j, which
-    both callers need before their exact link checks. So in every map,
-    node k is a parent of i exactly when fwd[k] is a parent of fwd[i]:
-    the matcher's ``_finalize`` relies on this and does not check
-    parenthood between image nodes again. The search keeps an
-    explicit stack of candidate iterators, so its depth is not bounded by
-    Python's recursion. The same dict is yielded each time: copy it to
-    keep it.
+    A node placed after a neighbour (``_anchors``) tries only candidates
+    among its image's children (of a parent), parents (of a child) or
+    link mates (of a ``link_partners`` mate), in order; the others fail
+    that check, so the maps come as if every candidate were tried. A
+    pair (i, j) is also checked against i's other placed neighbours (for
+    a mate k, fwd[k] must share a link with j, which both callers need
+    before their exact link checks) and j's placed parents and children,
+    so k is a parent of i exactly when fwd[k] is a parent of fwd[i]
+    (``_finalize`` relies on this). An explicit stack, not recursion,
+    keeps the search. The same dict is yielded each time: copy it.
     """
-    a_kids, b_kids = a.children(), b.children()
-    a_partners = a.link_partners()
+    table = _anchors(a, tuple(order))
+    b_parents, b_kids, b_ports = b.node_parents, b.children(), b.ports
     fwd: dict[int, int] = {}
     inv: dict[int, int] = {}
+    allowed: dict[int, set] = {}
 
-    def fits(i, j) -> bool:
-        for p in a.node_parents[i]:
-            if p[0] == "n" and p[1] in fwd and ("n", fwd[p[1]]) not in b.node_parents[j]:
+    def draw(pos):
+        how, k = table[pos][:2]
+        if how is None:
+            return candidates(order[pos])
+        ok = allowed.get(pos) or allowed.setdefault(pos, set(candidates(order[pos])))
+        if how == "p":
+            return [c[1] for c in b_kids[("n", fwd[k])] if c[0] == "n" and c[1] in ok]
+        near = ({p[1] for p in b_parents[fwd[k]] if p[0] == "n"} if how == "c" else
+                {pt[1] for h in set(b_ports[fwd[k]]) for pt in b.link_points()[h] if pt[0] == "p"})
+        return sorted(near & ok)
+
+    def fits(row, j) -> bool:
+        _, _, up, down, mates, ups, downs = row
+        ps = b_parents[j]
+        for p in up:
+            if ("n", fwd[p]) not in ps:
                 return False
-        for c in a_kids[("n", i)]:
-            if c[0] == "n" and c[1] in fwd and ("n", j) not in b.node_parents[fwd[c[1]]]:
+        for c in down:
+            if ("n", j) not in b_parents[fwd[c]]:
                 return False
-        for p in b.node_parents[j]:
-            if p[0] == "n" and p[1] in inv and ("n", inv[p[1]]) not in a.node_parents[i]:
+        for p in ps:
+            if p[0] == "n" and p[1] in inv and inv[p[1]] not in ups:
                 return False
         for c in b_kids[("n", j)]:
-            if c[0] == "n" and c[1] in inv and ("n", i) not in a.node_parents[inv[c[1]]]:
+            if c[0] == "n" and c[1] in inv and inv[c[1]] not in downs:
                 return False
-        for k in a_partners.get(i, ()):
-            if k in fwd and set(b.ports[fwd[k]]).isdisjoint(b.ports[j]):
+        for k in mates:
+            if set(b_ports[fwd[k]]).isdisjoint(b_ports[j]):
                 return False
         return True
 
     if not order:
         yield fwd
         return
-    stack = [iter(candidates(order[0]))]
+    stack = [iter(draw(0))]
     while stack:
         pos = len(stack) - 1
         i = order[pos]
         if i in fwd:                      # back at this position: undo its choice
             del inv[fwd.pop(i)]
+        row = table[pos]
         for j in stack[-1]:
-            if j not in inv and fits(i, j):
+            if j not in inv and fits(row, j):
                 fwd[i] = j
                 inv[j] = i
                 break
@@ -526,6 +541,27 @@ def _node_maps(a: Bigraph, b: Bigraph, order: Sequence[int], candidates):
             stack.pop()
             continue
         if pos + 1 < len(order):
-            stack.append(iter(candidates(order[pos + 1])))
+            stack.append(iter(draw(pos + 1)))
         else:
             yield fwd
+
+
+def _anchors(a: Bigraph, order: tuple) -> list:
+    """Per position of order, cached on a: how its node draws candidates
+    (from a placed child "c", else parent "p", else mate "m", else None),
+    from which node, its other placed parents, children and mates, and
+    all its node parents and node children."""
+    got = a._cache.get(("anchors", order))
+    if got is None:
+        at = {u: pos for pos, u in enumerate(order)}
+        kids, partners = a.children(), a.link_partners()
+        got = a._cache[("anchors", order)] = []
+        for pos, i in enumerate(order):
+            ups = frozenset(p[1] for p in a.node_parents[i] if p[0] == "n")
+            downs = frozenset(c[1] for c in kids[("n", i)] if c[0] == "n")
+            down, up = ([u for u in g if at[u] < pos] for g in (downs, ups))
+            mates = [k for k in partners.get(i, ()) if at[k] < pos]
+            how = "c" if down else "p" if up else "m" if mates else None
+            anchor = (down or up or mates).pop() if how else None
+            got.append((how, anchor, tuple(up), tuple(down), tuple(mates), ups, downs))
+    return got

@@ -15,8 +15,9 @@ engine searches a left side that several rules share once (elaboration
 gives equal left sides one object) and checks each rule's guards on the
 shared occurrences. Node injections come from ``bigraph._node_maps``, the
 iterative search ``canon.iso_equal`` uses too, in a connectivity-guided
-order (rarest candidates first) and pruned by shared links; each one
-then gets the remaining placement checks and its link assignments.
+order (rarest candidates first) that lets most nodes draw candidates
+from a placed neighbour's image; each one then gets the remaining
+placement checks and its link assignments.
 Occurrences are produced lazily, so ``matches_predicate``, the rule
 guards and the engine's settle stop at the first. A rewrite
 (``recompose``) splices the new part into the target in one pass and
@@ -44,10 +45,10 @@ Matching semantics, each condition checked in exactly one place:
   image node is taken, which arity implies: a pattern node and its image
   share a control (``_link_assignments``).
 * Occurrences with the same node image set, the same target link for
-  each open name and the same closed-edge image set are counted once, so
-  pattern automorphisms (which fix open names) do not multiply matches,
-  while occurrences that rewrite differently all count
-  (``find_occurrences``).
+  each open name, the same closed-edge image set and the same part in
+  each site are counted once, so pattern automorphisms (which fix open
+  names) multiply matches only by moving parts between sites, while
+  occurrences that rewrite differently all count (``find_occurrences``).
 """
 
 from __future__ import annotations
@@ -271,19 +272,21 @@ def _parameter(occ: Occurrence) -> list[Bigraph]:
 
 
 def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
-    """Every occurrence of pattern in target, one per image, sorted by
-    image. An image is the node image set, the link each open name lands
-    on, and the closed edge image set; pattern automorphisms fix open
-    names, so they still collapse, while two occurrences that send the
-    names to different links rewrite differently and are both kept."""
+    """Every occurrence of pattern in target, one per image and parts,
+    sorted by image. An image is the node image set, the link each open
+    name lands on, and the closed edge image set. Pattern automorphisms
+    fix open names, so they collapse unless they give some site another
+    part (its target nodes, compared only when an image repeats); two
+    occurrences that send names to different links are both kept."""
     occurrences: list[Occurrence] = []
-    seen_images: set = set()
+    seen: dict = {}                        # image -> its occurrences
     for occ in _occurrences(target, pattern):
-        key = (frozenset(occ.node_map.values()),
+        key = (frozenset(occ.image),
                frozenset((L[1], tl) for L, tl in occ.link_map.items() if L[0] == "o"),
                frozenset(tl for L, tl in occ.link_map.items() if L[0] == "e"))
-        if key not in seen_images:
-            seen_images.add(key)
+        same = seen.setdefault(key, [])
+        if not any(o.owner == occ.owner for o in same):   # same part in each site
+            same.append(occ)
             occurrences.append(occ)
     occurrences.sort(key=Occurrence.sort_key)
     return occurrences

@@ -3,7 +3,9 @@ renumbering (``permuted``) and port swaps (``swapped``), a brute-force occurrenc
 the matcher oracle, two isomorphism oracles (``brute_iso`` and, over
 ``networkx``, ``nx_iso``), colour refinement in three sorted tuples per
 class with edges recoloured from the last round (``reference_refine``)
-as the oracle of ``canon._refine``'s partition, the rewrite by the algebra
+as the oracle of ``canon._refine``'s partition, the node-map search that
+tries every candidate (``reference_node_maps``) as the oracle of the
+anchored ``bigraph._node_maps``, the rewrite by the algebra
 (``reference_recompose``) used as the oracle of the one-pass
 ``matching.recompose``, the binary products and nest written out
 (``reference_product``, ``reference_nest``) as the oracles of the n-ary
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from itertools import product
+from typing import Sequence
 
 from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, labels, nest, parallel
 from bigengine.canon import _digest
@@ -482,6 +485,73 @@ def reference_refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
         if stable:
             break
     return [ccol[c] for c in cls], ecol, counts[0] == len(first)
+
+
+def reference_node_maps(a: Bigraph, b: Bigraph, order: Sequence[int], candidates):
+    """The node-map search that tries every candidate at every position,
+    kept as the oracle of ``bigraph._node_maps``: the two must yield the
+    same maps in the same sequence.
+
+    Each injective map of a's nodes, assigned in ``order``, onto
+    ``candidates(i)`` in b that agrees on node-to-node parenthood and
+    keeps a's shared links shared.
+
+    The one node-map search of the engine (occurrences and isomorphism).
+    A pair (i, j) is checked only against the already-mapped parents and
+    children of i and of j, through the inverse map, and against i's
+    mapped ``link_partners`` k: fwd[k] must share a link with j, which
+    both callers need before their exact link checks. So in every map,
+    node k is a parent of i exactly when fwd[k] is a parent of fwd[i]:
+    the matcher's ``_finalize`` relies on this and does not check
+    parenthood between image nodes again. The search keeps an
+    explicit stack of candidate iterators, so its depth is not bounded by
+    Python's recursion. The same dict is yielded each time: copy it to
+    keep it.
+    """
+    a_kids, b_kids = a.children(), b.children()
+    a_partners = a.link_partners()
+    fwd: dict[int, int] = {}
+    inv: dict[int, int] = {}
+
+    def fits(i, j) -> bool:
+        for p in a.node_parents[i]:
+            if p[0] == "n" and p[1] in fwd and ("n", fwd[p[1]]) not in b.node_parents[j]:
+                return False
+        for c in a_kids[("n", i)]:
+            if c[0] == "n" and c[1] in fwd and ("n", j) not in b.node_parents[fwd[c[1]]]:
+                return False
+        for p in b.node_parents[j]:
+            if p[0] == "n" and p[1] in inv and ("n", inv[p[1]]) not in a.node_parents[i]:
+                return False
+        for c in b_kids[("n", j)]:
+            if c[0] == "n" and c[1] in inv and ("n", i) not in a.node_parents[inv[c[1]]]:
+                return False
+        for k in a_partners.get(i, ()):
+            if k in fwd and set(b.ports[fwd[k]]).isdisjoint(b.ports[j]):
+                return False
+        return True
+
+    if not order:
+        yield fwd
+        return
+    stack = [iter(candidates(order[0]))]
+    while stack:
+        pos = len(stack) - 1
+        i = order[pos]
+        if i in fwd:                      # back at this position: undo its choice
+            del inv[fwd.pop(i)]
+        for j in stack[-1]:
+            if j not in inv and fits(i, j):
+                fwd[i] = j
+                inv[j] = i
+                break
+        else:
+            stack.pop()
+            continue
+        if pos + 1 < len(order):
+            stack.append(iter(candidates(order[pos + 1])))
+        else:
+            yield fwd
 
 
 def reference_recompose(occ, pattern: Bigraph, fillers=None) -> Bigraph:

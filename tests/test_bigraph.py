@@ -29,6 +29,7 @@ from bigengine.errors import (
 from genutil import (
     DEFAULT_CONTROLS,
     make_sig,
+    permuted,
     random_ground,
     random_solid_pattern,
     reference_nest,
@@ -317,6 +318,25 @@ def test_share_index_out_of_range(building_sig):
                 merge(make_atom(building_sig, "Camera"), make_atom(building_sig, "Camera")))
     with pytest.raises(IndexOutOfRange):
         share(make_atom(building_sig, "Adult"), [{0, 2}], 2, host)
+
+
+def test_children_are_built_sorted():
+    # children() appends nodes by index, then sites by index, and
+    # ("n", i) sorts before ("s", k), so it sorts nothing: every tuple
+    # must equal its sorted self, with sites, sharing and any numbering
+    sig = make_sig(DEFAULT_CONTROLS)
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(300):
+        for b in (random_solid_pattern(rng, sig, max_nodes=8, max_sites=3, share_prob=0.5),
+                  random_ground(rng, sig, max_nodes=10, share_prob=0.5)):
+            b = permuted(b, rng)
+            for cs in b.children().values():
+                assert list(cs) == sorted(cs)
+                seen.update(c[0] for c in cs)
+                seen.add("nn" if sum(c[0] == "n" for c in cs) > 1 else "n")
+                seen.add("ns" if {"n", "s"} <= {c[0] for c in cs} else "n")
+    assert seen == {"n", "s", "nn", "ns"}
 
 
 def test_is_ground(building_sig):

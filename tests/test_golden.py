@@ -16,7 +16,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -74,6 +76,19 @@ def test_artifacts_match_golden_digests():
     changed = ["%s: %s" % (run, ", ".join(k for k in want[run] if got[run].get(k) != want[run][k]))
                for run in want if got[run] != want[run]]
     assert not changed, "outputs differ from the golden digests:\n" + "\n".join(changed)
+
+
+def test_digests_do_not_depend_on_the_hash_seed():
+    # the test above runs under this process's string-hash seed, so hits
+    # gathered through sets of string-bearing link handles could reorder
+    # unseen: a second process with another seed must give the digests too
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(MODELS.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+                          env=env, check=True)
+    assert json.loads(proc.stdout) == json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from bigengine.elaborate import load, load_file
 from bigengine.engine import explore
 from bigengine.errors import PatternNotSolid, TargetNotGround
 from bigengine.matching import merged_parameter, recompose
+from bigengine.printing import print_bigraph
 
 from conftest import MODELS
 from genutil import (
@@ -291,6 +292,36 @@ def test_tops_route_per_parent_set():
         for occ in occs:
             assert iso_equal(recompose(occ, pat), t)
             assert sorted(occ.param_tops.values()) == ([0, 0] if pat is shared else [0, 1])
+
+
+SWAPPED_PARTS = """
+ctrl A = 0;
+ctrl L = 0;
+ctrl R = 0;
+atomic ctrl X = 0;
+atomic ctrl Y = 0;
+react r = A.id | A.id --> L.id | R.id;
+big s0 = A.X | A.Y;
+big bare = A.1 | A.1;
+begin brs
+  init s0;
+  rules = [ {r} ];
+end
+"""
+
+
+def test_occurrences_that_swap_parts_both_count():
+    # one image, two node maps: the sites get X and Y, or Y and X, which
+    # rewrite to L.X | R.Y and to L.Y | R.X; with empty parts the swap
+    # rewrites alike and counts once
+    spec = load(SWAPPED_PARTS)
+    (rule,) = spec.rules()
+    occs = find_occurrences(spec.init, rule.lhs)
+    assert len(occs) == 2 and occs[0].image == occs[1].image
+    assert len(find_occurrences(spec.bigs["bare"], rule.lhs)) == 1
+    states = explore(spec, 60).states
+    assert sorted(map(print_bigraph, states)) == ["A.X | A.Y", "L.X | R.Y", "L.Y | R.X"]
+
 
 def test_count_zero_iff_predicate_false():
     sig = make_sig(DEFAULT_CONTROLS)
