@@ -9,26 +9,26 @@ and renumbers the quotient in colour order, one row per twin class: a
 hashable tuple equal on isomorphic bigraphs, and the one identity of a
 state. It is exact when each colour is one twin class: the colours then
 order the nodes up to twins, and equal exact certificates mean
-isomorphic bigraphs, found with no search. ``StateStore.insert`` is the
-one place that merges states: a dict from certificate to indices, whose
-hits are confirmed by ``iso_equal`` only when the certificate is not
-exact. That exact check runs ``bigraph._node_maps``, the node-map search
-the matcher uses too, with candidates drawn from each node's colour
-class, and accepts the first full map that passes one exact check
+isomorphic bigraphs, found with no search. That flag, its first field,
+is the one record of exactness: the store, ``iso_equal`` and
+``orbit_key`` read it. ``StateStore.insert`` is the one place that
+merges states: a dict from certificate to indices, whose hits are
+confirmed by ``iso_equal`` only when the certificate is not exact. That
+exact check runs ``bigraph._node_maps``, the node-map search the matcher
+uses too, with candidates drawn from each node's colour class, and
+accepts the first full map that passes one exact check
 (``_full_map_ok``), so a colour collision cannot make it wrong.
-``same_orbit`` asks whether an automorphism of a state maps one
-occurrence onto another, and only on a state with an exact certificate:
-there the automorphisms permute only twins and closed edges with the
-same ports, so it compares the two images. On any other state it
-answers False without a search, and the caller applies the hit.
+``orbit_key`` keys an occurrence's orbit under a state's automorphisms,
+which on a state with an exact certificate permute only twins and closed
+edges with equal points; on any other state it is None, with no search.
 
 Colours are ints: a node is seeded from a stable, memoised digest of its
 label and of its fixed neighbours, and each round recolours with the
 built-in ``hash`` of a tuple of ints, so colours, and the certificates
 ordered by them, are the same in every process whatever
-``PYTHONHASHSEED`` is. Bigraphs are immutable, so each one's colours,
-twin classes and certificate are computed once, in one call, and cached
-on it (``Bigraph._cache``); the quotient is not kept.
+``PYTHONHASHSEED`` is. Bigraphs are immutable, so each one's colours and
+certificate are computed once, in one call, and cached on it
+(``Bigraph._cache``); the quotient is not kept.
 
 Regions, sites, outer and inner names are fixed points of any
 isomorphism (compared by index / by name); only nodes, closed edges and
@@ -52,11 +52,10 @@ def _digest(key) -> int:
     return int.from_bytes(hashlib.blake2b(repr(key).encode(), digest_size=8).digest(), "big")
 
 
-def _refine(b: Bigraph) -> tuple[list[int], list[int], bool, list[list[int]]]:
-    """Colours of nodes and edges; whether they order the nodes up to
-    twins (each node colour is one twin class); and the twin classes,
-    each one's nodes in index order. ``certificate`` computes and caches
-    them in the same call as the certificate."""
+def _refine(b: Bigraph) -> tuple[list[int], list[int]]:
+    """Colours of nodes and edges. ``certificate`` computes and caches
+    them in the same call as the certificate, whose flag says whether
+    they order the nodes up to twins."""
     if "colours" not in b._cache:
         certificate(b)
     return b._cache["colours"]
@@ -105,11 +104,11 @@ def certificate(b: Bigraph) -> tuple:
     cls = [twins.setdefault(i if i in kids else (label[i], ps, tuple(sorted(hs))), len(twins))
            for i, (ps, hs) in enumerate(zip(b.node_parents, b.ports))]
     nc = len(twins)
-    classes: list[list[int]] = [[] for _ in twins]    # twin class -> its nodes
+    size = [0] * nc                              # twin class -> its node count
     around, ccol, rows = [], [], []              # per twin class, from its first node
     ends: list[list[int]] = [[] for _ in range(ne)]   # edge -> a class per port
     for i, c in enumerate(cls):
-        classes[c].append(i)
+        size[c] += 1
         hs = b.ports[i]
         for h in hs:
             if h[0] == "e":
@@ -151,18 +150,17 @@ def certificate(b: Bigraph) -> tuple:
         col = ccol.__getitem__
         ecol = [hash((c, *sorted(map(col, ns)))) for c, ns in zip(ecol, ends)]
         last, counts = sum(counts), (len(set(ccol)), len(set(ecol)))
-    b._cache["colours"] = ([ccol[c] for c in cls], ecol, counts[0] == nc, classes)
+    b._cache["colours"] = ([ccol[c] for c in cls], ecol)
 
     start, at = {}, 0                            # colour -> its first position
-    for c, k in sorted(zip(ccol, map(len, classes))):
+    for c, k in sorted(zip(ccol, size)):
         start.setdefault(c, at)
         at += k
     pos = [start[c] for c in ccol]               # twin class -> its colour's position
     got = b._cache["certificate"] = (
         counts[0] == nc, b.regions, tuple(sorted(b.outer)),
-        tuple(sorted([(pos[c], len(same), lab, tuple(sorted([pos[u] if u >= 0 else u
-                                                              for u in ups])), names)
-                      for c, (same, (lab, ups, names)) in enumerate(zip(classes, rows))])),
+        tuple(sorted([(pos[c], k, lab, tuple(sorted([pos[u] if u >= 0 else u for u in ups])),
+                       names) for c, (k, (lab, ups, names)) in enumerate(zip(size, rows))])),
         tuple(sorted([tuple(sorted([pos[c] for c in cs] + [~r for r in rs]))
                       for cs, rs in zip(ends, pins)])),
         tuple([tuple(sorted([pos[cls[x[1]]] if x[0] == "n" else ~x[1] for x in ps]))
@@ -206,11 +204,12 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
     its colour and the most constrained colour classes first, and the
     first one that passes ``_full_map_ok`` is accepted.
     """
-    if certificate(a) != certificate(b):
+    cert = certificate(a)
+    if cert != certificate(b):
         return False
-    acol, _, ordered, _ = _refine(a)
-    if ordered:                           # the certificates are exact
+    if cert[0]:                           # the certificates are exact
         return True
+    acol = _refine(a)[0]
     by_colour: dict = {}
     for j, c in enumerate(_refine(b)[0]):
         by_colour.setdefault(c, []).append(j)
@@ -223,32 +222,22 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
     return any(_full_map_ok(a, b, fwd, b_edges) for fwd in _node_maps(a, b, order, candidates))
 
 
-def same_orbit(state: Bigraph, h1, h2) -> bool:
-    """True when state's certificate is exact and an automorphism of state
-    maps occurrence h1 onto h2 (two occurrences of one pattern): h1's
-    image of each pattern node onto h2's, and h1's image of each pattern
-    link onto h2's (open names fixed, closed edges carried by the node
-    map). On any other state it is False, with no search. The
-    automorphisms of a state whose colours order its nodes up to twins
-    permute twins, which keeps every edge's points, and edges with equal
-    points: so the images must have equal colours, node by node and link
-    by link, the link images must pair off one to one, and each edge
-    must have its partner's points."""
-    ncol, ecol, ordered, _ = _refine(state)
-    if not ordered:
-        return False
-
-    def colour_image(h):
-        return ([ncol[t] for _, t in sorted(h.node_map.items())],
-                [ecol[t[1]] if t[0] == "e" else t for _, t in sorted(h.link_map.items())])
-
-    if colour_image(h1) != colour_image(h2):    # also keeps outer names fixed
-        return False
-    pairs = {(t1, h2.link_map[h]) for h, t1 in h1.link_map.items()}
-    if not len(pairs) == len(dict(pairs)) == len({t2 for _, t2 in pairs}):
-        return False                      # one joins links the other keeps apart
-    return all(_edge_signature(state, t1[1]) == _edge_signature(state, t2[1])
-               for t1, t2 in pairs if t1[0] == "e")
+def orbit_key(state: Bigraph, occ) -> tuple | None:
+    """A hashable key of occ's orbit under state's automorphisms, or None
+    when state's certificate is not exact: occurrences of one pattern have
+    equal keys exactly when an automorphism maps one onto the other. Such
+    automorphisms permute twins, which keeps every edge's points, and
+    closed edges with equal points. So the key holds, per pattern node,
+    its image's colour; per pattern link, its image (an open name, or a
+    closed edge's points) and the first pattern link with that image."""
+    if not certificate(state)[0]:
+        return None
+    ncol = _refine(state)[0]
+    links = [t for _, t in sorted(occ.link_map.items())]
+    first: dict = {}
+    return (tuple([ncol[t] for _, t in sorted(occ.node_map.items())]),
+            tuple([_edge_signature(state, t[1]) if t[0] == "e" else t for t in links]),
+            tuple([first.setdefault(t, k) for k, t in enumerate(links)]))
 
 
 class StateStore:
@@ -271,7 +260,7 @@ class StateStore:
         require_ground(b)
         cert = certificate(b)
         for idx in self._certificates.get(cert, ()):
-            if _refine(b)[2] or iso_equal(self.states[idx], b):
+            if cert[0] or iso_equal(self.states[idx], b):
                 return idx, False
         if self.max_states is not None and len(self.states) >= self.max_states:
             return None, False

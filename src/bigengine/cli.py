@@ -65,8 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="export even when the state bound was hit")
     p_full.add_argument("--check-confluence", action="store_true",
                         help="verify instantaneous rules settle independently of order "
-                             "(a state with more than %d instantaneous matches is followed "
-                             "in one application order only)" % CONFLUENCE_FANOUT)
+                             "(one match per orbit; a state with more than %d orbits of "
+                             "matches is followed in one application order only)"
+                        % CONFLUENCE_FANOUT)
     p_full.add_argument("model")
     return parser
 
@@ -130,12 +131,12 @@ def run_cli(argv=None) -> int:
               % (args.model, len(ts.states), len(ts.transitions),
                  " (partial)" if ts.partial else ""))
         return 0
-    except BigraphError as exc:
+    except (BigraphError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

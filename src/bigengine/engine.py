@@ -9,27 +9,29 @@ state has an enabled instantaneous occurrence. The settle stops at the
 first normal class that is enabled or that no instantaneous class
 follows, and hands its index to the step from the state, which starts
 its search there: every class above it is known empty.
-On a state with an exact certificate, a step does not apply a hit that
-an automorphism of the state maps onto an earlier hit whose settle fired
-nothing (``_group_results``); on any other state it applies every hit.
+On a state with an exact certificate, a step does not apply a hit in
+the orbit (``canon.orbit_key``) of an earlier hit whose settle fired
+nothing, and the confluence check follows one hit per orbit; on any
+other state each hit stands alone.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bigraph import Bigraph, exact_fields
-from .canon import StateStore, same_orbit
+from .canon import StateStore, orbit_key
 from .elaborate import BrsSpec
 from .errors import DivergentInstantaneous, InitNotGround, NonConfluence, RateOverflow
 from .matching import _occurrences, check_constraints, find_occurrences, matches_predicate
 from .rules import ReactionRule, apply_at
 
 INSTANTANEOUS_BOUND = 10 ** 6
-CONFLUENCE_FANOUT = 6          # permute application orders up to this many matches
+CONFLUENCE_FANOUT = 6          # permute application orders up to this many hit orbits
 
 
 @dataclass(frozen=True)
@@ -114,11 +116,11 @@ def reduce_instantaneous(state: Bigraph, spec: BrsSpec,
     return _settle(state, spec, False, bound)[0]
 
 
-def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> Bigraph:
-    """Like reduce_instantaneous, but explores every application order on
-    states with at most CONFLUENCE_FANOUT instantaneous matches and
-    raises NonConfluence when the settled results disagree."""
-    settled = reduce_instantaneous(state, spec)
+def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> None:
+    """Raise NonConfluence when applying instantaneous rules in other
+    orders settles state to non-isomorphic states. Each state reached
+    follows one hit per orbit of each rule (``orbit_key``), or only its
+    first hit when it has more than CONFLUENCE_FANOUT orbits."""
     terminals = StateStore()
     visited = StateStore()
     stack = [state]
@@ -131,7 +133,10 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> Bigraph:
         if isinstance(res, int):
             terminals.insert(s)
             continue
-        hits = res[1]
+        orbits: dict = {}       # (rule, orbit key, or the hit's id if none) -> first hit
+        for rule, occ in res[1]:
+            orbits.setdefault((id(rule), orbit_key(s, occ) or id(occ)), (rule, occ))
+        hits = list(orbits.values())
         if len(hits) > CONFLUENCE_FANOUT:
             hits = hits[:1]
         for rule, occ in hits:
@@ -140,19 +145,18 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> Bigraph:
         raise NonConfluence(
             "instantaneous rules are not confluent: %d distinct settled states"
             % len(terminals))
-    return settled
 
 
 def _settle(state, spec, check, bound=INSTANTANEOUS_BOUND):
-    """reduce_instantaneous or, if check, check_confluent_settle; with the
-    handoff of the search that found the state settled (None if no
-    search ran or the confluence check settled it)."""
+    """reduce_instantaneous, after check_confluent_settle if check; with
+    the handoff of the search that found the state settled (None if no
+    search ran)."""
     # with no instantaneous class a state is already settled, and trivially
     # confluent
     if not any(cls.instantaneous for cls in spec.classes):
         return state, None
     if check:
-        return check_confluent_settle(state, spec), None
+        check_confluent_settle(state, spec)
     # the settle is a function of the state, so meeting a state again means
     # it cycles; comparing with the state after 2^k - 1 reductions finds
     # any cycle within about three times its start plus its length, in
@@ -189,21 +193,21 @@ def _group_results(state, spec, hits, check_confluence=False):
     members; labels and weights are left to the caller.
 
     A head is a hit whose settle fired no instantaneous rule. A later hit
-    of the same rule that an automorphism of state maps onto a head
-    (``canon.same_orbit``) joins the head's group unapplied: its result
-    is isomorphic to the head's, so it too would settle to itself and be
-    merged into that group. A settle that fired picks by image index, so
-    hits mapped onto its hit may settle elsewhere: they are applied.
-    Orbit skipping happens only on states with an exact certificate: on
-    any other state same_orbit answers False, every hit is applied, and
-    the store merges each result into its group.
+    of the same rule in the head's orbit (``canon.orbit_key``) joins the
+    head's group unapplied: its result is isomorphic to the head's, so it
+    too would settle to itself and be merged into that group. A settle
+    that fired picks by image index, so its orbit-mates may settle
+    elsewhere: they are applied. Only a rule with two or more hits gets
+    keys, and only on a state with an exact certificate: any other hit is
+    applied, and the store merges each result into its group.
     """
     store = StateStore()
     groups = []
-    heads: dict = {}            # rule -> [(head occ, group index)]
+    per_rule = Counter(id(rule) for rule, _ in hits)
+    heads: dict = {}            # (rule, orbit key) -> head's group index
     for rule, occ in hits:
-        gi = next((gi for head, gi in heads.get(id(rule), ())
-                   if same_orbit(state, head, occ)), None)
+        key = orbit_key(state, occ) if per_rule[id(rule)] > 1 else None
+        gi = None if key is None else heads.get((id(rule), key))
         if gi is None:
             applied = apply_at(state, rule, occ)
             dst, handoff = _settle(applied, spec, check_confluence)
@@ -211,8 +215,8 @@ def _group_results(state, spec, hits, check_confluence=False):
             if added:
                 groups.append(Successor(dst=dst, label=None, rule_names=frozenset(),
                                         handoff=handoff))
-            if dst is applied:
-                heads.setdefault(id(rule), []).append((occ, gi))
+            if dst is applied and key is not None:
+                heads[id(rule), key] = gi
         groups[gi].members.append((rule, occ))
     for g in groups:
         g.rule_names = frozenset(r.name for r, _ in g.members)

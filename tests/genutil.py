@@ -424,6 +424,15 @@ def brute_isomorphisms(a: Bigraph, b: Bigraph):
             yield f
 
 
+def take_inexact(monkeypatch) -> None:
+    """Patch ``canon.certificate`` so that no certificate is exact: the
+    store and ``iso_equal`` then confirm every hit by the node-map
+    search, and ``orbit_key`` is None on every state."""
+    from bigengine import canon
+    real = canon.certificate
+    monkeypatch.setattr(canon, "certificate", lambda b: (False, *real(b)[1:]))
+
+
 def brute_same_orbit(state: Bigraph, o1, o2) -> bool:
     """Whether some automorphism of state, a node permutation together
     with an edge permutation that carries each closed edge's points onto

@@ -5,16 +5,16 @@ import sys
 import time
 from itertools import permutations
 
-from bigengine import close, find_occurrences, iso_equal, make_atom, merge, nest
+from bigengine import canon, close, find_occurrences, iso_equal, make_atom, merge, nest
 from bigengine.bigraph import Control, Signature, _mk
-from bigengine.canon import StateStore, certificate, same_orbit
+from bigengine.canon import StateStore, certificate, orbit_key
 from bigengine.errors import NotGround
 
 import pytest
 
 from conftest import MODELS
 from genutil import (DEFAULT_CONTROLS, brute_iso, brute_same_orbit, make_sig, nx_iso,
-                     permuted, random_ground, random_solid_pattern, swapped)
+                     permuted, random_ground, random_solid_pattern, swapped, take_inexact)
 
 
 def room_with(sig, *children):
@@ -193,11 +193,10 @@ def test_iso_equal_cycles_pruned_by_links():
 
 def test_iso_equal_exact_without_colours(monkeypatch):
     # colours only pick candidates: with every node in one colour class
-    # the check of a full node map alone must keep iso_equal exact
-    from bigengine import canon
-    real = canon._refine
-    monkeypatch.setattr(canon, "_refine",
-                        lambda b: ([b""] * b.n, [b""] * b.edges, False, real(b)[3]))
+    # and no certificate exact, the check of a full node map alone must
+    # keep iso_equal exact
+    monkeypatch.setattr(canon, "_refine", lambda b: ([0] * b.n, [0] * b.edges))
+    take_inexact(monkeypatch)
     sig = make_sig(DEFAULT_CONTROLS)
     rng = random.Random(20261018)
     outcomes = []
@@ -214,9 +213,7 @@ def test_iso_equal_deep_flat_state(monkeypatch):
     # one B and 1,100 A atoms side by side, with certificates taken as not
     # exact so that iso_equal searches: the search maps one node per
     # level, deeper than Python's default recursion limit
-    from bigengine import canon
-    real = canon._refine
-    monkeypatch.setattr(canon, "_refine", lambda b: (*real(b)[:2], False, real(b)[3]))
+    take_inexact(monkeypatch)
     sig = Signature([Control("A", 0, atomic=True), Control("B", 0, atomic=True)])
     n = 1101
 
@@ -248,18 +245,15 @@ def test_store_merges_large_flat_state_quickly():
     assert time.perf_counter() - start < 2.0
 
 
-@pytest.mark.parametrize("refined", [True, False], ids=["refined", "one-colour"])
-def test_same_orbit_agrees_with_brute_force(monkeypatch, refined):
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "inexact"])
+def test_orbit_keys_agree_with_brute_force(monkeypatch, exact):
     # for every ordered pair of occurrences of one pattern on a state
-    # whose colours order its nodes up to twins, same_orbit must find an
-    # automorphism carrying one onto the other exactly when an exhaustive
-    # search over node and edge permutations does; on any other state
-    # (every state, with one colour class) it answers False
-    from bigengine import canon
-    if not refined:
-        real = canon._refine
-        monkeypatch.setattr(canon, "_refine",
-                            lambda b: ([0] * b.n, [0] * b.edges, False, real(b)[3]))
+    # whose certificate is exact, the two orbit keys must be equal exactly
+    # when an exhaustive search over node and edge permutations finds an
+    # automorphism carrying one onto the other; on any other state (every
+    # state, with no certificate taken as exact) the key is None
+    if not exact:
+        take_inexact(monkeypatch)
     sig = make_sig(DEFAULT_CONTROLS)
     rng = random.Random(20261019)
     draws = [(random_ground(rng, sig, max_nodes=6, name_pool=("a", "b")),
@@ -278,16 +272,30 @@ def test_same_orbit_agrees_with_brute_force(monkeypatch, refined):
     draws.append((_mk(sig, 1, 0, "CCD", ((),) * 3, (region,) * 3, (),
                       [(("e", 0), ("e", 1)), (("e", 1), ("e", 0)), ()], (), frozenset(), 2),
                   draws[-1][1]))
+    # twin C with their ports in other orders, and a B on one edge: x
+    # lands on that edge from one C and on the other edge from the other
+    draws.append((_mk(sig, 1, 0, "CCB", ((),) * 3, (region,) * 3, (),
+                      [(("e", 0), ("e", 1)), (("e", 1), ("e", 0)), (("e", 0),)],
+                      (), frozenset(), 2),
+                  draws[-1][1]))
+    # and with a third C: two C share x's edge or not, on one pattern
+    draws.append((_mk(sig, 1, 0, "CCC", ((),) * 3, (region,) * 3, (),
+                      [(("e", 0), ("e", 1)), (("e", 0), ("e", 1)), (("e", 1), ("e", 0))],
+                      (), frozenset(), 2),
+                  _mk(sig, 1, 0, "CC", ((),) * 2, (region,) * 2, (),
+                      [(("o", "x"), ("o", "y")), (("o", "z"), ("o", "w"))],
+                      (), frozenset("xyzw"), 0)))
     outcomes, shortcuts = [], 0
     for state, pattern in draws:
-        ordered = canon._refine(state)[2]
         for h1, h2 in permutations(find_occurrences(state, pattern), 2):
             same = brute_same_orbit(state, h1, h2)
-            assert same_orbit(state, h1, h2) == (ordered and same)
+            key = orbit_key(state, h1)
+            assert (key == orbit_key(state, h2) is not None) == (canon.certificate(state)[0]
+                                                                 and same)
             outcomes.append(same)
-            shortcuts += ordered and same
+            shortcuts += key is not None and same
     assert outcomes.count(True) >= 30 and outcomes.count(False) >= 30
-    assert shortcuts >= 30 if refined else shortcuts == 0
+    assert shortcuts >= 30 if exact else shortcuts == 0
 
 
 KEYS_OF_STATES = """

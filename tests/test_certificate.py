@@ -1,5 +1,5 @@
-"""Property tests of canon.certificate and of the same_orbit shortcut on
-states whose certificate is exact, against the brute-force and networkx
+"""Property tests of canon.certificate and of canon.orbit_key on states
+whose certificate is exact, against the brute-force and networkx
 oracles."""
 
 import random
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from bigengine import canon, engine, find_occurrences, iso_equal  # noqa: E402
 from bigengine.bigraph import _mk  # noqa: E402
-from bigengine.canon import StateStore, certificate, same_orbit  # noqa: E402
+from bigengine.canon import StateStore, certificate, orbit_key  # noqa: E402
 from bigengine.elaborate import load, load_file  # noqa: E402
 from bigengine.engine import explore, step_distribution  # noqa: E402
 from bigengine.printing import print_bigraph  # noqa: E402
@@ -133,11 +133,15 @@ def test_certificate_of_open_bigraphs(rng):
 
 @settings(max_examples=300)
 @given(rngs)
-def test_same_orbit_shortcut_agrees_with_brute_force(rng):
+def test_orbit_key_agrees_with_brute_force(rng):
+    # on a state whose certificate is exact, two occurrences have equal
+    # orbit keys exactly when an automorphism maps one onto the other
     state = with_twins(random_ground(rng, SIG, max_nodes=3, name_pool=("a", "b")), rng)
     pattern = random_solid_pattern(rng, SIG, max_nodes=2, name_pool=("x", "y"))
     for h1, h2 in permutations(find_occurrences(state, pattern), 2):
-        assert same_orbit(state, h1, h2) == brute_same_orbit(state, h1, h2)
+        key = orbit_key(state, h1)
+        assert (key == orbit_key(state, h2) is not None) == (certificate(state)[0]
+                                                             and brute_same_orbit(state, h1, h2))
 
 
 @pytest.mark.parametrize("source", [CYCLES, MODELS / "vault.big"], ids=["CYCLES", "vault"])
@@ -164,7 +168,7 @@ def test_states_without_certificate_merge_through_iso_equal(monkeypatch, source)
 def test_only_vault_states_lack_exact_certificates(monkeypatch):
     # 344 of the 346 states that explore -M 60 stores over the bundled
     # models have an exact certificate, and the other 2 are vault.big's;
-    # on those, and on the CYCLES init, same_orbit skips no hit, so the
+    # on those, and on the CYCLES init, a hit has no orbit key, so the
     # step applies (and settles) every hit
     stored = {path.name: explore(load_file(path), 60).states
               for path in sorted(MODELS.glob("*.big"))}
@@ -191,15 +195,14 @@ def test_only_vault_states_lack_exact_certificates(monkeypatch):
     assert hits == [1, 2, 7]
 
 
-def partitions(colours):
-    """(node partition, edge partition, exact) of ``_refine``'s result:
-    each partition as the sorted lists of indices that share a colour."""
+def partitions(ncol, ecol, exact):
+    """(node partition, edge partition, exact) of a refinement: each
+    partition as the sorted lists of indices that share a colour."""
     def blocks(cs):
         got: dict = {}
         for i, c in enumerate(cs):
             got.setdefault(c, []).append(i)
         return sorted(got.values())
-    ncol, ecol, exact = colours[:3]
     return blocks(ncol), blocks(ecol), exact
 
 
@@ -215,7 +218,8 @@ def test_refinement_partition_matches_reference():
              for _ in range(300)]
     assert any(b.outer for b in drawn) and any(len(ps) > 1 for b in drawn for ps in b.node_parents)
     for b in stored + explore(load(CYCLES), 60).states + drawn:
-        assert partitions(canon._refine(b)) == partitions(reference_refine(b))
+        assert (partitions(*canon._refine(b), certificate(b)[0])
+                == partitions(*reference_refine(b)))
 
 
 SIGNED_ZERO = """

@@ -1,7 +1,9 @@
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -246,6 +248,40 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+# the instantaneous class grows the state by one A per reduction and never
+# settles, so full and sim run until they are stopped
+GROWING_SETTLE = """atomic ctrl A = 0; atomic ctrl K = 0;
+react more = A --> A | A; react k = K --> K;
+begin brs init A | K; rules = [ (more), {k} ]; end
+"""
+
+
+def test_interrupt_gives_one_line_diagnostic(tmp_path):
+    # Ctrl-C in the middle of a settle ends full and sim with one error
+    # line, no traceback and no transition file
+    model = tmp_path / "grow.big"
+    model.write_text(GROWING_SETTLE)
+    tra = tmp_path / "grow.tra"
+    procs = [subprocess.Popen([sys.executable, "-m", "bigengine", *argv, str(model)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for argv in (["full", "-M", "10", "-p", str(tra)], ["sim", "-S", "5"])]
+    try:
+        time.sleep(1.5)                       # well past start-up and loading
+        for proc in procs:
+            assert proc.poll() is None        # still settling
+            proc.send_signal(signal.SIGINT)
+        for proc in procs:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode != 0
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert "Traceback" not in err
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.communicate()
+    assert not tra.exists()
 
 
 OVERFLOWING_RATES = b"""atomic ctrl A = 0;

@@ -18,7 +18,7 @@ from bigengine.matching import matches_predicate
 from bigengine.rules import apply_at
 
 from conftest import MODELS
-from genutil import all_applications
+from genutil import all_applications, take_inexact
 
 BLOCK_TAIL = "end\n"
 
@@ -151,8 +151,8 @@ begin brs
 end
 """
     spec = load(src)
-    settled = check_confluent_settle(spec.init, spec)
-    assert sorted(settled.ctrl) == ["B", "D"]
+    assert check_confluent_settle(spec.init, spec) is None
+    assert sorted(reduce_instantaneous(spec.init, spec).ctrl) == ["B", "D"]
 
 
 def test_confluence_check_rejects_divergent():
@@ -424,7 +424,7 @@ def test_normal_class_above_enabled_instantaneous_settles_nothing():
         settled = reduce_instantaneous(spec.init, spec)
         assert (settled is spec.init) is not detected
         assert matches_predicate(settled, alarm) is detected
-        assert iso_equal(check_confluent_settle(spec.init, spec), settled)
+        assert iso_equal(explore(spec, 20, check_confluence=True).states[0], settled)
         assert iso_equal(simulate(spec, 0, seed=1).steps[0][0], settled)
         ts = explore(spec, 20)
         assert iso_equal(ts.states[0], settled)
@@ -610,8 +610,8 @@ def _counting_apply(monkeypatch):
 @pytest.mark.parametrize("refined", [True, False], ids=["refined", "one-colour"])
 def test_orbit_skipping_is_invisible(monkeypatch, refined):
     # every member of every group, applied and settled afresh, lands in
-    # its group's state, whether or not the step applied it; with one
-    # colour class no certificate is exact, so every hit is applied and
+    # its group's state, whether or not the step applied it; with no
+    # certificate exact every hit is applied, and with one colour class
     # iso_equal's exact check alone must keep the inline models right
     real_apply, real_settle, real_step = engine.apply_at, engine._settle, engine.step_distribution
     settles = members = applied = 0
@@ -639,14 +639,13 @@ def test_orbit_skipping_is_invisible(monkeypatch, refined):
     assert len(models) == 22
     inline = [TWINS, CYCLES, PORT_ORDER, SETTLE_PICKS]
     if not refined:             # CYCLES gains nothing here, as refinement cannot split it
-        real = canon._refine
-        monkeypatch.setattr(canon, "_refine",
-                            lambda b: ([0] * b.n, [0] * b.edges, False, real(b)[3]))
+        monkeypatch.setattr(canon, "_refine", lambda b: ([0] * b.n, [0] * b.edges))
+        take_inexact(monkeypatch)
         models, inline = [], [TWINS, PORT_ORDER, SETTLE_PICKS]
     for path in models + inline:
         spec = load_file(path) if path in models else load(path)
         explore(spec, 60)
-    # with one colour class no state is ordered, so no hit is skipped
+    # with no certificate exact, no hit is skipped
     assert applied < members if refined else applied == members
 
 
@@ -690,3 +689,81 @@ def test_equal_left_sides_are_searched_once(monkeypatch):
     assert calls == 40
     detect, avoid = spec.classes[0].rules
     assert detect.lhs is avoid.lhs
+
+
+def test_single_hit_rules_compute_no_orbit_key(monkeypatch):
+    # pbrs_detect and copy never give one rule two hits on a state, so
+    # their steps compute no orbit key; TWINS's two go hits need one each
+    calls = 0
+    real = engine.orbit_key
+
+    def counted(state, occ):
+        nonlocal calls
+        calls += 1
+        return real(state, occ)
+
+    monkeypatch.setattr(engine, "orbit_key", counted)
+    for name in ("pbrs_detect.big", "copy.big"):
+        assert len(explore(load_file(MODELS / name), 40).states) == 40
+    assert calls == 0
+    explore(load(TWINS), 10)
+    assert calls == 2
+
+
+# One X that two instantaneous rules rewrite apart, beside twin D that
+# settle one way; the normal class {k} keeps every settled state live.
+CHOICE = """
+atomic ctrl X = 0;
+atomic ctrl Y = 0;
+atomic ctrl Z = 0;
+atomic ctrl D = 0;
+atomic ctrl E = 0;
+ctrl K = 0;
+react x = X --> Y;
+react y = X --> Z;
+react d = D --> E;
+react k = K.1 --> K.1;
+big s0 = %s | K.1;
+begin brs
+  init s0;
+  rules = [ (%s), {k} ];
+end
+"""
+
+
+@pytest.mark.parametrize("ds", [6, 4])
+def test_confluence_check_counts_orbits_not_hits(ds):
+    # X | D x 6 has eight instantaneous hits but three orbits (x, y and
+    # any one d), within the check's fan-out: both picks at X are followed
+    spec = load(CHOICE % (" | ".join(["X"] + ["D"] * ds), "x, y, d"))
+    with pytest.raises(NonConfluence):
+        check_confluent_settle(spec.init, spec)
+    with pytest.raises(NonConfluence):
+        explore(spec, 10, check_confluence=True)
+
+
+def test_confluence_check_applies_one_hit_per_orbit(monkeypatch):
+    # six twin D: each state from D x 6 to D | E x 5 has one orbit of d
+    # hits, so the check applies one hit there, six in all
+    spec = load(CHOICE % (" | ".join(["D"] * 6), "d"))
+    applied = _counting_apply(monkeypatch)
+    assert check_confluent_settle(spec.init, spec) is None
+    assert applied == {"d": 6}
+
+
+def test_checked_settle_hands_off(monkeypatch):
+    # under the confluence check a settle still runs its own search, and
+    # hands the step from each stored state the class it showed enabled
+    real = engine.enabled_class
+    handoffs = []
+
+    def recorded(state, spec, handoff=None):
+        handoffs.append(handoff)
+        return real(state, spec, handoff)
+
+    monkeypatch.setattr(engine, "enabled_class", recorded)
+    spec = load_file(MODELS / "fix_leave_inst.big")
+    assert any(cls.instantaneous for cls in spec.classes)
+    ts = explore(spec, 50, check_confluence=True)
+    assert len(handoffs) == len(ts.states) == 3
+    assert None not in handoffs

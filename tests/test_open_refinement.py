@@ -35,7 +35,8 @@ def test_refinement_partition_matches_reference_on_patterns():
              for _ in range(600)]
     assert sum(b.sites > 0 for b in drawn) > 300 and sum(bool(b.inner) for b in drawn) > 200
     for b in drawn:
-        ncol, ecol, ordered, _ = canon._refine(b)
+        ncol, ecol = canon._refine(b)
+        ordered = canon.certificate(b)[0]
         rcol, recol, rordered = reference_refine(b)
         assert same_partition(ncol, rcol) and same_partition(ecol, recol)
         assert ordered == rordered
