@@ -109,7 +109,7 @@ class Signature:
 class Bigraph:
     """Concrete representation of an abstract bigraph (see module docstring).
 
-    Treated as immutable; derived adjacency maps are cached on first use.
+    Treated as immutable; derived maps are cached on first use (see ``shed``).
     """
 
     sig: Signature
@@ -190,6 +190,11 @@ class Bigraph:
                 for i in on if len(on) > 1 else ():
                     got.setdefault(i, []).append(on[1] if i == on[0] else on[0])
         return got
+
+    def shed(self) -> None:
+        """Drop the place and link maps, each rebuilt on its next read."""
+        for key in ("children", "link_points", "link_partners"):
+            self._cache.pop(key, None)
 
     def port_count(self, handle: Handle) -> int:
         return sum(1 for pt in self.link_points().get(handle, ()) if pt[0] == "p")

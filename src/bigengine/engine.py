@@ -121,17 +121,25 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> None:
     orders settles state to non-isomorphic states. Each state reached
     follows one hit per orbit of each rule (``orbit_key``), or only its
     first hit when it has more than CONFLUENCE_FANOUT orbits."""
-    terminals = StateStore()
-    visited = StateStore()
+    _walk(state, spec)
+
+
+def _walk(state, spec):
+    """check_confluent_settle's walk, first hits first: where its first descent
+    (the settle's path) settles, and the handoff; None if it meets a visited state."""
+    terminals, visited = StateStore(), StateStore()
     stack = [state]
+    first = None            # the first descent's end once known; False if it met a visited state
     while stack:
         s = stack.pop()
         _, added = visited.insert(s)
         if not added:
+            first = first or False
             continue
         res = _enabled(s, spec, True)
         if isinstance(res, int):
             terminals.insert(s)
+            first = (s, res) if first is None else first
             continue
         orbits: dict = {}       # (rule, orbit key, or the hit's id if none) -> first hit
         for rule, occ in res[1]:
@@ -139,24 +147,24 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> None:
         hits = list(orbits.values())
         if len(hits) > CONFLUENCE_FANOUT:
             hits = hits[:1]
-        for rule, occ in hits:
-            stack.append(apply_at(s, rule, occ))
+        stack.extend(apply_at(s, rule, occ) for rule, occ in reversed(hits))
     if len(terminals) > 1:
         raise NonConfluence(
             "instantaneous rules are not confluent: %d distinct settled states"
             % len(terminals))
+    return first or None
 
 
 def _settle(state, spec, check, bound=INSTANTANEOUS_BOUND):
-    """reduce_instantaneous, after check_confluent_settle if check; with
-    the handoff of the search that found the state settled (None if no
-    search ran)."""
+    """reduce_instantaneous, after check_confluent_settle if check, whose
+    first descent it takes when that descent settles; with the handoff of
+    the search that found the state settled (None if no search ran)."""
     # with no instantaneous class a state is already settled, and trivially
     # confluent
     if not any(cls.instantaneous for cls in spec.classes):
         return state, None
-    if check:
-        check_confluent_settle(state, spec)
+    if check and (got := _walk(state, spec)):
+        return got
     # the settle is a function of the state, so meeting a state again means
     # it cycles; comparing with the state after 2^k - 1 reductions finds
     # any cycle within about three times its start plus its length, in
@@ -292,6 +300,7 @@ def simulate(spec: BrsSpec, max_steps: int, seed: int) -> SimTrace:
             _, hits = res
             rule, occ = hits[rng.randrange(len(hits))]
             state, handoff = _settle(apply_at(state, rule, occ), spec, False)
+            steps[-1][0].shed()
             steps.append((state, rule.name, None))
             continue
         groups = step_distribution(state, spec, handoff=handoff)
@@ -313,6 +322,7 @@ def simulate(spec: BrsSpec, max_steps: int, seed: int) -> SimTrace:
             block = present[rng.randrange(len(present))]
             g = _sample(rng, block, [float(x.label[1]) for x in block])
         state, handoff = g.dst, g.handoff
+        steps[-1][0].shed()
         steps.append((state, g.members[0][0].name, g.label))
     return SimTrace(steps=steps, seed=seed, time=time, times=times)
 
@@ -329,8 +339,13 @@ def _sample(rng, items, probs):
 
 def label_states(states: list[Bigraph], spec: BrsSpec) -> dict[str, set[int]]:
     """Indices of the states that match each predicate, per predicate name."""
-    return {name: {k for k, s in enumerate(states) if matches_predicate(s, pat)}
-            for name, pat in spec.preds.items()}
+    matched = [_matched(s, spec) for s in states]
+    return {name: {k for k, m in enumerate(matched) if name in m} for name in spec.preds}
+
+
+def _matched(state: Bigraph, spec: BrsSpec) -> set[str]:
+    """The names of the predicates that state matches."""
+    return {name for name, pat in spec.preds.items() if matches_predicate(state, pat)}
 
 
 def explore(spec: BrsSpec, max_states: int,
@@ -338,8 +353,8 @@ def explore(spec: BrsSpec, max_states: int,
     """Breadth-first state-space construction from the settled initial
     state. New states beyond max_states are dropped, each successor group
     that leads to one recorded in ``dropped`` (the result is partial);
-    every stored state is still fully expanded towards stored
-    successors. States are deduplicated by ``canon.certificate``,
+    every stored state is still expanded towards stored successors, then
+    labelled and shed. States are deduplicated by ``canon.certificate``,
     confirmed by iso_equal only when it is not exact."""
     if not spec.init.is_ground():
         raise InitNotGround("Init bigraph is not ground")
@@ -349,19 +364,21 @@ def explore(spec: BrsSpec, max_states: int,
     handoffs = {0: handoff}          # per stored state, until it is expanded
     transitions: list[Transition] = []
     dropped = []
-    i = 0
-    while i < len(store.states):
-        state = store.states[i]
+    labelling: dict[str, set[int]] = {name: set() for name in spec.preds}
+    names: dict = {}                 # each distinct set of rule names, to itself
+    for i, state in enumerate(store.states):   # the store grows as it is walked
         for g in step_distribution(state, spec, check_confluence, handoffs.pop(i)):
             j, added = store.insert(g.dst)
+            g.rule_names = names.setdefault(g.rule_names, g.rule_names)
             if j is None:
                 dropped.append((i, g.label, g.rule_names))
                 continue
             if added:
                 handoffs[j] = g.handoff
             transitions.append(Transition(i, j, g.label, g.rule_names))
-        i += 1
-    return TransitionSystem(states=store.states, transitions=transitions,
-                            labelling=label_states(store.states, spec),
+        for name in _matched(state, spec):
+            labelling[name].add(i)
+        state.shed()
+    return TransitionSystem(states=store.states, transitions=transitions, labelling=labelling,
                             semantics=spec.semantics, predicates=tuple(spec.preds),
                             actions=tuple(spec.actions), dropped=dropped)

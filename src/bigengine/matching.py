@@ -132,10 +132,12 @@ def recompose(occ: Occurrence, pattern: Bigraph, entries=None) -> Bigraph:
     context o (pattern || parts): nodes are the context's (ascending),
     pattern's, then each copy's (ascending); edges the context's own,
     pattern's, each copy's own (fresh per copy), then the names in
-    ``to_close`` that something still uses, in that order."""
+    ``to_close`` that something still uses, in that order. Nodes with
+    equal parents share one frozenset."""
     exposed = occ.exposed
     rows = ([], [], [], [])                    # ctrl, params, parents, ports
-    edges, regions = _lay_context(occ, rows)
+    shared: dict = {}                          # each parent set of the result, to itself
+    edges, regions = _lay_context(occ, rows, shared)
     ctrl, params, parents, ports = rows
     base = len(ctrl)
 
@@ -146,7 +148,8 @@ def recompose(occ: Occurrence, pattern: Bigraph, entries=None) -> Bigraph:
                 out.add(("n", base + p[1]))
             else:
                 out.update(regions[p[1]])
-        return frozenset(out)
+        out = frozenset(out)
+        return shared.setdefault(out, out)
 
     names = {lh[1]: exposed[th] for lh, th in occ.link_map.items() if lh[0] == "o"}
     ctrl.extend(pattern.ctrl)
@@ -157,7 +160,7 @@ def recompose(occ: Occurrence, pattern: Bigraph, entries=None) -> Bigraph:
     edges += pattern.edges
     for k, s in enumerate(range(pattern.sites) if entries is None else entries):
         edges += _lay(occ, sorted(occ.part_nodes[s]), place(pattern.site_parents[k]),
-                      rows, edges)[1]
+                      rows, edges, shared)[1]
     # close the names in to_close that are still used, numbering the
     # closed edges in that order
     if occ.to_close:
@@ -204,7 +207,7 @@ def _wiring(occ: Occurrence) -> tuple:
     return exposed, tuple(to_close)
 
 
-def _lay(occ: Occurrence, nodes, top, rows, edges: int) -> tuple:
+def _lay(occ: Occurrence, nodes, top, rows, edges: int, shared: dict) -> tuple:
     """Append target nodes, in order, to rows (ctrl, params, parents,
     ports) after those already there. A parameter top gets the parents
     top, any other node its own, renumbered; exposed links carry their
@@ -213,11 +216,15 @@ def _lay(occ: Occurrence, nodes, top, rows, edges: int) -> tuple:
     target, exposed, tops = occ.target, occ.exposed, occ.param_tops
     ctrl, params, parents, ports = rows
     where = {t: len(ctrl) + i for i, t in enumerate(nodes)}
+    lifted: dict = {}                          # a target parent set -> its lift
     own: dict[Handle, Handle] = {}
     for t in nodes:
         ctrl.append(target.ctrl[t])
         params.append(target.params[t])
-        parents.append(top if t in tops else _lift(where, target.node_parents[t]))
+        ps = target.node_parents[t]
+        if t not in tops and ps not in lifted:
+            lifted[ps] = _lift(where, ps, shared)
+        parents.append(top if t in tops else lifted[ps])
         row = []
         for h in target.ports[t]:
             if h in exposed:
@@ -228,17 +235,18 @@ def _lay(occ: Occurrence, nodes, top, rows, edges: int) -> tuple:
     return where, len(own)
 
 
-def _lift(where, keys) -> frozenset:
-    """Target place keys, nodes renumbered by where."""
-    return frozenset(p if p[0] == "r" else ("n", where[p[1]]) for p in keys)
+def _lift(where, keys, shared: dict) -> frozenset:
+    """Target place keys, nodes renumbered by where, as held in shared."""
+    got = frozenset(p if p[0] == "r" else ("n", where[p[1]]) for p in keys)
+    return shared.setdefault(got, got)
 
 
-def _lay_context(occ: Occurrence, rows) -> tuple:
+def _lay_context(occ: Occurrence, rows, shared: dict) -> tuple:
     """Lay the context's nodes (neither image nor parameter) into empty
     rows; returns its edge count and each pattern region's position."""
     nodes = [t for t in range(occ.target.n) if t not in occ.image and t not in occ.owner]
-    where, edges = _lay(occ, nodes, None, rows, 0)
-    return edges, [_lift(where, occ.region_pos[r]) for r in range(len(occ.region_pos))]
+    where, edges = _lay(occ, nodes, None, rows, 0, shared)
+    return edges, [_lift(where, occ.region_pos[r], shared) for r in range(len(occ.region_pos))]
 
 
 def _piece(sig, regions, sites, rows, edges, outer=()) -> Bigraph:
@@ -251,7 +259,7 @@ def _piece(sig, regions, sites, rows, edges, outer=()) -> Bigraph:
 def _context(occ: Occurrence) -> Bigraph:
     """The target's original regions around one hole per pattern region."""
     rows = ([], [], [], [])
-    edges, regions = _lay_context(occ, rows)
+    edges, regions = _lay_context(occ, rows, {})
     return _piece(occ.target.sig, occ.target.regions, regions, rows, edges,
                   occ.target.outer)
 
@@ -261,7 +269,7 @@ def _parameter(occ: Occurrence) -> list[Bigraph]:
     parts = []
     for s in range(len(occ.part_nodes)):
         rows = ([], [], [], [])
-        _, edges = _lay(occ, sorted(occ.part_nodes[s]), frozenset({("r", 0)}), rows, 0)
+        _, edges = _lay(occ, sorted(occ.part_nodes[s]), frozenset({("r", 0)}), rows, 0, {})
         parts.append(_piece(occ.target.sig, 1, (), rows, edges))
     return parts
 

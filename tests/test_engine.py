@@ -752,8 +752,9 @@ def test_confluence_check_applies_one_hit_per_orbit(monkeypatch):
 
 
 def test_checked_settle_hands_off(monkeypatch):
-    # under the confluence check a settle still runs its own search, and
-    # hands the step from each stored state the class it showed enabled
+    # under the confluence check a settle ends where the check's first
+    # descent ends, and hands the step from each stored state the class
+    # that search showed enabled
     real = engine.enabled_class
     handoffs = []
 
@@ -767,3 +768,69 @@ def test_checked_settle_hands_off(monkeypatch):
     ts = explore(spec, 50, check_confluence=True)
     assert len(handoffs) == len(ts.states) == 3
     assert None not in handoffs
+
+
+def test_checked_settle_searches_its_path_once(monkeypatch):
+    # the confluence check takes each state's first hit first, so its
+    # first descent is the settle's path, which is not searched again
+    real = engine._enabled
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_enabled", counted)
+    spec = load_file(MODELS / "fix_leave_inst.big")
+    counts = []
+    for check in (False, True):
+        calls.clear()
+        explore(spec, 60, check_confluence=check)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("src", [SPIN, PING_PONG], ids=["spin", "ping-pong"])
+def test_checked_settle_that_revisits_falls_back(src):
+    # the check's first descent meets a visited state, so the settle runs
+    # its own loop, which stops at the revisit
+    spec = load(src)
+    with pytest.raises(DivergentInstantaneous, match="revisits a state"):
+        explore(spec, 10, check_confluence=True)
+
+
+DERIVED_MAPS = ("children", "link_points", "link_partners")
+
+
+def test_explored_states_shed_their_maps():
+    # a stored state, once expanded and labelled, keeps no place or link
+    # map, and rebuilds each one as a fresh copy builds it; equal sets of
+    # rule names are one object; the labelling is label_states'
+    checked = 0
+    for path in sorted(MODELS.glob("*.big")):
+        spec = load_file(path)
+        ts = explore(spec, 60)
+        for s in ts.states:
+            assert not any(k in s._cache for k in DERIVED_MAPS), path.name
+            assert {"certificate", "colours", "labels"} <= set(s._cache)
+            fresh = dataclasses.replace(s, _cache={})
+            for k in DERIVED_MAPS:
+                assert getattr(s, k)() == getattr(fresh, k)(), (path.name, k)
+            checked += 1
+        names = [t.rule_names for t in ts.transitions]
+        assert len({id(x) for x in names}) == len(set(names)), path.name
+        assert ts.labelling == engine.label_states(ts.states, spec), path.name
+    assert checked > 300
+
+
+def test_trace_states_shed_their_maps():
+    # every trace state but the last keeps no place or link map
+    semantics = set()
+    for path in sorted(MODELS.glob("*.big")):
+        spec = load_file(path)
+        steps = simulate(spec, 20, 3).steps
+        if len(steps) > 2:
+            semantics.add(spec.semantics)
+        for s, _, _ in steps[:-1]:
+            assert not any(k in s._cache for k in DERIVED_MAPS), path.name
+    assert semantics == {"brs", "pbrs", "sbrs", "abrs"}

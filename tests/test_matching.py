@@ -425,7 +425,10 @@ def test_recompose_closes_links_in_one_pass():
 
 def assert_splice_is_the_algebra(occ, pattern, entries=None):
     fillers = None if entries is None else [occ.parameter[j] for j in entries]
-    assert recompose(occ, pattern, entries) == reference_recompose(occ, pattern, fillers)
+    got = recompose(occ, pattern, entries)
+    assert got == reference_recompose(occ, pattern, fillers)
+    # nodes with equal parents share one frozenset
+    assert len({id(ps) for ps in got.node_parents}) == len(set(got.node_parents))
 
 
 def test_splice_is_the_algebra_on_bundled_models():
