@@ -20,8 +20,7 @@ import sys
 
 from .canon import StateStore
 from .elaborate import load_file
-from .engine import (CONFLUENCE_FANOUT, SimTrace, TransitionSystem, explore,
-                     label_states, simulate)
+from .engine import SimTrace, TransitionSystem, explore, label_states, simulate
 from .errors import BigraphError, PartialSystem
 from .export import fmt_label, write_dot, write_labels, write_tra
 
@@ -65,9 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="export even when the state bound was hit")
     p_full.add_argument("--check-confluence", action="store_true",
                         help="verify instantaneous rules settle independently of order "
-                             "(one match per orbit; a state with more than %d orbits of "
-                             "matches is followed in one application order only)"
-                        % CONFLUENCE_FANOUT)
+                             "(every order from the first state with a choice, one match "
+                             "per orbit)")
     p_full.add_argument("model")
     return parser
 

@@ -11,8 +11,8 @@ follows, and hands its index to the step from the state, which starts
 its search there: every class above it is known empty.
 On a state with an exact certificate, a step does not apply a hit in
 the orbit (``canon.orbit_key``) of an earlier hit whose settle fired
-nothing, and the confluence check follows one hit per orbit; on any
-other state each hit stands alone.
+nothing; on any other state each hit stands alone. A checked settle
+walks every order from the first state on its path with a choice.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .matching import _occurrences, check_constraints, find_occurrences, matches
 from .rules import ReactionRule, apply_at
 
 INSTANTANEOUS_BOUND = 10 ** 6
-CONFLUENCE_FANOUT = 6          # permute application orders up to this many hit orbits
 
 
 @dataclass(frozen=True)
@@ -118,53 +117,45 @@ def reduce_instantaneous(state: Bigraph, spec: BrsSpec,
 
 def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> None:
     """Raise NonConfluence when applying instantaneous rules in other
-    orders settles state to non-isomorphic states. Each state reached
-    follows one hit per orbit of each rule (``orbit_key``), or only its
-    first hit when it has more than CONFLUENCE_FANOUT orbits."""
-    _walk(state, spec)
-
-
-def _walk(state, spec):
-    """check_confluent_settle's walk, first hits first: where its first descent
-    (the settle's path) settles, and the handoff; None if it meets a visited state."""
+    orders settles state to non-isomorphic states. The walk follows one
+    hit per orbit (_orbit_heads) from each state, so it is complete."""
     terminals, visited = StateStore(), StateStore()
     stack = [state]
-    first = None            # the first descent's end once known; False if it met a visited state
     while stack:
         s = stack.pop()
-        _, added = visited.insert(s)
-        if not added:
-            first = first or False
+        if not visited.insert(s)[1]:
             continue
         res = _enabled(s, spec, True)
         if isinstance(res, int):
             terminals.insert(s)
-            first = (s, res) if first is None else first
-            continue
-        orbits: dict = {}       # (rule, orbit key, or the hit's id if none) -> first hit
-        for rule, occ in res[1]:
-            orbits.setdefault((id(rule), orbit_key(s, occ) or id(occ)), (rule, occ))
-        hits = list(orbits.values())
-        if len(hits) > CONFLUENCE_FANOUT:
-            hits = hits[:1]
-        stack.extend(apply_at(s, rule, occ) for rule, occ in reversed(hits))
+        else:
+            stack.extend(apply_at(s, rule, occ) for rule, occ in _orbit_heads(s, res[1]))
     if len(terminals) > 1:
         raise NonConfluence(
             "instantaneous rules are not confluent: %d distinct settled states"
             % len(terminals))
-    return first or None
+
+
+def _orbit_heads(state, hits):
+    """The first hit of each orbit, keyed by (rule, ``orbit_key``), whose
+    hits give isomorphic results. A lone hit gets no key, and on a state
+    whose certificate is not exact each hit is its own orbit."""
+    heads: dict = {}
+    for rule, occ in hits:
+        key = len(hits) > 1 and orbit_key(state, occ) or id(occ)
+        heads.setdefault((id(rule), key), (rule, occ))
+    return list(heads.values())
 
 
 def _settle(state, spec, check, bound=INSTANTANEOUS_BOUND):
-    """reduce_instantaneous, after check_confluent_settle if check, whose
-    first descent it takes when that descent settles; with the handoff of
-    the search that found the state settled (None if no search ran)."""
+    """reduce_instantaneous, with the handoff of the search that found the
+    state settled (None if no search ran). If check, the first state with
+    a choice goes to check_confluent_settle: every pick before it gives
+    an isomorphic successor, so the walk from there covers every order."""
     # with no instantaneous class a state is already settled, and trivially
     # confluent
     if not any(cls.instantaneous for cls in spec.classes):
         return state, None
-    if check and (got := _walk(state, spec)):
-        return got
     # the settle is a function of the state, so meeting a state again means
     # it cycles; comparing with the state after 2^k - 1 reductions finds
     # any cycle within about three times its start plus its length, in
@@ -173,6 +164,9 @@ def _settle(state, spec, check, bound=INSTANTANEOUS_BOUND):
         res = _enabled(state, spec, True)
         if isinstance(res, int):
             return state, res
+        if check and len(_orbit_heads(state, res[1])) > 1:      # a choice
+            check_confluent_settle(state, spec)
+            check = False
         rule, occ = res[1][0]
         if i & (i + 1) == 0:
             mark = exact_fields(state)

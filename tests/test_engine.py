@@ -751,10 +751,120 @@ def test_confluence_check_applies_one_hit_per_orbit(monkeypatch):
     assert applied == {"d": 6}
 
 
+# seven orbits at the init: x and y pick X apart, and five d rules each
+# rewrite a control of their own
+SEVEN = """
+atomic ctrl X = 0;
+atomic ctrl Y = 0;
+atomic ctrl Z = 0;
+atomic ctrl D1 = 0;
+atomic ctrl D2 = 0;
+atomic ctrl D3 = 0;
+atomic ctrl D4 = 0;
+atomic ctrl D5 = 0;
+atomic ctrl E = 0;
+ctrl K = 0;
+react x = X --> Y;
+react y = X --> Z;
+react d1 = D1 --> E;
+react d2 = D2 --> E;
+react d3 = D3 --> E;
+react d4 = D4 --> E;
+react d5 = D5 --> E;
+react k = K.1 --> K.1;
+big s0 = X | D1 | D2 | D3 | D4 | D5 | K.1;
+begin brs
+  init s0;
+  rules = [ (x, y, d1, d2, d3, d4, d5), {k} ];
+end
+"""
+
+
+def test_confluence_check_is_complete_past_six_orbits():
+    # no fan-out cap: the walk follows both picks at X among seven orbits
+    spec = load(SEVEN)
+    with pytest.raises(NonConfluence):
+        check_confluent_settle(spec.init, spec)
+    with pytest.raises(NonConfluence):
+        explore(spec, 10, check_confluence=True)
+
+
+def test_checked_settle_obeys_the_reduction_bound():
+    # five twin D are one orbit, so no walk runs and the settle's own
+    # loop counts its reductions
+    spec = load(CHOICE % (" | ".join(["D"] * 5), "d"))
+    with pytest.raises(DivergentInstantaneous, match="did not settle within 3 reductions"):
+        engine._settle(spec.init, spec, True, 3)
+
+
+# x and d are parallel-independent at the init X | D, yet firing d first
+# lets z take X: one order of the two hits is not enough
+XDZ = """
+atomic ctrl X = 0;
+atomic ctrl Y = 0;
+atomic ctrl D = 0;
+atomic ctrl E = 0;
+atomic ctrl W = 0;
+ctrl K = 0;
+react x = X --> Y;
+react d = D --> E;
+react z = E | X --> W;
+react k = K.1 --> K.1;
+big s0 = X | D | K.1;
+begin brs
+  init s0;
+  rules = [ (x, d, z), {k} ];
+end
+"""
+
+
+@pytest.mark.parametrize("src, walks", [
+    ((MODELS / "fix_leave_inst.big").read_text(), 0),
+    (CHOICE % (" | ".join(["D"] * 6), "d"), 0),
+    (CHOICE % (" | ".join(["X"] + ["D"] * 6), "x, y, d"), 1),
+    (XDZ, 1),
+], ids=["fix-leave-inst", "twin-d", "x-d6", "x-d-z"])
+def test_checked_settle_walks_only_at_a_choice(monkeypatch, src, walks):
+    # the walk starts at the first state whose hits fall into two or more
+    # orbits, once; a settle with no such state never walks, and builds
+    # no store beyond those the unchecked run builds
+    real = engine.check_confluent_settle
+    calls = 0
+
+    def counted(state, spec):
+        nonlocal calls
+        calls += 1
+        return real(state, spec)
+
+    real_store = engine.StateStore
+    stores = []
+
+    def store(*args):
+        stores.append(args)
+        return real_store(*args)
+
+    monkeypatch.setattr(engine, "check_confluent_settle", counted)
+    spec = load(src)
+    if walks:
+        with pytest.raises(NonConfluence):
+            explore(spec, 10, check_confluence=True)
+        with pytest.raises(NonConfluence):
+            real(spec.init, spec)
+    else:
+        monkeypatch.setattr(engine, "StateStore", store)
+        counts = []
+        for check in (False, True):
+            stores.clear()
+            explore(spec, 10, check_confluence=check)
+            counts.append(len(stores))
+        assert counts[0] == counts[1]
+    assert calls == walks
+
+
 def test_checked_settle_hands_off(monkeypatch):
-    # under the confluence check a settle ends where the check's first
-    # descent ends, and hands the step from each stored state the class
-    # that search showed enabled
+    # under the confluence check a settle still ends in its own loop, and
+    # hands the step from each stored state the class that search showed
+    # enabled
     real = engine.enabled_class
     handoffs = []
 
@@ -771,8 +881,8 @@ def test_checked_settle_hands_off(monkeypatch):
 
 
 def test_checked_settle_searches_its_path_once(monkeypatch):
-    # the confluence check takes each state's first hit first, so its
-    # first descent is the settle's path, which is not searched again
+    # no settle here has a choice, so the check never walks, and each
+    # settle searches its path once, as it does unchecked
     real = engine._enabled
     calls = []
 
@@ -791,9 +901,9 @@ def test_checked_settle_searches_its_path_once(monkeypatch):
 
 
 @pytest.mark.parametrize("src", [SPIN, PING_PONG], ids=["spin", "ping-pong"])
-def test_checked_settle_that_revisits_falls_back(src):
-    # the check's first descent meets a visited state, so the settle runs
-    # its own loop, which stops at the revisit
+def test_checked_settle_raises_on_a_revisit(src):
+    # a settle with one hit at each state never walks, and its loop stops
+    # at the revisit as it does unchecked
     spec = load(src)
     with pytest.raises(DivergentInstantaneous, match="revisits a state"):
         explore(spec, 10, check_confluence=True)
