@@ -11,9 +11,10 @@ state. It is exact when each colour is one twin class: the colours then
 order the nodes up to twins, and equal exact certificates mean
 isomorphic bigraphs, found with no search. That flag, its first field,
 is the one record of exactness: the store, ``iso_equal`` and
-``orbit_key`` read it. ``StateStore.insert`` is the one place that
-merges states: a dict from certificate to indices, whose hits are
-confirmed by ``iso_equal`` only when the certificate is not exact. That
+``orbit_key`` read it. ``StateStore.lookup`` is the one place that
+identifies states, and ``insert`` is built on it: a dict from
+certificate to indices, whose hits are confirmed by ``iso_equal`` only
+when the certificate is not exact. That
 exact check runs ``bigraph._node_maps``, the node-map search the matcher
 uses too, with candidates drawn from each node's colour class, and
 accepts the first full map that passes one exact check
@@ -254,17 +255,25 @@ class StateStore:
     def __len__(self) -> int:
         return len(self.states)
 
-    def insert(self, b: Bigraph) -> tuple[int | None, bool]:
-        """Return (index, added); (None, False) for a new state when the
-        store is full."""
+    def lookup(self, b: Bigraph) -> int | None:
+        """The index of the stored state isomorphic to b, or None: the
+        store's one identity check."""
         require_ground(b)
         cert = certificate(b)
         for idx in self._certificates.get(cert, ()):
             if cert[0] or iso_equal(self.states[idx], b):
-                return idx, False
+                return idx
+        return None
+
+    def insert(self, b: Bigraph) -> tuple[int | None, bool]:
+        """Return (index, added); (None, False) for a new state when the
+        store is full."""
+        idx = self.lookup(b)
+        if idx is not None:
+            return idx, False
         if self.max_states is not None and len(self.states) >= self.max_states:
             return None, False
         idx = len(self.states)
         self.states.append(b)
-        self._certificates.setdefault(cert, []).append(idx)
+        self._certificates.setdefault(certificate(b), []).append(idx)
         return idx, True

@@ -13,6 +13,14 @@ On a state with an exact certificate, a step does not apply a hit in
 the orbit (``canon.orbit_key``) of an earlier hit whose settle fired
 nothing; on any other state each hit stands alone. A checked settle
 walks every order from the first state on its path with a choice.
+
+``explore`` identifies before it works: a hit of a stutter rule
+(``ReactionRule.stutter``, sides iso_equal and the identity
+instantiation) joins the group of the state it expands, unapplied, and
+a rewrite its store already holds is not settled, since every stored
+state is settled. ``simulate`` takes neither shortcut: a successor that
+is the state itself, not a renumbered rewrite, would change the order
+of later hits and so the trace.
 """
 
 from __future__ import annotations
@@ -189,7 +197,7 @@ class Successor:
     handoff: int | None = field(default=None, repr=False)   # dst's settle
 
 
-def _group_results(state, spec, hits, check_confluence=False):
+def _group_results(state, spec, hits, check_confluence=False, store=None):
     """Apply every hit, settle, and merge isomorphic successors in
     first-seen order. Returns the groups, each listing its hits as
     members; labels and weights are left to the caller.
@@ -201,23 +209,40 @@ def _group_results(state, spec, hits, check_confluence=False):
     that fired picks by image index, so its orbit-mates may settle
     elsewhere: they are applied. Only a rule with two or more hits gets
     keys, and only on a state with an exact certificate: any other hit is
-    applied, and the store merges each result into its group.
+    applied, and the step's own store merges each result into its group.
+
+    With the store of the states found so far (``explore``'s), a hit
+    takes one of two shortcuts. A hit of a stutter rule
+    (``ReactionRule.stutter``) would rewrite state to an isomorphic one,
+    so it joins state's own group unapplied, with no orbit key. Any other
+    rewrite the store holds is not settled: every stored state is
+    settled, and isomorphism keeps whether an instantaneous occurrence
+    is enabled, so its settle would fire nothing, checked or not.
+    ``simulate`` passes no store: a group of state itself, not of a
+    renumbered rewrite, would change the order of later hits.
     """
-    store = StateStore()
+    seen = StateStore()
     groups = []
     per_rule = Counter(id(rule) for rule, _ in hits)
     heads: dict = {}            # (rule, orbit key) -> head's group index
     for rule, occ in hits:
-        key = orbit_key(state, occ) if per_rule[id(rule)] > 1 else None
+        stutter = store is not None and rule.stutter
+        key = orbit_key(state, occ) if not stutter and per_rule[id(rule)] > 1 else None
         gi = None if key is None else heads.get((id(rule), key))
         if gi is None:
-            applied = apply_at(state, rule, occ)
-            dst, handoff = _settle(applied, spec, check_confluence)
-            gi, added = store.insert(dst)
+            if stutter:
+                dst, handoff = state, None
+            else:
+                applied = apply_at(state, rule, occ)
+                if store is not None and store.lookup(applied) is not None:
+                    dst, handoff = applied, None
+                else:
+                    dst, handoff = _settle(applied, spec, check_confluence)
+            gi, added = seen.insert(dst)
             if added:
                 groups.append(Successor(dst=dst, label=None, rule_names=frozenset(),
                                         handoff=handoff))
-            if dst is applied and key is not None:
+            if key is not None and dst is applied:
                 heads[id(rule), key] = gi
         groups[gi].members.append((rule, occ))
     for g in groups:
@@ -226,13 +251,16 @@ def _group_results(state, spec, hits, check_confluence=False):
 
 
 def step_distribution(state: Bigraph, spec: BrsSpec, check_confluence: bool = False,
-                      handoff: int | None = None) -> list[Successor]:
+                      handoff: int | None = None,
+                      store: StateStore | None = None) -> list[Successor]:
     """Successor distribution of an instantaneous-settled state.
 
     brs: one unlabelled successor per distinct result. pbrs: every
     occurrence of rule r contributes weight w_r, normalised over the
     enabled class. sbrs: rates sum per merged successor (race). abrs:
-    weights normalised per (state, action). The handoff is enabled_class's.
+    weights normalised per (state, action). The handoff is enabled_class's;
+    a store that holds state lets the grouping skip work
+    (``_group_results``).
     """
     res = enabled_class(state, spec, handoff)
     if res is None:
@@ -240,7 +268,7 @@ def step_distribution(state: Bigraph, spec: BrsSpec, check_confluence: bool = Fa
     _, hits = res
     sem = spec.semantics
     if sem != "abrs":
-        groups = _group_results(state, spec, hits, check_confluence)
+        groups = _group_results(state, spec, hits, check_confluence, store)
         if sem == "pbrs":
             for g, p in zip(groups, _shares(groups)):
                 g.label = p
@@ -258,7 +286,7 @@ def step_distribution(state: Bigraph, spec: BrsSpec, check_confluence: bool = Fa
     for action in spec.actions:
         sub = [(r, o) for r, o in hits if r.label.action == action]
         if sub:
-            groups = _group_results(state, spec, sub, check_confluence)
+            groups = _group_results(state, spec, sub, check_confluence, store)
             for g, p in zip(groups, _shares(groups)):
                 g.label = (action, p)
             out.extend(groups)
@@ -361,7 +389,7 @@ def explore(spec: BrsSpec, max_states: int,
     labelling: dict[str, set[int]] = {name: set() for name in spec.preds}
     names: dict = {}                 # each distinct set of rule names, to itself
     for i, state in enumerate(store.states):   # the store grows as it is walked
-        for g in step_distribution(state, spec, check_confluence, handoffs.pop(i)):
+        for g in step_distribution(state, spec, check_confluence, handoffs.pop(i), store):
             j, added = store.insert(g.dst)
             g.rule_names = names.setdefault(g.rule_names, g.rule_names)
             if j is None:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .bigraph import Bigraph
+from .canon import iso_equal
 from .errors import (
     ConstraintViolated,
     InnerInterfaceMismatch,
@@ -77,6 +79,14 @@ class ReactionRule:
     def __post_init__(self):
         if self.inst is None and self.lhs.sites == self.rhs.sites:
             self.inst = InstMap.identity(self.lhs.sites)
+
+    @cached_property
+    def stutter(self) -> bool:
+        """Whether every application gives back its state up to
+        isomorphism: the sides are iso_equal, which fixes sites, regions
+        and names, and the instantiation is the identity, so each
+        parameter goes back under its own site's image."""
+        return self.inst == InstMap.identity(self.lhs.sites) and iso_equal(self.lhs, self.rhs)
 
 
 @dataclass(frozen=True)

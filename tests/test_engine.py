@@ -611,29 +611,31 @@ def _counting_apply(monkeypatch):
 def test_orbit_skipping_is_invisible(monkeypatch, refined):
     # every member of every group, applied and settled afresh, lands in
     # its group's state, whether or not the step applied it; with no
-    # certificate exact every hit is applied, and with one colour class
-    # iso_equal's exact check alone must keep the inline models right
+    # certificate exact every hit but a stutter's is applied, and with
+    # one colour class iso_equal's exact check alone must keep the inline
+    # models right
     real_apply, real_settle, real_step = engine.apply_at, engine._settle, engine.step_distribution
-    settles = members = applied = 0
+    expanding = None
+    applied = members = 0
 
-    def counted(*args):
-        nonlocal settles
-        settles += 1
-        return real_settle(*args)
+    def counted(state, rule, occ):
+        nonlocal applied
+        applied += state is expanding         # a hit, not a settle's reduction
+        return real_apply(state, rule, occ)
 
-    def checked(state, spec, check_confluence=False, handoff=None):
-        nonlocal members, applied
-        before = settles
-        groups = real_step(state, spec, check_confluence, handoff)
-        applied += settles - before           # one settle per applied hit
+    def checked(state, spec, check_confluence=False, handoff=None, store=None):
+        nonlocal expanding, members
+        expanding = state
+        groups = real_step(state, spec, check_confluence, handoff, store)
+        expanding = None
         for g in groups:
             for rule, occ in g.members:
-                members += 1
+                members += not rule.stutter   # a stutter hit is never applied
                 dst = real_settle(real_apply(state, rule, occ), spec, False)[0]
                 assert iso_equal(dst, g.dst), rule.name
         return groups
 
-    monkeypatch.setattr(engine, "_settle", counted)
+    monkeypatch.setattr(engine, "apply_at", counted)
     monkeypatch.setattr(engine, "step_distribution", checked)
     models = sorted(MODELS.glob("*.big"))
     assert len(models) == 22
@@ -645,7 +647,7 @@ def test_orbit_skipping_is_invisible(monkeypatch, refined):
     for path in models + inline:
         spec = load_file(path) if path in models else load(path)
         explore(spec, 60)
-    # with no certificate exact, no hit is skipped
+    # with no certificate exact, no hit but a stutter's is skipped
     assert applied < members if refined else applied == members
 
 
@@ -708,6 +710,120 @@ def test_single_hit_rules_compute_no_orbit_key(monkeypatch):
     assert calls == 0
     explore(load(TWINS), 10)
     assert calls == 2
+
+
+STUTTERS = {("abrs_guards.big", "check_room_safe"), ("abrs_guards.big", "move_stay"),
+            ("pbrs_detect.big", "avoid_detect"), ("pbrs_detect_capped.big", "avoid_detect"),
+            ("pbrs_detect_two.big", "avoid_detect")}
+
+
+def test_stutter_rules_are_flagged():
+    # the rules whose sides are iso_equal, with the identity instantiation
+    flagged = {(path.name, rule.name) for path in sorted(MODELS.glob("*.big"))
+               for rule in load_file(path).rules() if rule.stutter}
+    assert flagged == STUTTERS
+
+
+@pytest.mark.parametrize("inst, stutter", [("", True), ("@[1,0]", False), ("@[0,1]", True)],
+                         ids=["implicit", "swapped", "identity"])
+def test_swapping_parameters_is_no_stutter(inst, stutter):
+    # equal sides, but @[1,0] puts each parameter under the other node:
+    # from A.X | B.Y the swap gives A.Y | B.X, a new state
+    spec = load("""
+ctrl A = 0; ctrl B = 0; atomic ctrl X = 0; atomic ctrl Y = 0;
+react swap = A.id | B.id --> A.id | B.id %s;
+begin brs init A.X | B.Y; rules = [ {swap} ]; end
+""" % inst)
+    rule, = spec.rules()
+    assert rule.stutter is stutter
+    assert len(explore(spec, 10).states) == (1 if stutter else 2)
+
+
+def test_stutter_hits_rewrite_to_their_state():
+    # the property the shortcut rests on: every guard-passing hit of a
+    # stutter rule on a stored state rewrites to a state iso_equal to it
+    hits = 0
+    for path in sorted(MODELS.glob("*.big")):
+        spec = load_file(path)
+        stutters = [rule for rule in spec.rules() if rule.stutter]
+        for state in explore(spec, 60).states if stutters else ():
+            for rule in stutters:
+                for _, result in all_applications(state, rule):
+                    assert iso_equal(result, state), (path.name, rule.name)
+                    hits += 1
+    assert hits == 153
+
+
+def test_stutter_hits_are_not_applied(monkeypatch):
+    # explore adds a stutter hit to the group of the state it expands,
+    # unapplied: a self-loop that the other rules' hits may share
+    applied = _counting_apply(monkeypatch)
+    for name in ("pbrs_detect.big", "abrs_guards.big"):
+        stutters = {rule for model, rule in STUTTERS if model == name}
+        applied.clear()
+        ts = explore(load_file(MODELS / name), 60)
+        assert applied and not stutters & applied.keys(), name
+        loops = [t for t in ts.transitions if t.rule_names & stutters]
+        assert loops and all(t.src == t.dst for t in loops), name
+
+
+# A generated 4-room building (16 states): intruders move through doors,
+# and an instantaneous class raises an alarm in a camera room.
+ROOMS = """
+atomic ctrl Intruder = 0;
+atomic ctrl Camera = 0;
+atomic ctrl Alarm = 0;
+atomic ctrl Server = 0;
+atomic ctrl Door = 1;
+ctrl Room = 0;
+react move =
+  Room.(Intruder | Door{x} | id) || Room.(id | Door{x})
+  --> Room.(Door{x} | id) || Room.(Intruder | id | Door{x});
+react detect =
+  Room.(Intruder | Camera | id) --> Room.(Intruder | Camera | Alarm | id)
+  if !Alarm in param;
+big building = /d0/d1/d2/d3/d4 (
+   Room.(Intruder | Door{d0} | Door{d1} | Door{d2})
+|| Room.(Intruder | Door{d0} | Door{d3})
+|| Room.(Camera | Door{d1} | Door{d4})
+|| Room.(Server | Door{d2} | Door{d3} | Door{d4}));
+begin brs
+  init building;
+  rules = [ (detect), {move} ];
+end
+"""
+
+
+@pytest.mark.parametrize("src", [ROOMS, (MODELS / "fix_leave_inst.big").read_text(),
+                                 (MODELS / "secure_building.big").read_text()],
+                         ids=["rooms", "fix-leave-inst", "secure-building"])
+@pytest.mark.parametrize("check", [False, True], ids=["unchecked", "checked"])
+def test_known_rewrites_are_not_settled(monkeypatch, src, check):
+    # a rewrite that explore's store already holds is settled, so only
+    # the others go to _settle; the artifacts stay those of settling all
+    real_store, real_settle = engine.StateStore, engine._settle
+    stores, settled = [], []
+
+    def store(*args):
+        stores.append(real_store(*args))
+        return stores[-1]
+
+    def counted(state, spec, check, *rest):
+        assert not any(iso_equal(s, state) for s in stores[0].states)   # explore's store
+        settled.append(state)
+        return real_settle(state, spec, check, *rest)
+
+    spec = load(src)
+    want = explore(spec, 60, check_confluence=check)
+    monkeypatch.setattr(engine, "StateStore", store)
+    monkeypatch.setattr(engine, "_settle", counted)
+    got = explore(spec, 60, check_confluence=check)
+    # settling every applied hit would take the init's settle and at
+    # least one per transition
+    assert 1 < len(settled) <= len(got.transitions)
+    assert len(got.states) == len(want.states)
+    assert all(iso_equal(a, b) for a, b in zip(got.states, want.states))
+    assert got.transitions == want.transitions
 
 
 # One X that two instantaneous rules rewrite apart, beside twin D that
