@@ -4,11 +4,10 @@ state-space exploration with predicate labelling.
 
 States are abstract: successors that are isomorphic are merged, with
 probability (pbrs, abrs) or rate (sbrs) mass summed. Instantaneous
-classes reduce to a fixpoint before a state is ever stored, so no stored
-state has an enabled instantaneous occurrence. The settle stops at the
-first normal class that is enabled or that no instantaneous class
-follows, and hands its index to the step from the state, which starts
-its search there: every class above it is known empty.
+classes reduce to a fixpoint (``reduce_instantaneous``, the one settle)
+before a state is ever stored or stepped from, so no instantaneous class
+above a state's first enabled normal class has an enabled occurrence,
+and a step skips the instantaneous classes.
 On a state with an exact certificate, a step does not apply a hit in
 the orbit (``canon.orbit_key``) of an earlier hit whose settle fired
 nothing; on any other state each hit stands alone. A checked settle
@@ -81,29 +80,26 @@ class SimTrace:
     times: list | None = None   # cumulative time at each step, sbrs only
 
 
-def enabled_class(state: Bigraph, spec: BrsSpec, handoff: int | None = None):
-    """Highest-priority class with a constraint-passing occurrence, with
-    all its applications; None at deadlock. With the handoff of the
-    settle that produced state, the search starts at that class: the
-    settle showed every class before it empty."""
-    return _enabled(state, spec, False, handoff or 0)
+def enabled_class(state: Bigraph, spec: BrsSpec):
+    """Highest-priority normal class with a constraint-passing occurrence,
+    with all its applications; None at deadlock. The state is settled, so
+    no instantaneous class above that class has one: they are skipped."""
+    return _enabled(state, spec, False)
 
 
-def _enabled(state, spec, settling, start=0):
-    """enabled_class from class start on, or when settling: the highest
-    enabled class and its applications if it is instantaneous, else the
-    state is settled and this returns its handoff, the first class the
-    step must search. Settling stops at a normal class that no
-    instantaneous class follows, unsearched; it searches one that an
-    instantaneous class follows only up to its first application."""
+def _enabled(state, spec, settling):
+    """enabled_class, or when settling: the highest enabled class and its
+    applications if it is instantaneous, else None (the state is
+    settled). Settling stops at a normal class that no instantaneous
+    class follows, unsearched; it searches one that an instantaneous
+    class follows only up to its first application."""
     classes = spec.classes
-    for ci in range(start, len(classes)):
-        cls = classes[ci]
-        if settling and not cls.instantaneous:
-            if not any(c.instantaneous for c in classes[ci + 1:]) or any(
+    for ci, cls in enumerate(classes):
+        if cls.instantaneous != settling:
+            if settling and (not any(c.instantaneous for c in classes[ci + 1:]) or any(
                     check_constraints(occ, rule.constraints)
-                    for rule in cls.rules for occ in _occurrences(state, rule.lhs)):
-                return ci
+                    for rule in cls.rules for occ in _occurrences(state, rule.lhs))):
+                return None
             continue
         # rules with equal left sides share one (elaboration interns them):
         # each left side is searched once, each rule's guards checked
@@ -113,31 +109,30 @@ def _enabled(state, spec, settling, start=0):
                 if check_constraints(occ, rule.constraints)]
         if hits:
             return ci, hits
-    return len(classes) if settling else None
+    return None
 
 
-def reduce_instantaneous(state: Bigraph, spec: BrsSpec,
-                         bound: int = INSTANTANEOUS_BOUND) -> Bigraph:
-    """Apply instantaneous rules (first occurrence in canonical order)
-    until the highest-priority enabled class, if any, is a normal one."""
-    return _settle(state, spec, False, bound)[0]
-
-
-def check_confluent_settle(state: Bigraph, spec: BrsSpec) -> None:
+def check_confluent_settle(state: Bigraph, spec: BrsSpec,
+                           bound: int = INSTANTANEOUS_BOUND) -> None:
     """Raise NonConfluence when applying instantaneous rules in other
     orders settles state to non-isomorphic states. The walk follows one
-    hit per orbit (_orbit_heads) from each state, so it is complete."""
+    hit per orbit (_orbit_heads) from each state, so it is complete; an
+    order that does not settle within bound reductions raises
+    DivergentInstantaneous, as the settle does."""
     terminals, visited = StateStore(), StateStore()
-    stack = [state]
+    stack = [(state, 0)]
     while stack:
-        s = stack.pop()
+        s, depth = stack.pop()
         if not visited.insert(s)[1]:
             continue
         res = _enabled(s, spec, True)
-        if isinstance(res, int):
+        if res is None:
             terminals.insert(s)
+        elif depth == bound:
+            raise _unsettled(bound)
         else:
-            stack.extend(apply_at(s, rule, occ) for rule, occ in _orbit_heads(s, res[1]))
+            stack.extend((apply_at(s, rule, occ), depth + 1)
+                         for rule, occ in _orbit_heads(s, res[1]))
     if len(terminals) > 1:
         raise NonConfluence(
             "instantaneous rules are not confluent: %d distinct settled states"
@@ -155,26 +150,25 @@ def _orbit_heads(state, hits):
     return list(heads.values())
 
 
-def _settle(state, spec, check, bound=INSTANTANEOUS_BOUND):
-    """reduce_instantaneous, with the handoff of the search that found the
-    state settled (None if no search ran). If check, the first state with
-    a choice goes to check_confluent_settle: every pick before it gives
-    an isomorphic successor, so the walk from there covers every order."""
-    # with no instantaneous class a state is already settled, and trivially
-    # confluent
-    if not any(cls.instantaneous for cls in spec.classes):
-        return state, None
+def reduce_instantaneous(state: Bigraph, spec: BrsSpec, check_confluence: bool = False,
+                         bound: int = INSTANTANEOUS_BOUND) -> Bigraph:
+    """Apply instantaneous rules (first occurrence in canonical order)
+    until the highest-priority enabled class, if any, is a normal one,
+    and return the settled state. If check_confluence, the first state
+    with a choice goes to check_confluent_settle with what is left of the
+    bound: every pick before it gives an isomorphic successor, so the
+    walk from there covers every order."""
     # the settle is a function of the state, so meeting a state again means
     # it cycles; comparing with the state after 2^k - 1 reductions finds
     # any cycle within about three times its start plus its length, in
     # constant memory (Brent)
     for i in range(bound + 1):
         res = _enabled(state, spec, True)
-        if isinstance(res, int):
-            return state, res
-        if check and len(_orbit_heads(state, res[1])) > 1:      # a choice
-            check_confluent_settle(state, spec)
-            check = False
+        if res is None:
+            return state
+        if check_confluence and len(_orbit_heads(state, res[1])) > 1:      # a choice
+            check_confluent_settle(state, spec, bound - i)
+            check_confluence = False
         rule, occ = res[1][0]
         if i & (i + 1) == 0:
             mark = exact_fields(state)
@@ -183,7 +177,11 @@ def _settle(state, spec, check, bound=INSTANTANEOUS_BOUND):
             raise DivergentInstantaneous(
                 "instantaneous rule %s revisits a state, so the classes never settle"
                 % rule.name)
-    raise DivergentInstantaneous(
+    raise _unsettled(bound)
+
+
+def _unsettled(bound):
+    return DivergentInstantaneous(
         "instantaneous classes did not settle within %d reductions" % bound)
 
 
@@ -194,7 +192,6 @@ class Successor:
     rule_names: frozenset
     weight: Fraction | float | None = None   # aggregate mass of the group
     members: list = field(default_factory=list)   # (rule, occ) in canonical order
-    handoff: int | None = field(default=None, repr=False)   # dst's settle
 
 
 def _group_results(state, spec, hits, check_confluence=False, store=None):
@@ -231,17 +228,16 @@ def _group_results(state, spec, hits, check_confluence=False, store=None):
         gi = None if key is None else heads.get((id(rule), key))
         if gi is None:
             if stutter:
-                dst, handoff = state, None
+                dst = state
             else:
                 applied = apply_at(state, rule, occ)
                 if store is not None and store.lookup(applied) is not None:
-                    dst, handoff = applied, None
+                    dst = applied
                 else:
-                    dst, handoff = _settle(applied, spec, check_confluence)
+                    dst = reduce_instantaneous(applied, spec, check_confluence)
             gi, added = seen.insert(dst)
             if added:
-                groups.append(Successor(dst=dst, label=None, rule_names=frozenset(),
-                                        handoff=handoff))
+                groups.append(Successor(dst=dst, label=None, rule_names=frozenset()))
             if key is not None and dst is applied:
                 heads[id(rule), key] = gi
         groups[gi].members.append((rule, occ))
@@ -251,18 +247,16 @@ def _group_results(state, spec, hits, check_confluence=False, store=None):
 
 
 def step_distribution(state: Bigraph, spec: BrsSpec, check_confluence: bool = False,
-                      handoff: int | None = None,
                       store: StateStore | None = None) -> list[Successor]:
     """Successor distribution of an instantaneous-settled state.
 
     brs: one unlabelled successor per distinct result. pbrs: every
     occurrence of rule r contributes weight w_r, normalised over the
     enabled class. sbrs: rates sum per merged successor (race). abrs:
-    weights normalised per (state, action). The handoff is enabled_class's;
-    a store that holds state lets the grouping skip work
-    (``_group_results``).
+    weights normalised per (state, action). A store that holds state lets
+    the grouping skip work (``_group_results``).
     """
-    res = enabled_class(state, spec, handoff)
+    res = enabled_class(state, spec)
     if res is None:
         return []
     _, hits = res
@@ -310,22 +304,22 @@ def simulate(spec: BrsSpec, max_steps: int, seed: int) -> SimTrace:
         raise InitNotGround("Init bigraph is not ground")
     rng = random.Random(seed)
     sem = spec.semantics
-    state, handoff = _settle(spec.init, spec, False)
+    state = reduce_instantaneous(spec.init, spec)
     steps = [(state, None, None)]
     time = 0.0 if sem == "sbrs" else None
     times = [0.0] if sem == "sbrs" else None
     for _ in range(max_steps):
         if sem == "brs":
-            res = enabled_class(state, spec, handoff)
+            res = enabled_class(state, spec)
             if res is None:
                 break
             _, hits = res
             rule, occ = hits[rng.randrange(len(hits))]
-            state, handoff = _settle(apply_at(state, rule, occ), spec, False)
+            state = reduce_instantaneous(apply_at(state, rule, occ), spec)
             steps[-1][0].shed()
             steps.append((state, rule.name, None))
             continue
-        groups = step_distribution(state, spec, handoff=handoff)
+        groups = step_distribution(state, spec)
         if not groups:
             break
         if sem == "pbrs":
@@ -343,7 +337,7 @@ def simulate(spec: BrsSpec, max_steps: int, seed: int) -> SimTrace:
                     present.append(block)
             block = present[rng.randrange(len(present))]
             g = _sample(rng, block, [float(x.label[1]) for x in block])
-        state, handoff = g.dst, g.handoff
+        state = g.dst
         steps[-1][0].shed()
         steps.append((state, g.members[0][0].name, g.label))
     return SimTrace(steps=steps, seed=seed, time=time, times=times)
@@ -381,22 +375,18 @@ def explore(spec: BrsSpec, max_states: int,
     if not spec.init.is_ground():
         raise InitNotGround("Init bigraph is not ground")
     store = StateStore(max(max_states, 1))     # the initial state is always stored
-    init, handoff = _settle(spec.init, spec, check_confluence)
-    store.insert(init)
-    handoffs = {0: handoff}          # per stored state, until it is expanded
+    store.insert(reduce_instantaneous(spec.init, spec, check_confluence))
     transitions: list[Transition] = []
     dropped = []
     labelling: dict[str, set[int]] = {name: set() for name in spec.preds}
     names: dict = {}                 # each distinct set of rule names, to itself
     for i, state in enumerate(store.states):   # the store grows as it is walked
-        for g in step_distribution(state, spec, check_confluence, handoffs.pop(i), store):
-            j, added = store.insert(g.dst)
+        for g in step_distribution(state, spec, check_confluence, store):
+            j = store.insert(g.dst)[0]
             g.rule_names = names.setdefault(g.rule_names, g.rule_names)
             if j is None:
                 dropped.append((i, g.label, g.rule_names))
                 continue
-            if added:
-                handoffs[j] = g.handoff
             transitions.append(Transition(i, j, g.label, g.rule_names))
         for name in _matched(state, spec):
             labelling[name].add(i)

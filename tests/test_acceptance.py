@@ -10,7 +10,7 @@ from fractions import Fraction
 from bigengine import close, iso_equal, make_atom, merge, one, parallel
 from bigengine.cli import run_cli
 from bigengine.elaborate import load_file
-from bigengine.engine import enabled_class, explore
+from bigengine.engine import explore, reduce_instantaneous
 from bigengine.errors import BigraphError
 from bigengine.matching import find_occurrences, matches_predicate
 from bigengine.printing import print_bigraph
@@ -313,8 +313,7 @@ def test_criterion_09_priority_and_instantaneous():
     insecure = spec.bigs["insecure"]
     for state in ts.states:
         assert not matches_predicate(state, insecure)
-        res = enabled_class(state, spec)
-        assert res is None or not spec.classes[res[0]].instantaneous
+        assert reduce_instantaneous(state, spec) is state
     assert ts.labelling["insecure"] == set()
     print("criterion 09 (fix fires first; instantaneous never enabled in store): PASS")
 

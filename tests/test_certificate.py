@@ -179,14 +179,14 @@ def test_only_vault_states_lack_exact_certificates(monkeypatch):
     vault, cycles = load_file(MODELS / "vault.big"), load(CYCLES)
     assert not certificate(cycles.init)[0]
     settles = 0
-    real = engine._settle
+    real = engine.reduce_instantaneous
 
     def counted(*args):
         nonlocal settles
         settles += 1
         return real(*args)
 
-    monkeypatch.setattr(engine, "_settle", counted)
+    monkeypatch.setattr(engine, "reduce_instantaneous", counted)
     hits = []
     for spec, state in [(vault, s) for _, s in bare] + [(cycles, cycles.init)]:
         settles = 0

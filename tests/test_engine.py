@@ -14,7 +14,7 @@ from bigengine.engine import (
     step_distribution,
 )
 from bigengine.errors import DivergentInstantaneous, NonConfluence
-from bigengine.matching import matches_predicate
+from bigengine.matching import check_constraints, find_occurrences, matches_predicate
 from bigengine.rules import apply_at
 
 from conftest import MODELS
@@ -179,8 +179,12 @@ def test_instantaneous_settles_before_storage():
     assert len(ts.states) == 3
     assert ts.labelling["insecure"] == set()
     for state in ts.states:
-        res = enabled_class(state, spec)
-        assert res is None or not spec.classes[res[0]].instantaneous
+        assert reduce_instantaneous(state, spec) is state
+    # the check can fail: a hit's raw rewrite leaves the panel linked
+    # across rooms, and fix_secure fires on it
+    _, hits = enabled_class(ts.states[0], spec)
+    raw = apply_at(ts.states[0], *hits[0])
+    assert reduce_instantaneous(raw, spec) is not raw
 
 
 def test_pbrs_distribution():
@@ -466,8 +470,8 @@ def _hits_view(res):
 
 
 # After cook, the search of `pair` yields each image twice (its two A are
-# interchangeable) and not in image order, so a step started from the
-# settle's handoff must still dedupe and sort.
+# interchangeable) and not in image order, so a step after a settle must
+# still dedupe and sort.
 SYMMETRIC_PAIRS = """
 atomic ctrl A = 0;
 atomic ctrl B = 0;
@@ -483,7 +487,7 @@ end
 
 
 # A normal class above an instantaneous one: the settle must search go,
-# and reduce tidy only once go is disabled.
+# and reduce tidy only once go is disabled; the step searches go again.
 NORMAL_ABOVE_INSTANTANEOUS = """
 atomic ctrl A = 0;
 atomic ctrl B = 0;
@@ -498,21 +502,30 @@ end
 """
 
 
-def test_settle_handoff_is_invisible(monkeypatch):
-    # every step that starts from a settle's handoff, the first class the
-    # settle did not show empty, gets exactly the hits a fresh search of a
-    # cache-free copy of the state gets, and they are never instantaneous
-    fresh = engine.enabled_class
-    handed = 0
+def _priority_scan(state, spec):
+    """The first class, instantaneous or not, with a guard-passing hit,
+    and all its hits: every class is searched, none skipped."""
+    for ci, cls in enumerate(spec.classes):
+        hits = [(rule, occ) for rule in cls.rules for occ in find_occurrences(state, rule.lhs)
+                if check_constraints(occ, rule.constraints)]
+        if hits:
+            return ci, hits
+    return None
 
-    def checked(state, spec, handoff=None):
-        nonlocal handed
-        res = fresh(state, spec, handoff)
-        if handoff is not None:
-            handed += 1
-            want = fresh(dataclasses.replace(state, _cache={}), spec)
-            assert _hits_view(res) == _hits_view(want)
-            assert res is None or not spec.classes[res[0]].instantaneous
+
+def test_steps_skip_only_empty_instantaneous_classes(monkeypatch):
+    # every state a step runs on is settled, so skipping the instantaneous
+    # classes loses nothing: the step gets the class and hits of a full
+    # priority scan of a cache-free copy of the state
+    step = engine.enabled_class
+    steps = 0
+
+    def checked(state, spec):
+        nonlocal steps
+        steps += 1
+        res = step(state, spec)
+        assert _hits_view(res) == _hits_view(
+            _priority_scan(dataclasses.replace(state, _cache={}), spec))
         return res
 
     monkeypatch.setattr(engine, "enabled_class", checked)
@@ -520,12 +533,11 @@ def test_settle_handoff_is_invisible(monkeypatch):
     assert len(models) == 22
     for path in models + [SYMMETRIC_PAIRS, NORMAL_ABOVE_INSTANTANEOUS]:
         spec = load_file(path) if path in models else load(path)
-        handed = 0
+        steps = 0
         for seed in (1, 2, 3):
             simulate(spec, 30, seed)
         explore(spec, 60)
-        # only a settle that searched hands off
-        assert (handed > 0) == any(cls.instantaneous for cls in spec.classes), path
+        assert steps > 0, path
 
 
 # Models where a careless orbit skip would merge successors that differ.
@@ -614,7 +626,8 @@ def test_orbit_skipping_is_invisible(monkeypatch, refined):
     # certificate exact every hit but a stutter's is applied, and with
     # one colour class iso_equal's exact check alone must keep the inline
     # models right
-    real_apply, real_settle, real_step = engine.apply_at, engine._settle, engine.step_distribution
+    real_apply, real_settle, real_step = (engine.apply_at, engine.reduce_instantaneous,
+                                          engine.step_distribution)
     expanding = None
     applied = members = 0
 
@@ -623,15 +636,15 @@ def test_orbit_skipping_is_invisible(monkeypatch, refined):
         applied += state is expanding         # a hit, not a settle's reduction
         return real_apply(state, rule, occ)
 
-    def checked(state, spec, check_confluence=False, handoff=None, store=None):
+    def checked(state, spec, check_confluence=False, store=None):
         nonlocal expanding, members
         expanding = state
-        groups = real_step(state, spec, check_confluence, handoff, store)
+        groups = real_step(state, spec, check_confluence, store)
         expanding = None
         for g in groups:
             for rule, occ in g.members:
                 members += not rule.stutter   # a stutter hit is never applied
-                dst = real_settle(real_apply(state, rule, occ), spec, False)[0]
+                dst = real_settle(real_apply(state, rule, occ), spec)
                 assert iso_equal(dst, g.dst), rule.name
         return groups
 
@@ -800,23 +813,23 @@ end
 @pytest.mark.parametrize("check", [False, True], ids=["unchecked", "checked"])
 def test_known_rewrites_are_not_settled(monkeypatch, src, check):
     # a rewrite that explore's store already holds is settled, so only
-    # the others go to _settle; the artifacts stay those of settling all
-    real_store, real_settle = engine.StateStore, engine._settle
+    # the others are settled; the artifacts stay those of settling all
+    real_store, real_settle = engine.StateStore, engine.reduce_instantaneous
     stores, settled = [], []
 
     def store(*args):
         stores.append(real_store(*args))
         return stores[-1]
 
-    def counted(state, spec, check, *rest):
+    def counted(state, spec, *rest):
         assert not any(iso_equal(s, state) for s in stores[0].states)   # explore's store
         settled.append(state)
-        return real_settle(state, spec, check, *rest)
+        return real_settle(state, spec, *rest)
 
     spec = load(src)
     want = explore(spec, 60, check_confluence=check)
     monkeypatch.setattr(engine, "StateStore", store)
-    monkeypatch.setattr(engine, "_settle", counted)
+    monkeypatch.setattr(engine, "reduce_instantaneous", counted)
     got = explore(spec, 60, check_confluence=check)
     # settling every applied hit would take the init's settle and at
     # least one per transition
@@ -910,7 +923,36 @@ def test_checked_settle_obeys_the_reduction_bound():
     # loop counts its reductions
     spec = load(CHOICE % (" | ".join(["D"] * 5), "d"))
     with pytest.raises(DivergentInstantaneous, match="did not settle within 3 reductions"):
-        engine._settle(spec.init, spec, True, 3)
+        reduce_instantaneous(spec.init, spec, True, 3)
+
+
+# more grows the state at every reduction, so no order settles; x and y
+# pick X apart, so a checked settle walks from the init
+GROWING_CHOICE = """
+atomic ctrl A = 0;
+atomic ctrl X = 0;
+atomic ctrl Y = 0;
+atomic ctrl Z = 0;
+ctrl K = 0;
+react more = A --> A | A;
+react x = X --> Y;
+react y = X --> Z;
+react k = K.1 --> K.1;
+big s0 = A | X | K.1;
+begin brs
+  init s0;
+  rules = [ (more, x, y), {k} ];
+end
+"""
+
+
+@pytest.mark.parametrize("check", [False, True], ids=["unchecked", "checked"])
+def test_confluence_walk_obeys_the_reduction_bound(check):
+    # the walk gets what is left of the settle's bound, and stops an
+    # order that passes it as the settle stops its own
+    spec = load(GROWING_CHOICE)
+    with pytest.raises(DivergentInstantaneous, match="did not settle within 5 reductions"):
+        reduce_instantaneous(spec.init, spec, check, 5)
 
 
 # x and d are parallel-independent at the init X | D, yet firing d first
@@ -947,10 +989,10 @@ def test_checked_settle_walks_only_at_a_choice(monkeypatch, src, walks):
     real = engine.check_confluent_settle
     calls = 0
 
-    def counted(state, spec):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return real(state, spec)
+        return real(*args)
 
     real_store = engine.StateStore
     stores = []
@@ -977,23 +1019,22 @@ def test_checked_settle_walks_only_at_a_choice(monkeypatch, src, walks):
     assert calls == walks
 
 
-def test_checked_settle_hands_off(monkeypatch):
+def test_checked_settle_steps_each_state_once(monkeypatch):
     # under the confluence check a settle still ends in its own loop, and
-    # hands the step from each stored state the class that search showed
-    # enabled
+    # each stored state, settled, is stepped from once
     real = engine.enabled_class
-    handoffs = []
+    stepped = []
 
-    def recorded(state, spec, handoff=None):
-        handoffs.append(handoff)
-        return real(state, spec, handoff)
+    def recorded(state, spec):
+        stepped.append(state)
+        return real(state, spec)
 
     monkeypatch.setattr(engine, "enabled_class", recorded)
     spec = load_file(MODELS / "fix_leave_inst.big")
     assert any(cls.instantaneous for cls in spec.classes)
     ts = explore(spec, 50, check_confluence=True)
-    assert len(handoffs) == len(ts.states) == 3
-    assert None not in handoffs
+    assert len(stepped) == len(ts.states) == 3
+    assert all(reduce_instantaneous(s, spec) is s for s in stepped)
 
 
 def test_checked_settle_searches_its_path_once(monkeypatch):

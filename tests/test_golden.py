@@ -4,6 +4,9 @@ bundled model.
 Per model it runs ``full -M 60 --allow-partial -p -l --dot``, with and
 without ``--check-confluence``, and ``sim -S 30 --seed N -l`` for seeds
 1 to 3, and hashes each written file, stdout, stderr and the exit code.
+A ``sim`` run also hashes its trace states (``_state_form``), which the
+trace lines and the label map do not show: a change that renumbers the
+nodes or edges of a trace state changes that digest alone.
 A change that must not alter behaviour keeps every digest. After an
 intended change of output, regenerate the digest file with
 
@@ -21,7 +24,9 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
+from bigengine import cli
 from bigengine.cli import run_cli
 
 from conftest import MODELS
@@ -41,9 +46,22 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _state_form(b) -> str:
+    """A trace state as text that no hash seed reorders: labels, sorted
+    parent sets, ports, sorted outer names and the edge count."""
+    return repr((b.regions, b.ctrl, b.params, tuple(tuple(sorted(ps)) for ps in b.node_parents),
+                 b.ports, tuple(sorted(b.outer)), b.edges))
+
+
 def _run(argv: list[str], model: pathlib.Path) -> dict:
     """One CLI run; the model path is replaced by its file name in the
     captured streams so digests do not depend on the checkout's location."""
+    traces, real_simulate = [], cli.simulate
+
+    def recorded(*args):
+        traces.append(real_simulate(*args))
+        return traces[-1]
+
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
         files = {"csl": out / "out.csl"}
@@ -53,13 +71,17 @@ def _run(argv: list[str], model: pathlib.Path) -> dict:
         if argv[0] == "full":
             args += ["-p", str(files["tra"]), "--dot", str(files["dot"])]
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                mock.patch.object(cli, "simulate", recorded):
             rc = run_cli(args + [str(model)])
         got = {"exit": rc}
         for name, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue())):
             got[name] = _sha(text.replace(str(model), model.name).encode())
         for name, path in sorted(files.items()):
             got[name] = _sha(path.read_bytes()) if path.exists() else None
+    if argv[0] == "sim":
+        got["states"] = _sha("\n".join(_state_form(s) for trace in traces
+                                       for s, _, _ in trace.steps).encode())
     return got
 
 
