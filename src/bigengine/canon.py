@@ -1,27 +1,23 @@
 """State identity: certificates, exact isomorphism and orbits of
 occurrences.
 
-Twins, childless nodes with equal label, parents and port multiset, are
-interchangeable: swapping two is an automorphism that fixes every edge.
-``certificate`` walks a bigraph once into its twin quotient, refines
-colours of its twin classes and closed edges (``_refine``'s colours),
-and renumbers the quotient in colour order, one row per twin class: a
-hashable tuple equal on isomorphic bigraphs, and the one identity of a
-state. It is exact when each colour is one twin class: the colours then
-order the nodes up to twins, and equal exact certificates mean
-isomorphic bigraphs, found with no search. That flag, its first field,
-is the one record of exactness: the store, ``iso_equal`` and
-``orbit_key`` read it. ``StateStore.lookup`` is the one place that
-identifies states, and ``insert`` is built on it: a dict from
-certificate to indices, whose hits are confirmed by ``iso_equal`` only
-when the certificate is not exact. That
-exact check runs ``bigraph._node_maps``, the node-map search the matcher
-uses too, with candidates drawn from each node's colour class, and
-accepts the first full map that passes one exact check
-(``_full_map_ok``), so a colour collision cannot make it wrong.
-``orbit_key`` keys an occurrence's orbit under a state's automorphisms,
-which on a state with an exact certificate permute only twins and closed
-edges with equal points; on any other state it is None, with no search.
+Twins (``_twins``), childless nodes with equal label, parents and port
+multiset, are interchangeable: swapping two is an automorphism that
+fixes every edge. ``certificate`` walks a bigraph once into its twin
+quotient, refines colours of its twin classes and closed edges
+(``_refine``'s colours), and renumbers the quotient in colour order, one
+row per twin class: a hashable tuple equal on isomorphic bigraphs, and
+the one identity of a state. It is exact when each colour is one twin
+class: equal exact certificates then mean isomorphic bigraphs, with no
+search. Only state identity reads that flag, its first field:
+``StateStore.lookup``, the one place that identifies states, confirms a
+hit by ``iso_equal`` only when the certificate is not exact. That exact
+check runs ``bigraph._node_maps``, the node-map search the matcher uses
+too, with candidates drawn from each node's colour class, and accepts
+the first full map that passes one exact check (``_full_map_ok``), so a
+colour collision cannot make it wrong. ``orbit_key`` keys an occurrence
+by twins and closed edges' points: equal keys mean one orbit on any
+state.
 
 Colours are ints: a node is seeded from a stable, memoised digest of its
 label and of its fixed neighbours, and each round recolours with the
@@ -51,6 +47,14 @@ def _digest(key) -> int:
     ``("r", k)`` / ``("s", k)`` for a region / site. The tags keep a name
     from colliding with a control."""
     return int.from_bytes(hashlib.blake2b(repr(key).encode(), digest_size=8).digest(), "big")
+
+
+def _twins(b: Bigraph, nodes, hosts) -> list:
+    """The twin key of each of nodes: the node itself if hosts (the nodes
+    with children) holds it, else its label, parents and sorted ports.
+    Nodes with equal keys are twins: swapping two fixes every edge."""
+    label, ups, ports = labels(b), b.node_parents, b.ports
+    return [i if i in hosts else (label[i], ups[i], tuple(sorted(ports[i]))) for i in nodes]
 
 
 def _refine(b: Bigraph) -> tuple[list[int], list[int]]:
@@ -102,8 +106,7 @@ def certificate(b: Bigraph) -> tuple:
                 if p[0] == "n":
                     kids.setdefault(p[1], []).append((tag, i))
     twins: dict = {}                             # twin key -> twin class
-    cls = [twins.setdefault(i if i in kids else (label[i], ps, tuple(sorted(hs))), len(twins))
-           for i, (ps, hs) in enumerate(zip(b.node_parents, b.ports))]
+    cls = [twins.setdefault(k, len(twins)) for k in _twins(b, range(b.n), kids)]
     nc = len(twins)
     size = [0] * nc                              # twin class -> its node count
     around, ccol, rows = [], [], []              # per twin class, from its first node
@@ -223,20 +226,17 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
     return any(_full_map_ok(a, b, fwd, b_edges) for fwd in _node_maps(a, b, order, candidates))
 
 
-def orbit_key(state: Bigraph, occ) -> tuple | None:
-    """A hashable key of occ's orbit under state's automorphisms, or None
-    when state's certificate is not exact: occurrences of one pattern have
-    equal keys exactly when an automorphism maps one onto the other. Such
-    automorphisms permute twins, which keeps every edge's points, and
-    closed edges with equal points. So the key holds, per pattern node,
-    its image's colour; per pattern link, its image (an open name, or a
-    closed edge's points) and the first pattern link with that image."""
-    if not certificate(state)[0]:
-        return None
-    ncol = _refine(state)[0]
+def orbit_key(state: Bigraph, occ) -> tuple:
+    """A hashable key of occ's orbit under state's automorphisms: per
+    pattern node its image's twin key, per pattern link its image (an open
+    name, or a closed edge's points) and the first pattern link with that
+    image. Swapping twins, or closed edges with equal points, is an
+    automorphism, so equal keys mean one orbit (which may have more)."""
+    kids = state.children()
+    nodes = [t for _, t in sorted(occ.node_map.items())]
     links = [t for _, t in sorted(occ.link_map.items())]
     first: dict = {}
-    return (tuple([ncol[t] for _, t in sorted(occ.node_map.items())]),
+    return (tuple(_twins(state, nodes, [t for t in nodes if kids[("n", t)]])),
             tuple([_edge_signature(state, t[1]) if t[0] == "e" else t for t in links]),
             tuple([first.setdefault(t, k) for k, t in enumerate(links)]))
 

@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_full.add_argument("--check-confluence", action="store_true",
                         help="verify instantaneous rules settle independently of order "
                              "(every order from the first state with a choice, one match "
-                             "per orbit)")
+                             "per orbit key)")
     p_full.add_argument("model")
     return parser
 

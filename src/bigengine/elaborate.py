@@ -53,11 +53,14 @@ class BrsSpec:
 
 class _Evaluator:
     """What compiled expressions read: the signature, the named bigraphs,
-    and the lookup of an applied identifier."""
+    and the lookup of an applied identifier. Equal atoms are one value,
+    memoised per elaboration by control, parameters as ``labels`` prints
+    them (``1``, ``1.0`` and ``-0.0`` apart) and names."""
 
     def __init__(self, sig: Signature, bigs: dict):
         self.sig = sig
         self.bigs = bigs
+        self.atoms: dict = {}           # not on sig: atoms refer to sig, a cycle
 
     def apply(self, name: str, args, names, env) -> Bigraph:
         if name in self.bigs:
@@ -66,7 +69,10 @@ class _Evaluator:
             return self.bigs[name]
         if name in self.sig:
             params = [a(self, env) for a in args or ()]
-            return make_atom(self.sig, name, params, names or ())
+            key = (name, repr(params), names)
+            if key not in self.atoms:
+                self.atoms[key] = make_atom(self.sig, name, params, names or ())
+            return self.atoms[key]
         raise UnknownIdentifier("unknown identifier %r" % name)
 
 
@@ -132,8 +138,12 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
     if block.actions and semantics != "abrs":
         raise ElaborationError("actions are only allowed in an abrs block")
 
+    actions: dict[str, tuple[str, ...]] = {}
     action_of: dict[str, str] = {}
     for action, rule_names in block.actions:
+        if action in actions:
+            raise ActionPartitionError("action %s is declared twice" % action)
+        actions[action] = rule_names
         for rn in rule_names:
             if rn in action_of:
                 raise ActionPartitionError(
@@ -197,13 +207,9 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
                 rules.append(rule)
         classes.append(PriorityClass(tuple(rules), cls_ast.instantaneous))
 
-    if semantics == "abrs":
-        declared = set()
-        for _, rule_names in block.actions:
-            declared.update(rule_names)
-        for rn in declared:
-            if rn not in reacts:
-                raise ActionPartitionError("action lists unknown rule %r" % rn)
+    for rn in action_of:
+        if rn not in reacts:
+            raise ActionPartitionError("action lists unknown rule %r" % rn)
 
     init = block.init_expr(ev, {})
     if not init.is_ground():
@@ -219,7 +225,7 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
         preds[name] = pat
 
     return BrsSpec(signature=sig, init=init, classes=tuple(classes), preds=preds,
-                   semantics=semantics, actions={a: rs for a, rs in block.actions},
+                   semantics=semantics, actions=actions,
                    param_domains=domains, bigs=bigs)
 
 

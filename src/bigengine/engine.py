@@ -7,11 +7,10 @@ probability (pbrs, abrs) or rate (sbrs) mass summed. Instantaneous
 classes reduce to a fixpoint (``reduce_instantaneous``, the one settle)
 before a state is ever stored or stepped from, so no instantaneous class
 above a state's first enabled normal class has an enabled occurrence,
-and a step skips the instantaneous classes.
-On a state with an exact certificate, a step does not apply a hit in
-the orbit (``canon.orbit_key``) of an earlier hit whose settle fired
-nothing; on any other state each hit stands alone. A checked settle
-walks every order from the first state on its path with a choice.
+and a step skips the instantaneous classes. It does not apply a hit
+with the rule and orbit key (``canon.orbit_key``) of an earlier hit
+whose settle fired nothing. A checked settle walks every order from the
+first state on its path with a choice.
 
 ``explore`` identifies before it works: a hit of a stutter rule
 (``ReactionRule.stutter``, sides iso_equal and the identity
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -116,7 +114,7 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec,
                            bound: int = INSTANTANEOUS_BOUND) -> None:
     """Raise NonConfluence when applying instantaneous rules in other
     orders settles state to non-isomorphic states. The walk follows one
-    hit per orbit (_orbit_heads) from each state, so it is complete; an
+    hit per orbit key (_orbit_heads) from each state, so it is complete; an
     order that does not settle within bound reductions raises
     DivergentInstantaneous, as the settle does."""
     terminals, visited = StateStore(), StateStore()
@@ -140,13 +138,10 @@ def check_confluent_settle(state: Bigraph, spec: BrsSpec,
 
 
 def _orbit_heads(state, hits):
-    """The first hit of each orbit, keyed by (rule, ``orbit_key``), whose
-    hits give isomorphic results. A lone hit gets no key, and on a state
-    whose certificate is not exact each hit is its own orbit."""
+    """The first hit per (rule, ``orbit_key``): equal keys give isomorphic results."""
     heads: dict = {}
     for rule, occ in hits:
-        key = len(hits) > 1 and orbit_key(state, occ) or id(occ)
-        heads.setdefault((id(rule), key), (rule, occ))
+        heads.setdefault((id(rule), orbit_key(state, occ)), (rule, occ))
     return list(heads.values())
 
 
@@ -200,13 +195,13 @@ def _group_results(state, spec, hits, check_confluence=False, store=None):
     members; labels and weights are left to the caller.
 
     A head is a hit whose settle fired no instantaneous rule. A later hit
-    of the same rule in the head's orbit (``canon.orbit_key``) joins the
-    head's group unapplied: its result is isomorphic to the head's, so it
-    too would settle to itself and be merged into that group. A settle
-    that fired picks by image index, so its orbit-mates may settle
-    elsewhere: they are applied. Only a rule with two or more hits gets
-    keys, and only on a state with an exact certificate: any other hit is
-    applied, and the step's own store merges each result into its group.
+    of the same rule with the head's orbit key (``canon.orbit_key``)
+    joins the head's group unapplied: its result is isomorphic to the
+    head's, so it too would settle to itself and be merged into that
+    group. A settle that fired picks by image index, so its orbit-mates
+    may settle elsewhere: they are applied. Hits of one orbit may have
+    other keys: each is applied, and the step's own store merges the
+    results.
 
     With the store of the states found so far (``explore``'s), a hit
     takes one of two shortcuts. A hit of a stutter rule
@@ -220,12 +215,11 @@ def _group_results(state, spec, hits, check_confluence=False, store=None):
     """
     seen = StateStore()
     groups = []
-    per_rule = Counter(id(rule) for rule, _ in hits)
     heads: dict = {}            # (rule, orbit key) -> head's group index
     for rule, occ in hits:
         stutter = store is not None and rule.stutter
-        key = orbit_key(state, occ) if not stutter and per_rule[id(rule)] > 1 else None
-        gi = None if key is None else heads.get((id(rule), key))
+        key = None if stutter else (id(rule), orbit_key(state, occ))
+        gi = heads.get(key)
         if gi is None:
             if stutter:
                 dst = state
@@ -239,7 +233,7 @@ def _group_results(state, spec, hits, check_confluence=False, store=None):
             if added:
                 groups.append(Successor(dst=dst, label=None, rule_names=frozenset()))
             if key is not None and dst is applied:
-                heads[id(rule), key] = gi
+                heads[key] = gi
         groups[gi].members.append((rule, occ))
     for g in groups:
         g.rule_names = frozenset(r.name for r, _ in g.members)

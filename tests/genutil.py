@@ -427,7 +427,8 @@ def brute_isomorphisms(a: Bigraph, b: Bigraph):
 def take_inexact(monkeypatch) -> None:
     """Patch ``canon.certificate`` so that no certificate is exact: the
     store and ``iso_equal`` then confirm every hit by the node-map
-    search, and ``orbit_key`` is None on every state."""
+    search. ``orbit_key`` reads no certificate, so its keys are
+    unchanged."""
     from bigengine import canon
     real = canon.certificate
     monkeypatch.setattr(canon, "certificate", lambda b: (False, *real(b)[1:]))

@@ -605,6 +605,20 @@ begin brs
 end
 """
 
+# Two rooms of two A each: colour refinement gives every A one colour,
+# but a same-room pair and a cross-room pair lie in different orbits.
+ROOM_PAIRS = """
+ctrl R = 0;
+atomic ctrl A = 0;
+atomic ctrl B = 0;
+react r = A || A --> B || B;
+big s0 = R.(A | A) | R.(A | A);
+begin brs
+  init s0;
+  rules = [ {r} ];
+end
+"""
+
 
 def _counting_apply(monkeypatch):
     """Count engine.apply_at calls per rule name."""
@@ -622,10 +636,10 @@ def _counting_apply(monkeypatch):
 @pytest.mark.parametrize("refined", [True, False], ids=["refined", "one-colour"])
 def test_orbit_skipping_is_invisible(monkeypatch, refined):
     # every member of every group, applied and settled afresh, lands in
-    # its group's state, whether or not the step applied it; with no
-    # certificate exact every hit but a stutter's is applied, and with
-    # one colour class iso_equal's exact check alone must keep the inline
-    # models right
+    # its group's state, whether or not the step applied it. Orbit keys
+    # read no colours and no certificate, so hits are skipped either way;
+    # with one colour class and no certificate exact, iso_equal's exact
+    # check alone must keep the inline models right
     real_apply, real_settle, real_step = (engine.apply_at, engine.reduce_instantaneous,
                                           engine.step_distribution)
     expanding = None
@@ -652,16 +666,15 @@ def test_orbit_skipping_is_invisible(monkeypatch, refined):
     monkeypatch.setattr(engine, "step_distribution", checked)
     models = sorted(MODELS.glob("*.big"))
     assert len(models) == 22
-    inline = [TWINS, CYCLES, PORT_ORDER, SETTLE_PICKS]
+    inline = [TWINS, CYCLES, PORT_ORDER, SETTLE_PICKS, ROOM_PAIRS]
     if not refined:             # CYCLES gains nothing here, as refinement cannot split it
         monkeypatch.setattr(canon, "_refine", lambda b: ([0] * b.n, [0] * b.edges))
         take_inexact(monkeypatch)
-        models, inline = [], [TWINS, PORT_ORDER, SETTLE_PICKS]
+        models, inline = [], [TWINS, PORT_ORDER, SETTLE_PICKS, ROOM_PAIRS]
     for path in models + inline:
         spec = load_file(path) if path in models else load(path)
         explore(spec, 60)
-    # with no certificate exact, no hit but a stutter's is skipped
-    assert applied < members if refined else applied == members
+    assert applied < members
 
 
 def test_orbit_mates_are_not_applied(monkeypatch):
@@ -674,6 +687,23 @@ def test_orbit_mates_are_not_applied(monkeypatch):
     applied.clear()
     assert len(explore(spec, 10).states) == 3
     assert applied == {"go": 2}               # of 2 + 1 hits
+
+
+def test_orbit_keys_read_no_certificate(monkeypatch):
+    # R.(A | A) | R.(A | A): six hits in two orbits, the two same-room
+    # pairs and the four cross-room ones. Every A has one colour, so the
+    # certificate is not exact, yet the twin keys skip three hits; and
+    # with the certificate taken as exact, where colour keys would merge
+    # all six, the groups are the same
+    spec = load(ROOM_PAIRS)
+    assert not canon.certificate(spec.init)[0]
+    applied = _counting_apply(monkeypatch)
+    groups = step_distribution(spec.init, spec)
+    assert sorted(len(g.members) for g in groups) == [2, 4]
+    assert applied == {"r": 3}
+    real = canon.certificate
+    monkeypatch.setattr(canon, "certificate", lambda b: (True, *real(b)[1:]))
+    assert sorted(len(g.members) for g in step_distribution(spec.init, spec)) == [2, 4]
 
 
 def test_orbit_mates_of_settling_heads_are_applied(monkeypatch):
@@ -704,25 +734,6 @@ def test_equal_left_sides_are_searched_once(monkeypatch):
     assert calls == 40
     detect, avoid = spec.classes[0].rules
     assert detect.lhs is avoid.lhs
-
-
-def test_single_hit_rules_compute_no_orbit_key(monkeypatch):
-    # pbrs_detect and copy never give one rule two hits on a state, so
-    # their steps compute no orbit key; TWINS's two go hits need one each
-    calls = 0
-    real = engine.orbit_key
-
-    def counted(state, occ):
-        nonlocal calls
-        calls += 1
-        return real(state, occ)
-
-    monkeypatch.setattr(engine, "orbit_key", counted)
-    for name in ("pbrs_detect.big", "copy.big"):
-        assert len(explore(load_file(MODELS / name), 40).states) == 40
-    assert calls == 0
-    explore(load(TWINS), 10)
-    assert calls == 2
 
 
 STUTTERS = {("abrs_guards.big", "check_room_safe"), ("abrs_guards.big", "move_stay"),

@@ -298,6 +298,17 @@ def test_action_partition_errors():
         load(doubled)
 
 
+def test_action_named_twice():
+    # both actions' rules act, so a second action of one name must not
+    # replace the first
+    src = (MODELS / "abrs_guards.big").read_text(encoding="utf-8")
+    twice = src.replace("check = {check_room, check_room_safe}",
+                        "move = {check_room, check_room_safe}")
+    assert twice != src
+    with pytest.raises(ActionPartitionError, match="action move is declared twice"):
+        load(twice)
+
+
 def test_empty_inst_map():
     spec = load_file(MODELS / "vault.big")
     failed = {r.name: r for r in spec.rules()}["failed"]
@@ -397,6 +408,22 @@ begin brs init start; rules = []; end
         load(merged % 'Tag(1) | Tag("x")')
     with pytest.raises(SortMismatch, match="parameter 0 of Tag is string, got int"):
         load(merged % 'Tag("x") | Tag(1)')
+
+
+def test_equal_atoms_are_one():
+    # elaboration memoises atoms by control, parameters as labels prints
+    # them, and names: 1, 1.0 and -0.0 stay apart, and a new key still
+    # runs every check, so a float after an int is a sort mismatch
+    from bigengine.bigraph import labels
+    from bigengine.errors import SortMismatch
+    defs = "atomic fun ctrl P(v) = 1;\natomic fun ctrl F(w) = 0;\n"
+    bigs = load(defs + """big a = P(1){x}; big b = P(1){x}; big c = P(1){y}; big d = P(2){x};
+big z = F(0.0); big m = F(-0.0); big n = F(-0.0); big start = 1;""" + BLOCK).bigs
+    assert bigs["a"] is bigs["b"]
+    assert bigs["c"] is not bigs["a"] and bigs["d"] is not bigs["a"]
+    assert bigs["m"] is bigs["n"] and labels(bigs["z"]) != labels(bigs["m"])
+    with pytest.raises(SortMismatch, match="parameter 0 of P is int, got float"):
+        load(defs + "big a = P(1){x} | P(1.0){x}; big start = 1;" + BLOCK)
 
 
 def test_arithmetic_evaluated_at_expansion():
