@@ -10,22 +10,20 @@ row per twin class: a hashable tuple equal on isomorphic bigraphs, and
 the one identity of a state. It is exact when each colour is one twin
 class: equal exact certificates then mean isomorphic bigraphs, with no
 search. Only state identity reads that flag, its first field:
-``StateStore.lookup``, the one place that identifies states, confirms a
-hit by ``iso_equal`` only when the certificate is not exact. That exact
-check runs ``bigraph._node_maps``, the node-map search the matcher uses
-too, with candidates drawn from each node's colour class, and accepts
-the first full map that passes one exact check (``_full_map_ok``), so a
-colour collision cannot make it wrong. ``orbit_key`` keys an occurrence
-by twins and closed edges' points: equal keys mean one orbit on any
-state.
+``StateStore.lookup`` confirms a hit by ``iso_equal`` only when the
+certificate is not exact, and ``iso_equal`` accepts the first node map
+(``bigraph._node_maps``, within colour classes) that passes one exact
+check (``_full_map_ok``), so a colour collision cannot make it wrong.
+``orbit_key`` keys an occurrence by twins and closed edges' points:
+equal keys mean one orbit on any state.
 
-Colours are ints: a node is seeded from a stable, memoised digest of its
-label and of its fixed neighbours, and each round recolours with the
-built-in ``hash`` of a tuple of ints, so colours, and the certificates
-ordered by them, are the same in every process whatever
-``PYTHONHASHSEED`` is. Bigraphs are immutable, so each one's colours and
-certificate are computed once, in one call, and cached on it
-(``Bigraph._cache``); the quotient is not kept.
+Colours are ints. A twin class is seeded from stable, memoised digests
+of its label and fixed neighbours, then from its node parents' seeds; a
+closed edge from its inner names, then its ports' seeds. Each round
+recolours with the built-in ``hash`` of a tuple of ints, so colours are
+the same in every process whatever ``PYTHONHASHSEED`` is. Only lists of
+two or more items are sorted. Each bigraph's colours and certificate are
+computed once and cached on it.
 
 Regions, sites, outer and inner names are fixed points of any
 isomorphism (compared by index / by name); only nodes, closed edges and
@@ -43,10 +41,15 @@ from .bigraph import Bigraph, _node_maps, labels, require_ground
 @lru_cache(maxsize=1 << 16)
 def _digest(key) -> int:
     """Stable 64-bit digest of a tagged label: ``("n", labels(b)[i])``
-    for a node label, ``("o", x)`` / ``("i", x)`` for an outer / inner name,
-    ``("r", k)`` / ``("s", k)`` for a region / site. The tags keep a name
-    from colliding with a control."""
+    for a node label, ``("o", x)`` for an outer name, ``("r", k)`` /
+    ``("s", k)`` for a region / site. The tags keep a name from colliding
+    with a control."""
     return int.from_bytes(hashlib.blake2b(repr(key).encode(), digest_size=8).digest(), "big")
+
+
+def _sorted(xs):
+    """xs sorted, or xs itself when it has fewer than two items."""
+    return sorted(xs) if len(xs) > 1 else xs
 
 
 def _twins(b: Bigraph, nodes, hosts) -> list:
@@ -54,7 +57,7 @@ def _twins(b: Bigraph, nodes, hosts) -> list:
     with children) holds it, else its label, parents and sorted ports.
     Nodes with equal keys are twins: swapping two fixes every edge."""
     label, ups, ports = labels(b), b.node_parents, b.ports
-    return [i if i in hosts else (label[i], ups[i], tuple(sorted(ports[i]))) for i in nodes]
+    return [i if i in hosts else (label[i], ups[i], tuple(_sorted(ports[i]))) for i in nodes]
 
 
 def _refine(b: Bigraph) -> tuple[list[int], list[int]]:
@@ -72,39 +75,42 @@ def certificate(b: Bigraph) -> tuple:
     Equal exact certificates mean isomorphic bigraphs. Cached on b.
 
     One walk over the parent sets, ports and inner names builds the twin
-    quotient: the twin classes; each one's seed (its label, region
-    parents, site children and open names) and neighbour list (node
-    parents, edges and node children, every twin listed, as indices into
-    the last round's class colours, edge colours and class colours
-    salted for the child role); its parents (a class, or ~k for region
-    k) and open names; and each closed edge's seed (its inner names) and
-    port classes. A round recolours each class from its colour and its
-    neighbours' sorted colours, then each edge from its colour and this
-    round's colours of its ports' classes, so it only splits classes. It
-    stops once each colour is one twin class and each closed edge has its
-    own colour, or after a round that split no class: that partition is
-    stable, the one that recolouring edges from the last round's colours
-    reaches too. The round count depends only on the isomorphism class.
+    quotient: the twin classes, each with its seed (its label and the
+    summed digests of its region parents, site children and open names),
+    neighbour list (node parents, edges and node children, every twin
+    listed, as indices into the last round's class, edge and child-salted
+    class colours), parents (a class, or ~k for region k) and open names;
+    and each closed edge's port classes. A class's seed then reads its
+    node parents' seeds, and an edge's seed is its inner names and its
+    ports' seeds: round 1 reads as much, so a round is saved and the
+    partition unchanged. A round recolours each class from its colour and
+    its neighbours', then each edge from its colour and its ports'
+    classes' new colours, so it only splits classes. It stops once each
+    colour is one twin class and each closed edge has its own colour, or
+    after a round that split no class: that partition is stable, the one
+    that recolouring edges from the last round's colours reaches too, and
+    the round count depends only on the isomorphism class.
 
     Then each colour takes the next block of positions, and each twin
     class is one row: its colour's position, size, label (``labels``),
-    parents (a class as its colour's position) and open names; the rows
-    are sorted. A closed edge is the sorted positions of its ports, and
-    ~r for each inner name b.inner[r] on it. Then come the sites'
-    parents and the inner names, those wired to an outer name paired
-    with it. It is exact when each colour is one twin class: each parent
-    (it has children, so it is no twin) then has a position of its own,
-    and the tuple describes b up to swapping twins."""
+    parents (a class as its colour's position) and open names, in colour
+    order (sorted when colours tie). A closed edge is the sorted positions
+    of its ports, and ~r for each inner name b.inner[r] on it. Then come
+    the sites' parents and the inner names, those wired to an outer name
+    paired with it. Only lists of two or more items are sorted. It is
+    exact when each colour is one twin class: each parent (it has
+    children, so it is no twin) then has a position of its own, and the
+    tuple describes b up to swapping twins."""
     got = b._cache.get("certificate")
     if got is not None:
         return got
     label, ne = labels(b), b.edges
-    kids: dict = {}                              # node -> its children, ("n", j) / ("s", k)
-    for tag, pss in (("n", b.node_parents), ("s", b.site_parents)):
+    kids: dict = {}                              # node -> its children, node j / site k as ~k
+    for site, pss in ((False, b.node_parents), (True, b.site_parents)):
         for i, ps in enumerate(pss):
             for p in ps:
                 if p[0] == "n":
-                    kids.setdefault(p[1], []).append((tag, i))
+                    kids.setdefault(p[1], []).append(~i if site else i)
     twins: dict = {}                             # twin key -> twin class
     cls = [twins.setdefault(k, len(twins)) for k in _twins(b, range(b.n), kids)]
     nc = len(twins)
@@ -119,55 +125,59 @@ def certificate(b: Bigraph) -> tuple:
                 ends[h[1]].append(c)
         if c < len(rows):                        # a twin of an earlier node
             continue
-        near, fixed, ups, names = [], [], [], []
+        near, fixed, ups, names = [], 0, [], []     # fixed: its fixed neighbours' digests summed
         for p in b.node_parents[i]:
             if p[0] == "n":
                 near.append(cls[p[1]])
             else:
-                fixed.append(_digest(p))
+                fixed += _digest(p)
                 ups.append(~p[1])
         ups += near                              # parents: a class, region k as ~k
         for h in hs:
             if h[0] == "e":
                 near.append(nc + h[1])
             else:
-                fixed.append(_digest(h))
+                fixed += _digest(h)
                 names.append(h[1])
         for x in kids.get(i, ()):
-            if x[0] == "n":
-                near.append(nc + ne + cls[x[1]])
+            if x >= 0:
+                near.append(nc + ne + cls[x])
             else:
-                fixed.append(_digest(x))
+                fixed += _digest(("s", ~x))
         around.append(near)
-        ccol.append(hash((_digest(("n", label[i])), *sorted(fixed))))
-        rows.append((label[i], ups, tuple(sorted(names))))
-    pins: list[list[int]] = [[] for _ in range(ne)]   # edge -> its inner names' indices
-    for r, (_, h) in enumerate(b.inner):
-        if h[0] == "e":
-            pins[h[1]].append(r)
-    ecol = [hash(tuple(sorted(_digest(("i", b.inner[r][0])) for r in rs))) for rs in pins]
+        ccol.append(hash((_digest(("n", label[i])), fixed)))
+        rows.append((label[i], ups, tuple(_sorted(names))))
+    pins = [[r for r, (_, h) in enumerate(b.inner) if h == ("e", k)]
+            for k in range(ne)]                  # edge -> its inner names' indices
+    ccol = [s if not ups or ups[-1] < 0 else hash((s, ccol[ups[0]]) if len(ups) == 1 else
+                                                  (s, *_sorted([ccol[u] for u in ups if u >= 0])))
+            for s, (_, ups, _) in zip(ccol, rows)]      # and its node parents' (ups: ~k first)
+    ecol = [hash((tuple(rs), *_sorted([ccol[c] for c in cs]))) for rs, cs in zip(pins, ends)]
 
     counts, last = (len(set(ccol)), len(set(ecol))), -1
+    sort = [sorted if len(ns) > 1 else iter for ns in around + ends]  # no sort of 0 or 1 item
     while counts != (nc, ne) and sum(counts) > last:    # not discrete, and still growing
         col = (ccol + ecol + [~c for c in ccol]).__getitem__
-        ccol = [hash((c, *sorted(map(col, near)))) for c, near in zip(ccol, around)]
+        ccol = [hash((c, *f(map(col, ns)))) for c, ns, f in zip(ccol, around, sort)]
         col = ccol.__getitem__
-        ecol = [hash((c, *sorted(map(col, ns)))) for c, ns in zip(ecol, ends)]
+        ecol = [hash((c, *f(map(col, ns)))) for c, ns, f in zip(ecol, ends, sort[nc:])]
         last, counts = sum(counts), (len(set(ccol)), len(set(ecol)))
     b._cache["colours"] = ([ccol[c] for c in cls], ecol)
 
-    start, at = {}, 0                            # colour -> its first position
-    for c, k in sorted(zip(ccol, size)):
-        start.setdefault(c, at)
-        at += k
-    pos = [start[c] for c in ccol]               # twin class -> its colour's position
+    order = sorted(range(nc), key=ccol.__getitem__)     # twin classes in colour order
+    start, pos, at = {}, [0] * nc, 0             # colour -> its first position
+    for c in order:
+        pos[c] = start.setdefault(ccol[c], at)   # twin class -> its colour's position
+        at += size[c]
+    rows = [(pos[c], size[c], lab, (pos[ups[0]] if ups[0] >= 0 else ups[0],) if len(ups) == 1
+             else tuple(_sorted([pos[u] if u >= 0 else u for u in ups])), names)
+            for c in order for lab, ups, names in [rows[c]]]     # in order when exact
     got = b._cache["certificate"] = (
-        counts[0] == nc, b.regions, tuple(sorted(b.outer)),
-        tuple(sorted([(pos[c], k, lab, tuple(sorted([pos[u] if u >= 0 else u for u in ups])),
-                       names) for c, (k, (lab, ups, names)) in enumerate(zip(size, rows))])),
-        tuple(sorted([tuple(sorted([pos[c] for c in cs] + [~r for r in rs]))
-                      for cs, rs in zip(ends, pins)])),
-        tuple([tuple(sorted([pos[cls[x[1]]] if x[0] == "n" else ~x[1] for x in ps]))
+        counts[0] == nc, b.regions, tuple(_sorted(b.outer)),
+        tuple(rows if counts[0] == nc else sorted(rows)),
+        tuple(_sorted([tuple(_sorted([pos[c] for c in cs] + [~r for r in rs]))
+                       for cs, rs in zip(ends, pins)])),
+        tuple([tuple(_sorted([pos[cls[x[1]]] if x[0] == "n" else ~x[1] for x in ps]))
                for ps in b.site_parents]),
         tuple([(x, h[1]) if h[0] == "o" else x for x, h in b.inner]))
     return got

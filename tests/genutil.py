@@ -10,8 +10,10 @@ anchored ``bigraph._node_maps``, the rewrite by the algebra
 ``matching.recompose``, the binary products and nest written out
 (``reference_product``, ``reference_nest``) as the oracles of the n-ary
 ``merge``, ``parallel`` and ``nest``, a structural sanity check (``well_formed``),
-every application of a rule (``all_applications``) and a parser of
-``.tra`` files (``read_tra``).
+every application of a rule (``all_applications``), a parser of
+``.tra`` files (``read_tra``) and breadth-first exploration written out
+from the semantics, with no shortcut and no ``canon`` call
+(``reference_explore``), as the oracle of ``engine.explore``.
 
 The matcher oracle enumerates every injective node map and every
 anchored link assignment and checks the embedding conditions written out
@@ -21,6 +23,7 @@ directly; it shares no code with the search in bigengine.matching.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from typing import Sequence
@@ -495,6 +498,122 @@ def reference_refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
         if stable:
             break
     return [ccol[c] for c in cls], ecol, counts[0] == len(first)
+
+
+def _first_enabled(state: Bigraph, classes):
+    """The first class with a guard-passing hit and its hits, in rule
+    order and then occurrence order; (None, []) when no class has one."""
+    for cls in classes:
+        hits = [(rule, occ) for rule in cls.rules for occ in find_occurrences(state, rule.lhs)
+                if check_constraints(occ, rule.constraints)]
+        if hits:
+            return cls, hits
+    return None, []
+
+
+def _reference_settle(state: Bigraph, classes, bound: int = 10 ** 4) -> Bigraph:
+    """Apply the first hit of the highest enabled class while that class
+    is instantaneous."""
+    for _ in range(bound):
+        cls, hits = _first_enabled(state, classes)
+        if cls is None or not cls.instantaneous:
+            return state
+        rule, occ = hits[0]
+        state = apply_at(state, rule, occ)
+    raise AssertionError("the reference settle did not stop within %d reductions" % bound)
+
+
+class _IsoStore:
+    """States merged only by ``nx_iso``, compared only with states of
+    equal label counts and edge count."""
+
+    def __init__(self, nx):
+        self.nx, self.states, self.buckets = nx, [], {}
+
+    @staticmethod
+    def _shape(b: Bigraph) -> tuple:
+        return b.edges, tuple(sorted(Counter(labels(b)).items()))
+
+    def lookup(self, b: Bigraph):
+        for k in self.buckets.get(self._shape(b), ()):
+            if nx_iso(self.nx, self.states[k], b):
+                return k
+        return None
+
+    def add(self, b: Bigraph) -> int:
+        self.buckets.setdefault(self._shape(b), []).append(len(self.states))
+        self.states.append(b)
+        return len(self.states) - 1
+
+
+def _reference_groups(state: Bigraph, spec, hits, nx) -> list:
+    """Every hit applied and settled; the results merged by ``nx_iso`` in
+    first-seen order, each as (state, the rules of its hits)."""
+    seen, groups = _IsoStore(nx), []
+    for rule, occ in hits:
+        dst = _reference_settle(apply_at(state, rule, occ), spec.classes)
+        k = seen.lookup(dst)
+        if k is None:
+            k = seen.add(dst)
+            groups.append((dst, []))
+        groups[k][1].append(rule)
+    return groups
+
+
+def _shared(groups) -> list:
+    """Each group's share of the summed rule weights."""
+    weights = [sum((r.label.weight for r in rules), Fraction(0)) for _, rules in groups]
+    return [w / sum(weights, Fraction(0)) for w in weights]
+
+
+def reference_successors(state: Bigraph, spec, nx) -> list:
+    """(successor, label, rule names) per successor of a settled state,
+    from the semantics written out: every guard-passing hit of the first
+    enabled class, pbrs weights normalised, sbrs rates summed, abrs
+    weights normalised per action."""
+    _, hits = _first_enabled(state, spec.classes)
+    sem = spec.semantics
+    if sem == "abrs":
+        out = []
+        for action in spec.actions:
+            groups = _reference_groups(
+                state, spec, [(r, o) for r, o in hits if r.label.action == action], nx)
+            out += [(dst, (action, p), rules) for (dst, rules), p in zip(groups, _shared(groups))]
+    else:
+        groups = _reference_groups(state, spec, hits, nx)
+        if sem == "pbrs":
+            marks = _shared(groups)
+        elif sem == "sbrs":
+            marks = [sum((r.label.rate for r in rules), 0.0) for _, rules in groups]
+        else:
+            marks = [None] * len(groups)
+        out = [(dst, mark, rules) for (dst, rules), mark in zip(groups, marks)]
+    return [(dst, label, frozenset(r.name for r in rules)) for dst, label, rules in out]
+
+
+def reference_explore(spec, max_states: int):
+    """Breadth-first exploration written out from the semantics, as the
+    oracle of ``engine.explore``: (states, transitions as (src, dst,
+    label, rule names), dropped groups as (src, label, rule names)). It
+    shares only ``find_occurrences``, ``check_constraints`` and
+    ``apply_at`` with the engine and calls no ``canon`` function: its
+    settle applies the first hit of the highest enabled instantaneous
+    class until a normal class leads, a step applies every hit of the
+    first enabled class, and states merge only by ``nx_iso``. A new state
+    past max_states is dropped, with its group, as ``explore`` drops it."""
+    import networkx as nx
+
+    store = _IsoStore(nx)
+    store.add(_reference_settle(spec.init, spec.classes))
+    transitions, dropped = [], []
+    for i, state in enumerate(store.states):          # the store grows as it is walked
+        for dst, label, names in reference_successors(state, spec, nx):
+            j = store.lookup(dst)
+            if j is None and len(store.states) >= max(max_states, 1):
+                dropped.append((i, label, names))
+                continue
+            transitions.append((i, store.add(dst) if j is None else j, label, names))
+    return store.states, transitions, dropped
 
 
 def reference_node_maps(a: Bigraph, b: Bigraph, order: Sequence[int], candidates):

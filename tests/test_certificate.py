@@ -21,7 +21,7 @@ from conftest import MODELS  # noqa: E402
 from genutil import (DEFAULT_CONTROLS, brute_iso, brute_same_orbit, make_sig,  # noqa: E402
                      nx_iso, permuted, random_ground, random_solid_pattern,
                      reference_refine, swapped)
-from test_engine import CYCLES  # noqa: E402
+from test_engine import CYCLES, ROOMS  # noqa: E402
 
 SIG = make_sig(DEFAULT_CONTROLS)
 rngs = st.randoms(use_true_random=False)
@@ -223,6 +223,32 @@ def test_refinement_partition_matches_reference():
     for b in stored + explore(load(CYCLES), 60).states + drawn:
         assert (partitions(*canon._refine(b), certificate(b)[0])
                 == partitions(*reference_refine(b)))
+
+
+def chain(levels):
+    """R.R.….1, levels deep: one region, each R the only child of the
+    last."""
+    return load("ctrl R = 0;\nbig c = %s1;\nbegin brs init c; rules = []; end\n"
+                % ("R." * levels)).init
+
+
+def test_refinement_partition_matches_reference_where_seeds_fold():
+    # a class's seed reads its node parents' seeds and an edge's its
+    # ports': on building states doors are told apart by room before any
+    # round, on chains each level reads the one above, and on shared
+    # draws with twins a class has several node parents. The partitions
+    # and the flag stay the reference's, and renumbering keeps the
+    # certificate
+    rooms = explore(load(ROOMS), 60).states
+    rng = random.Random(23)
+    drawn = [with_twins(random_ground(rng, SIG, max_nodes=8, share_prob=0.5), rng)
+             for _ in range(300)]
+    assert len(rooms) == 16
+    assert sum(sum(p[0] == "n" for p in ps) > 1 for b in drawn for ps in b.node_parents) > 50
+    for b in rooms + [chain(n) for n in range(1, 61)] + drawn:
+        assert (partitions(*canon._refine(b), certificate(b)[0])
+                == partitions(*reference_refine(b)))
+        assert certificate(permuted(b, rng)) == certificate(b)
 
 
 SIGNED_ZERO = """

@@ -1,21 +1,24 @@
-"""Differential check of the engine against itself: every step that
-``simulate`` takes, by really rewriting and settling, must be a
-transition that ``explore`` found, with the same label. ``explore``
-takes shortcuts that ``simulate`` does not (a stutter hit joins its
-state's group unapplied, and a rewrite its store holds is not settled),
-so this is the net under them. States are identified by the networkx
-isomorphism oracle, never by the engine's certificates."""
+"""Differential checks of ``explore``. Every step that ``simulate``
+takes, by really rewriting and settling, must be a transition that
+``explore`` found, with the same label. ``explore`` takes shortcuts that
+``simulate`` does not (a stutter hit joins its state's group unapplied,
+and a rewrite its store holds is not settled), so this is the net under
+them. And ``explore`` must find what ``genutil.reference_explore`` finds
+with no shortcut and no certificate: the same states in the same order,
+the same transitions and the same dropped groups. States are identified
+by the networkx isomorphism oracle, never by the engine's certificates."""
 
 from collections import Counter
 
 import pytest
 
 from bigengine.bigraph import labels
-from bigengine.elaborate import load_file
+from bigengine.elaborate import load, load_file
 from bigengine.engine import explore, simulate
 
 from conftest import MODELS
-from genutil import nx_iso
+from genutil import nx_iso, reference_explore
+from test_engine import ROOMS
 
 BOUND = 60
 SEEDS = (1, 2)
@@ -62,3 +65,20 @@ def test_sim_steps_are_explore_transitions(path):
                 checked += 1
             src = dst
     assert checked or not ts.transitions, path.name
+
+
+@pytest.mark.parametrize("source", sorted(MODELS.glob("*.big")) + [ROOMS],
+                         ids=lambda s: s.stem if hasattr(s, "stem") else "ROOMS")
+def test_explore_matches_reference_explorer(source):
+    # the orbit keys, store shortcuts and certificates of explore change
+    # nothing that the semantics, written out, finds: state i is state i,
+    # and transitions and dropped groups agree as multisets
+    nx = pytest.importorskip("networkx")
+    spec = load(source) if isinstance(source, str) else load_file(source)
+    ts = explore(spec, BOUND)
+    states, transitions, dropped = reference_explore(spec, BOUND)
+    assert len(ts.states) == len(states)
+    assert all(nx_iso(nx, a, b) for a, b in zip(ts.states, states))
+    assert (Counter((t.src, t.dst, t.label, t.rule_names) for t in ts.transitions)
+            == Counter(transitions))
+    assert Counter(ts.dropped) == Counter(dropped)
