@@ -192,9 +192,9 @@ class Bigraph:
         return got
 
     def shed(self) -> None:
-        """Drop the place and link maps, each rebuilt on its next read."""
-        for key in ("children", "link_points", "link_partners"):
-            self._cache.pop(key, None)
+        """Drop everything cached on self (maps, labels, certificate, twin
+        data, anchor tables, plans), each rebuilt on its next read."""
+        self._cache.clear()
 
     def port_count(self, handle: Handle) -> int:
         return sum(1 for pt in self.link_points().get(handle, ()) if pt[0] == "p")

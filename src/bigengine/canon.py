@@ -1,29 +1,29 @@
 """State identity: certificates, exact isomorphism and orbits of
 occurrences.
 
-Twins (``_twins``), childless nodes with equal label, parents and port
-multiset, are interchangeable: swapping two is an automorphism that
-fixes every edge. ``certificate`` walks a bigraph once into its twin
-quotient, refines colours of its twin classes and closed edges
-(``_refine``'s colours), and renumbers the quotient in colour order, one
-row per twin class: a hashable tuple equal on isomorphic bigraphs, and
-the one identity of a state. It is exact when each colour is one twin
-class: equal exact certificates then mean isomorphic bigraphs, with no
-search. Only state identity reads that flag, its first field:
+Twins, childless nodes with equal label, parents and port multiset, are
+interchangeable: swapping two is an automorphism that fixes every edge.
+``certificate`` walks a bigraph once into its twin quotient, the one
+place that finds its twins, refines colours of its twin classes and
+closed edges, and renumbers the quotient in colour order, one row per
+twin class: a hashable tuple equal on isomorphic bigraphs, and the one
+identity of a state. It is exact when each colour is one twin class:
+equal exact certificates then mean isomorphic bigraphs, with no search.
+Only state identity reads that flag, its first field:
 ``StateStore.lookup`` confirms a hit by ``iso_equal`` only when the
 certificate is not exact, and ``iso_equal`` accepts the first node map
 (``bigraph._node_maps``, within colour classes) that passes one exact
 check (``_full_map_ok``), so a colour collision cannot make it wrong.
-``orbit_key`` keys an occurrence by twins and closed edges' points:
-equal keys mean one orbit on any state.
+``orbit_key`` keys an occurrence by twin classes and closed edges' port
+classes: equal keys mean one orbit on any ground state.
 
 Colours are ints. A twin class is seeded from stable, memoised digests
 of its label and fixed neighbours, then from its node parents' seeds; a
 closed edge from its inner names, then its ports' seeds. Each round
 recolours with the built-in ``hash`` of a tuple of ints, so colours are
 the same in every process whatever ``PYTHONHASHSEED`` is. Only lists of
-two or more items are sorted. Each bigraph's colours and certificate are
-computed once and cached on it.
+two or more items are sorted. Each bigraph's certificate and twin data
+are computed once and cached on it, until ``Bigraph.shed`` drops them.
 
 Regions, sites, outer and inner names are fixed points of any
 isomorphism (compared by index / by name); only nodes, closed edges and
@@ -52,27 +52,13 @@ def _sorted(xs):
     return sorted(xs) if len(xs) > 1 else xs
 
 
-def _twins(b: Bigraph, nodes, hosts) -> list:
-    """The twin key of each of nodes: the node itself if hosts (the nodes
-    with children) holds it, else its label, parents and sorted ports.
-    Nodes with equal keys are twins: swapping two fixes every edge."""
-    label, ups, ports = labels(b), b.node_parents, b.ports
-    return [i if i in hosts else (label[i], ups[i], tuple(_sorted(ports[i]))) for i in nodes]
-
-
-def _refine(b: Bigraph) -> tuple[list[int], list[int]]:
-    """Colours of nodes and edges. ``certificate`` computes and caches
-    them in the same call as the certificate, whose flag says whether
-    they order the nodes up to twins."""
-    if "colours" not in b._cache:
-        certificate(b)
-    return b._cache["colours"]
-
-
 def certificate(b: Bigraph) -> tuple:
     """b renumbered in colour order, led by a flag that says whether it is
     exact: a hashable tuple, equal on isomorphic bigraphs, ground or not.
-    Equal exact certificates mean isomorphic bigraphs. Cached on b.
+    Equal exact certificates mean isomorphic bigraphs. Cached on b, with
+    the walk's twin data that ``orbit_key`` and ``iso_equal`` read: each
+    node's twin class, each class's and each edge's last colour, and each
+    closed edge's port classes, one per port.
 
     One walk over the parent sets, ports and inner names builds the twin
     quotient: the twin classes, each with its seed (its label and the
@@ -101,9 +87,12 @@ def certificate(b: Bigraph) -> tuple:
     exact when each colour is one twin class: each parent (it has
     children, so it is no twin) then has a position of its own, and the
     tuple describes b up to swapping twins."""
-    got = b._cache.get("certificate")
-    if got is not None:
-        return got
+    return b._cache.get("certificate") or _walk(b)[0]
+
+
+def _walk(b: Bigraph) -> tuple:
+    """``certificate``'s walk: caches b's certificate and twin data, and
+    returns both."""
     label, ne = labels(b), b.edges
     kids: dict = {}                              # node -> its children, node j / site k as ~k
     for site, pss in ((False, b.node_parents), (True, b.site_parents)):
@@ -112,7 +101,8 @@ def certificate(b: Bigraph) -> tuple:
                 if p[0] == "n":
                     kids.setdefault(p[1], []).append(~i if site else i)
     twins: dict = {}                             # twin key -> twin class
-    cls = [twins.setdefault(k, len(twins)) for k in _twins(b, range(b.n), kids)]
+    cls = [twins.setdefault(i if i in kids else (label[i], ps, tuple(_sorted(hs))), len(twins))
+           for i, (ps, hs) in enumerate(zip(b.node_parents, b.ports))]
     nc = len(twins)
     size = [0] * nc                              # twin class -> its node count
     around, ccol, rows = [], [], []              # per twin class, from its first node
@@ -162,7 +152,7 @@ def certificate(b: Bigraph) -> tuple:
         col = ccol.__getitem__
         ecol = [hash((c, *f(map(col, ns)))) for c, ns, f in zip(ecol, ends, sort[nc:])]
         last, counts = sum(counts), (len(set(ccol)), len(set(ecol)))
-    b._cache["colours"] = ([ccol[c] for c in cls], ecol)
+    data = b._cache["twins"] = (cls, ccol, ecol, ends)
 
     order = sorted(range(nc), key=ccol.__getitem__)     # twin classes in colour order
     start, pos, at = {}, [0] * nc, 0             # colour -> its first position
@@ -180,7 +170,7 @@ def certificate(b: Bigraph) -> tuple:
         tuple([tuple(_sorted([pos[cls[x[1]]] if x[0] == "n" else ~x[1] for x in ps]))
                for ps in b.site_parents]),
         tuple([(x, h[1]) if h[0] == "o" else x for x, h in b.inner]))
-    return got
+    return got, data
 
 
 def _edge_signature(big: Bigraph, k: int, trans=lambda j: j) -> tuple:
@@ -223,13 +213,13 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
         return False
     if cert[0]:                           # the certificates are exact
         return True
-    acol = _refine(a)[0]
+    (acls, acol, *_), (bcls, bcol, *_) = a._cache["twins"], b._cache["twins"]
     by_colour: dict = {}
-    for j, c in enumerate(_refine(b)[0]):
-        by_colour.setdefault(c, []).append(j)
+    for j, c in enumerate(bcls):
+        by_colour.setdefault(bcol[c], []).append(j)
 
     def candidates(i):
-        return by_colour.get(acol[i], ())
+        return by_colour.get(acol[acls[i]], ())
 
     order = sorted(range(a.n), key=lambda i: (len(candidates(i)), i))
     b_edges = sorted(_edge_signature(b, k) for k in range(b.edges))
@@ -237,17 +227,18 @@ def iso_equal(a: Bigraph, b: Bigraph) -> bool:
 
 
 def orbit_key(state: Bigraph, occ) -> tuple:
-    """A hashable key of occ's orbit under state's automorphisms: per
-    pattern node its image's twin key, per pattern link its image (an open
-    name, or a closed edge's points) and the first pattern link with that
-    image. Swapping twins, or closed edges with equal points, is an
-    automorphism, so equal keys mean one orbit (which may have more)."""
-    kids = state.children()
-    nodes = [t for _, t in sorted(occ.node_map.items())]
+    """A hashable key of occ's orbit under ground state's automorphisms:
+    per pattern node its image's twin class, per pattern link its image
+    (an open name, or a closed edge's sorted port classes) and the first
+    pattern link with that image. Swapping twins, or closed edges with
+    equal port classes (twins carry the same links), is an automorphism,
+    so equal keys mean one orbit (which may have more). The classes are
+    the walk's (``_walk``): the key reads no colour and no certificate."""
+    cls, _, _, ends = state._cache.get("twins") or _walk(state)[1]
     links = [t for _, t in sorted(occ.link_map.items())]
     first: dict = {}
-    return (tuple(_twins(state, nodes, [t for t in nodes if kids[("n", t)]])),
-            tuple([_edge_signature(state, t[1]) if t[0] == "e" else t for t in links]),
+    return (tuple([cls[t] for _, t in sorted(occ.node_map.items())]),
+            tuple([tuple(_sorted(ends[t[1]])) if t[0] == "e" else t for t in links]),
             tuple([first.setdefault(t, k) for k, t in enumerate(links)]))
 
 

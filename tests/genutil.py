@@ -3,7 +3,10 @@ renumbering (``permuted``) and port swaps (``swapped``), a brute-force occurrenc
 the matcher oracle, two isomorphism oracles (``brute_iso`` and, over
 ``networkx``, ``nx_iso``), colour refinement in three sorted tuples per
 class with edges recoloured from the last round (``reference_refine``)
-as the oracle of ``canon._refine``'s partition, the node-map search that
+as the oracle of the partition of ``canon.certificate``'s colours
+(``walk_colours``), the orbit key written out from twin keys and closed
+edges' points (``reference_orbit_key``) as the oracle of
+``canon.orbit_key``'s grouping, the node-map search that
 tries every candidate (``reference_node_maps``) as the oracle of the
 anchored ``bigraph._node_maps``, the rewrite by the algebra
 (``reference_recompose``) used as the oracle of the one-pass
@@ -29,7 +32,7 @@ from itertools import product
 from typing import Sequence
 
 from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, labels, nest, parallel
-from bigengine.canon import _digest
+from bigengine.canon import _digest, certificate
 from bigengine.errors import AtomicViolation, SignatureError, WidthMismatch
 from bigengine.matching import check_constraints, find_occurrences
 from bigengine.rules import apply_at
@@ -437,6 +440,51 @@ def take_inexact(monkeypatch) -> None:
     monkeypatch.setattr(canon, "certificate", lambda b: (False, *real(b)[1:]))
 
 
+def take_one_colour(monkeypatch) -> None:
+    """Patch ``canon.certificate`` as ``take_inexact`` does, and give every
+    twin class and closed edge of its twin data one colour: ``iso_equal``
+    then draws every node's candidates from all nodes, so its exact check
+    alone keeps it right. Twin classes and port classes are kept, so
+    ``orbit_key`` is unchanged."""
+    from bigengine import canon
+    real = canon.certificate
+
+    def one_colour(b):
+        got = real(b)
+        cls, ccol, ecol, ends = b._cache["twins"]
+        b._cache["twins"] = (cls, [0] * len(ccol), [0] * len(ecol), ends)
+        return (False, *got[1:])
+
+    monkeypatch.setattr(canon, "certificate", one_colour)
+
+
+def walk_colours(b: Bigraph) -> tuple[list[int], list[int]]:
+    """Each node's and each edge's colour as ``canon.certificate``'s walk
+    leaves them in its twin data: a node takes its twin class's."""
+    certificate(b)
+    cls, ccol, ecol, _ = b._cache["twins"]
+    return [ccol[c] for c in cls], ecol
+
+
+def reference_orbit_key(state: Bigraph, occ) -> tuple:
+    """occ's orbit key on ground state written out from twin keys, as the
+    oracle of ``canon.orbit_key``'s grouping: per pattern node its image
+    itself if that has children, else the image's label, parents and
+    sorted ports; per pattern link its image, an open name as itself and
+    a closed edge as its sorted points; and the first pattern link with
+    that image. Equal keys, engine's or these, must group alike."""
+    kids, label, points = state.children(), labels(state), state.link_points()
+    nodes = [t for _, t in sorted(occ.node_map.items())]
+    links = [t for _, t in sorted(occ.link_map.items())]
+    first: dict = {}
+    return (tuple(t if kids[("n", t)] else
+                  (label[t], state.node_parents[t], tuple(sorted(state.ports[t])))
+                  for t in nodes),
+            tuple(tuple(sorted(pt[:2] for pt in points[t])) if t[0] == "e" else t
+                  for t in links),
+            tuple(first.setdefault(t, k) for k, t in enumerate(links)))
+
+
 def brute_same_orbit(state: Bigraph, o1, o2) -> bool:
     """Whether some automorphism of state, a node permutation together
     with an edge permutation that carries each closed edge's points onto
@@ -463,8 +511,9 @@ def reference_refine(b: Bigraph) -> tuple[list[int], list[int], bool]:
     parents, node children, edges) and each edge recoloured from the last
     round's node colours, stopping once the colours order the nodes up to
     twins with one colour per edge, or after a round that grew no class
-    count; and whether they order the nodes. ``canon._refine`` must stop
-    at the same node and edge partitions with the same flag. Not cached."""
+    count; and whether they order the nodes. ``canon.certificate``'s walk
+    (``walk_colours``) must stop at the same node and edge partitions with
+    the same flag. Not cached."""
     kids, label = b.children(), labels(b)
     twins: dict = {}                             # twin key -> twin class
     cls, first = [], []                          # node -> its class; class -> first node

@@ -20,8 +20,9 @@ from bigengine.printing import print_bigraph  # noqa: E402
 from conftest import MODELS  # noqa: E402
 from genutil import (DEFAULT_CONTROLS, brute_iso, brute_same_orbit, make_sig,  # noqa: E402
                      nx_iso, permuted, random_ground, random_solid_pattern,
-                     reference_refine, swapped)
-from test_engine import CYCLES, ROOMS  # noqa: E402
+                     reference_orbit_key, reference_refine, swapped, walk_colours)
+from test_engine import (CYCLES, PORT_ORDER, ROOM_PAIRS, ROOMS, SETTLE_PICKS,  # noqa: E402
+                         TWINS)
 
 SIG = make_sig(DEFAULT_CONTROLS)
 rngs = st.randoms(use_true_random=False)
@@ -147,6 +148,36 @@ def test_orbit_key_agrees_with_brute_force(rng):
         assert same == equal or not certificate(state)[0]
 
 
+def same_groups(xs, ys):
+    """Whether two lists of keys split their positions alike."""
+    return len(set(xs)) == len(set(ys)) == len(set(zip(xs, ys)))
+
+
+def test_orbit_keys_group_hits_as_reference_keys():
+    # the walk's twin classes and closed edges' port classes split each
+    # state's hits of each left side as twin keys and closed edges'
+    # points do: on every state that the bundled and the inline models
+    # store at -M 60, and on random states with twins under random
+    # patterns
+    cases = []
+    for source in (sorted(MODELS.glob("*.big"))
+                   + [ROOMS, TWINS, CYCLES, PORT_ORDER, SETTLE_PICKS, ROOM_PAIRS]):
+        spec = load(source) if isinstance(source, str) else load_file(source)
+        lhss = {id(r.lhs): r.lhs for cls in spec.classes for r in cls.rules}
+        cases += [(s, lhs) for s in explore(spec, 60).states for lhs in lhss.values()]
+    rng = random.Random(37)
+    for _ in range(300):
+        state = with_twins(random_ground(rng, SIG, max_nodes=8, share_prob=0.2), rng)
+        cases.append((state, random_solid_pattern(rng, SIG, max_nodes=2, name_pool=("x", "y"))))
+    merged = 0
+    for state, pattern in cases:
+        hits = find_occurrences(state, pattern)
+        keys = [orbit_key(state, h) for h in hits]
+        assert same_groups(keys, [reference_orbit_key(state, h) for h in hits])
+        merged += len(keys) - len(set(keys))
+    assert merged > 250
+
+
 @pytest.mark.parametrize("source", [CYCLES, MODELS / "vault.big"], ids=["CYCLES", "vault"])
 def test_states_without_certificate_merge_through_iso_equal(monkeypatch, source):
     # a renumbered copy of every stored state finds it again; those whose
@@ -221,7 +252,7 @@ def test_refinement_partition_matches_reference():
              for _ in range(300)]
     assert any(b.outer for b in drawn) and any(len(ps) > 1 for b in drawn for ps in b.node_parents)
     for b in stored + explore(load(CYCLES), 60).states + drawn:
-        assert (partitions(*canon._refine(b), certificate(b)[0])
+        assert (partitions(*walk_colours(b), certificate(b)[0])
                 == partitions(*reference_refine(b)))
 
 
@@ -246,7 +277,7 @@ def test_refinement_partition_matches_reference_where_seeds_fold():
     assert len(rooms) == 16
     assert sum(sum(p[0] == "n" for p in ps) > 1 for b in drawn for ps in b.node_parents) > 50
     for b in rooms + [chain(n) for n in range(1, 61)] + drawn:
-        assert (partitions(*canon._refine(b), certificate(b)[0])
+        assert (partitions(*walk_colours(b), certificate(b)[0])
                 == partitions(*reference_refine(b)))
         assert certificate(permuted(b, rng)) == certificate(b)
 

@@ -18,7 +18,7 @@ from bigengine.matching import check_constraints, find_occurrences, matches_pred
 from bigengine.rules import apply_at
 
 from conftest import MODELS
-from genutil import all_applications, take_inexact
+from genutil import all_applications, take_one_colour
 
 BLOCK_TAIL = "end\n"
 
@@ -328,14 +328,21 @@ def test_explore_partial_flag():
 
 
 def test_certifying_builds_no_derived_maps():
-    # the certificate reads the parent sets and ports itself: it leaves
-    # no children or link_points map on a successor that may merge away
+    # the certificate reads the parent sets and ports itself: on a fresh
+    # copy it leaves only itself, the labels and its twin data (a class
+    # per node, a colour per class and per edge, a port class per port),
+    # and no children or link_points map on a successor that may merge
+    # away
     for path in sorted(MODELS.glob("*.big")):
         for b in explore(load_file(path), 8).states:
             fresh = dataclasses.replace(b, _cache={})
             canon.certificate(fresh)
-            assert sorted(fresh._cache) == ["certificate", "colours", "labels"]
-            assert canon._refine(fresh) is fresh._cache["colours"]
+            assert sorted(fresh._cache) == ["certificate", "labels", "twins"]
+            cls, ccol, ecol, ends = fresh._cache["twins"]
+            assert len(cls) == b.n and set(cls) == set(range(len(ccol)))
+            assert len(ecol) == len(ends) == b.edges
+            assert sorted(c for cs in ends for c in cs) == sorted(
+                cls[i] for i, hs in enumerate(b.ports) for h in hs if h[0] == "e")
 
 
 def test_explore_spawn_chain():
@@ -637,9 +644,9 @@ def _counting_apply(monkeypatch):
 def test_orbit_skipping_is_invisible(monkeypatch, refined):
     # every member of every group, applied and settled afresh, lands in
     # its group's state, whether or not the step applied it. Orbit keys
-    # read no colours and no certificate, so hits are skipped either way;
-    # with one colour class and no certificate exact, iso_equal's exact
-    # check alone must keep the inline models right
+    # read twin and port classes, no colour and no certificate, so hits
+    # are skipped either way; with one colour and no certificate exact,
+    # iso_equal's exact check alone must keep the inline models right
     real_apply, real_settle, real_step = (engine.apply_at, engine.reduce_instantaneous,
                                           engine.step_distribution)
     expanding = None
@@ -668,8 +675,7 @@ def test_orbit_skipping_is_invisible(monkeypatch, refined):
     assert len(models) == 22
     inline = [TWINS, CYCLES, PORT_ORDER, SETTLE_PICKS, ROOM_PAIRS]
     if not refined:             # CYCLES gains nothing here, as refinement cannot split it
-        monkeypatch.setattr(canon, "_refine", lambda b: ([0] * b.n, [0] * b.edges))
-        take_inexact(monkeypatch)
+        take_one_colour(monkeypatch)
         models, inline = [], [TWINS, PORT_ORDER, SETTLE_PICKS, ROOM_PAIRS]
     for path in models + inline:
         spec = load_file(path) if path in models else load(path)
@@ -1081,28 +1087,31 @@ DERIVED_MAPS = ("children", "link_points", "link_partners")
 
 
 def test_explored_states_shed_their_maps():
-    # a stored state, once expanded and labelled, keeps no place or link
-    # map, and rebuilds each one as a fresh copy builds it; equal sets of
-    # rule names are one object; the labelling is label_states'
+    # a stored state, once expanded and labelled, keeps nothing derived:
+    # no map, labels, certificate, twin data or anchor table (iso_equal's
+    # search on CYCLES builds those), and rebuilds each map and its
+    # certificate as a fresh copy builds them; equal sets of rule names
+    # are one object; the labelling is label_states'
     checked = 0
-    for path in sorted(MODELS.glob("*.big")):
-        spec = load_file(path)
+    for source in sorted(MODELS.glob("*.big")) + [CYCLES]:
+        name = getattr(source, "name", "CYCLES")
+        spec = load(source) if source is CYCLES else load_file(source)
         ts = explore(spec, 60)
         for s in ts.states:
-            assert not any(k in s._cache for k in DERIVED_MAPS), path.name
-            assert {"certificate", "colours", "labels"} <= set(s._cache)
+            assert not s._cache, (name, sorted(map(str, s._cache)))
             fresh = dataclasses.replace(s, _cache={})
             for k in DERIVED_MAPS:
-                assert getattr(s, k)() == getattr(fresh, k)(), (path.name, k)
+                assert getattr(s, k)() == getattr(fresh, k)(), (name, k)
+            assert canon.certificate(s) == canon.certificate(fresh), name
             checked += 1
         names = [t.rule_names for t in ts.transitions]
-        assert len({id(x) for x in names}) == len(set(names)), path.name
-        assert ts.labelling == engine.label_states(ts.states, spec), path.name
+        assert len({id(x) for x in names}) == len(set(names)), name
+        assert ts.labelling == engine.label_states(ts.states, spec), name
     assert checked > 300
 
 
 def test_trace_states_shed_their_maps():
-    # every trace state but the last keeps no place or link map
+    # every trace state but the last keeps nothing derived
     semantics = set()
     for path in sorted(MODELS.glob("*.big")):
         spec = load_file(path)
@@ -1110,5 +1119,5 @@ def test_trace_states_shed_their_maps():
         if len(steps) > 2:
             semantics.add(spec.semantics)
         for s, _, _ in steps[:-1]:
-            assert not any(k in s._cache for k in DERIVED_MAPS), path.name
+            assert not s._cache, path.name
     assert semantics == {"brs", "pbrs", "sbrs", "abrs"}

@@ -1,13 +1,15 @@
-"""canon._refine on open bigraphs: sites, inner names and open names
-seed the colours there, so its partition must match
-``genutil.reference_refine``'s on patterns as it does on states."""
+"""The colours of ``canon.certificate``'s walk on open bigraphs: sites,
+inner names and open names seed the colours there, so their partition
+must match ``genutil.reference_refine``'s on patterns as it does on
+states."""
 
 import random
 
 from bigengine import canon
 from bigengine.bigraph import _mk
 
-from genutil import DEFAULT_CONTROLS, make_sig, random_solid_pattern, reference_refine
+from genutil import (DEFAULT_CONTROLS, make_sig, random_solid_pattern, reference_refine,
+                     walk_colours)
 
 SIG = make_sig(DEFAULT_CONTROLS)
 
@@ -35,7 +37,7 @@ def test_refinement_partition_matches_reference_on_patterns():
              for _ in range(600)]
     assert sum(b.sites > 0 for b in drawn) > 300 and sum(bool(b.inner) for b in drawn) > 200
     for b in drawn:
-        ncol, ecol = canon._refine(b)
+        ncol, ecol = walk_colours(b)
         ordered = canon.certificate(b)[0]
         rcol, recol, rordered = reference_refine(b)
         assert same_partition(ncol, rcol) and same_partition(ecol, recol)
