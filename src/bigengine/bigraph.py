@@ -199,13 +199,6 @@ class Bigraph:
     def port_count(self, handle: Handle) -> int:
         return sum(1 for pt in self.link_points().get(handle, ()) if pt[0] == "p")
 
-    def node_handle_counts(self, i: int) -> dict:
-        """multiset (as dict) of link handles on node i's ports."""
-        counts: dict = {}
-        for h in self.ports[i]:
-            counts[h] = counts.get(h, 0) + 1
-        return counts
-
     # -- predicates --------------------------------------------------------
 
     def is_solid(self) -> bool:

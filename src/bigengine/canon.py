@@ -258,11 +258,15 @@ class StateStore:
 
     def lookup(self, b: Bigraph) -> int | None:
         """The index of the stored state isomorphic to b, or None: the
-        store's one identity check."""
+        store's one identity check. A shed stored state stays shed."""
         require_ground(b)
         cert = certificate(b)
         for idx in self._certificates.get(cert, ()):
-            if cert[0] or iso_equal(self.states[idx], b):
+            stored = self.states[idx]
+            bare, same = not stored._cache, cert[0] or iso_equal(stored, b)
+            if bare:
+                stored.shed()                    # drop what iso_equal rebuilt
+            if same:
                 return idx
         return None
 

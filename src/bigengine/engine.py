@@ -95,16 +95,16 @@ def _enabled(state, spec, settling):
     for ci, cls in enumerate(classes):
         if cls.instantaneous != settling:
             if settling and (not any(c.instantaneous for c in classes[ci + 1:]) or any(
-                    check_constraints(occ, rule.constraints)
+                    not rule.constraints or check_constraints(occ, rule.constraints)
                     for rule in cls.rules for occ in _occurrences(state, rule.lhs))):
                 return None
             continue
         # rules with equal left sides share one (elaboration interns them):
-        # each left side is searched once, each rule's guards checked
+        # each left side is searched once, each guarded rule's guards checked
         lhss = {id(rule.lhs): rule.lhs for rule in cls.rules}
         found = {k: find_occurrences(state, lhs) for k, lhs in lhss.items()}
         hits = [(rule, occ) for rule in cls.rules for occ in found[id(rule.lhs)]
-                if check_constraints(occ, rule.constraints)]
+                if not rule.constraints or check_constraints(occ, rule.constraints)]
         if hits:
             return ci, hits
     return None

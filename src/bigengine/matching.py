@@ -48,7 +48,8 @@ Matching semantics, each condition checked in exactly one place:
   each open name, the same closed-edge image set and the same part in
   each site are counted once, so pattern automorphisms (which fix open
   names) multiply matches only by moving parts between sites, while
-  occurrences that rewrite differently all count (``find_occurrences``).
+  occurrences that rewrite differently all count (``find_occurrences``,
+  whose table of images only a pattern that is not rigid needs: ``_rigid``).
 """
 
 from __future__ import annotations
@@ -285,7 +286,10 @@ def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
     name lands on, and the closed edge image set. Pattern automorphisms
     fix open names, so they collapse unless they give some site another
     part (its target nodes, compared only when an image repeats); two
-    occurrences that send names to different links are both kept."""
+    occurrences that send names to different links are both kept. A rigid
+    pattern repeats no image, so its occurrences go unkeyed."""
+    if _plan(pattern).rigid:
+        return sorted(_occurrences(target, pattern), key=Occurrence.sort_key)
     occurrences: list[Occurrence] = []
     seen: dict = {}                        # image -> its occurrences
     for occ in _occurrences(target, pattern):
@@ -307,8 +311,8 @@ class _Plan(NamedTuple):
     shares a parent edge or a link with. The nodes with a region parent,
     each with its region parents and whether it has a node parent too;
     the nodes with a site child. The site each parent set names. Per
-    link handle, closed edges first: its (node, ports on it) pairs; and
-    the nodes with ports."""
+    link handle, closed edges first: its (node, ports on it) pairs; the
+    nodes with ports; and whether the pattern is rigid (``_rigid``)."""
 
     filters: tuple
     adj: tuple
@@ -317,6 +321,7 @@ class _Plan(NamedTuple):
     site_of_parents: dict
     links: tuple
     linked: tuple
+    rigid: bool
 
 
 def _plan(pattern: Bigraph) -> _Plan:
@@ -333,12 +338,13 @@ def _plan(pattern: Bigraph) -> _Plan:
                      sum(c[0] == "n" for c in p_kids[("n", u)]),
                      any(c[0] == "s" for c in p_kids[("n", u)]))
                     for u, ps in enumerate(pattern.node_parents))
-    adj: list[set[int]] = [set() for _ in range(pattern.n)]
+    rel: list[list] = [[] for _ in range(pattern.n)]    # (0, node parent), (1, node child)
     for u, ps in enumerate(pattern.node_parents):
         for p in ps:
             if p[0] == "n":
-                adj[u].add(p[1])
-                adj[p[1]].add(u)
+                rel[u].append((0, p[1]))
+                rel[p[1]].append((1, u))
+    adj = [{v for _, v in r} for r in rel]
     users: dict = {}
     for u, hs in enumerate(pattern.ports):
         for h in hs:
@@ -354,8 +360,27 @@ def _plan(pattern: Bigraph) -> _Plan:
         tuple(u for u, f in enumerate(filters) if f[4]),
         {frozenset(ps): s for s, ps in enumerate(pattern.site_parents)},
         tuple((h, tuple(users[h].items())) for h in sorted(users)),   # ("e", k) < ("o", x)
-        tuple(u for u, hs in enumerate(pattern.ports) if hs))
+        tuple(u for u, hs in enumerate(pattern.ports) if hs),
+        _rigid(label, rel, users))
     return got
+
+
+def _rigid(label, rel, users) -> bool:
+    """Whether refining node labels over node parenthood alone (no regions,
+    sites or links) gives each node its own colour, and no two closed edges
+    have the same ports per node. Then no image repeats: two node maps onto
+    one would differ by an automorphism of labels and parenthood, and one
+    node map fixes each closed edge's image."""
+    col, count = label, len(set(label))
+    while count < len(col):
+        ids: dict = {}
+        col = [ids.setdefault((c, *sorted((d, col[v]) for d, v in r)), len(ids))
+               for c, r in zip(col, rel)]
+        if len(ids) == count:                  # stable, and not discrete
+            return False
+        count = len(ids)
+    edges = [frozenset(row.items()) for h, row in users.items() if h[0] == "e"]
+    return len(set(edges)) == len(edges)
 
 
 def _occurrences(target: Bigraph, pattern: Bigraph):
@@ -364,7 +389,6 @@ def _occurrences(target: Bigraph, pattern: Bigraph):
     if not target.is_ground():
         raise TargetNotGround("match target must be ground")
     plan = _plan(pattern)
-    pn = pattern.n
     t_kids = target.children()
 
     # candidate target nodes per pattern node: same label, then the
@@ -386,21 +410,24 @@ def _occurrences(target: Bigraph, pattern: Bigraph):
     # a connectivity-guided ordering, rarest candidates first: the rarest
     # neighbour of the placed nodes (entries (0, ...) in one heap), else
     # the rarest node left (entries (1, ...)); placed nodes' entries are
-    # skipped
-    heap = [(1, len(c), u) for u, c in enumerate(cand)]
-    heapify(heap)
-    order: list[int] = []
-    placed: set[int] = set()
-    while heap:
-        u = heappop(heap)[2]
-        if u not in placed:
-            order.append(u)
-            placed.add(u)
-            for v in plan.adj[u]:
-                if v not in placed:
-                    heappush(heap, (0, len(cand[v]), v))
-
-    for fwd in _node_maps(pattern, target, order, cand.__getitem__):
+    # skipped. The pattern keeps its last order, which the counts decide
+    sizes = tuple(map(len, cand))
+    last = pattern._cache.get("order")
+    if last is None or last[0] != sizes:
+        heap = [(1, k, u) for u, k in enumerate(sizes)]
+        heapify(heap)
+        order: list[int] = []
+        placed: set[int] = set()
+        while heap:
+            u = heappop(heap)[2]
+            if u not in placed:
+                order.append(u)
+                placed.add(u)
+                for v in plan.adj[u]:
+                    if v not in placed:
+                        heappush(heap, (0, sizes[v], v))
+        last = pattern._cache["order"] = (sizes, tuple(order))
+    for fwd in _node_maps(pattern, target, last[1], cand.__getitem__):
         yield from _finalize(target, pattern, plan, dict(fwd))
 
 
@@ -504,12 +531,18 @@ def _link_assignments(target, plan, fwd, image):
     links = plan.links
     if not links:
         return [{}]
-    remaining = {u: target.node_handle_counts(fwd[u]) for u in plan.linked}
+    remaining: dict = {}
+    for u in plan.linked:
+        counts = remaining[u] = {}
+        for h in target.ports[fwd[u]]:
+            counts[h] = counts.get(h, 0) + 1
     rems = [[(remaining[u], need) for u, need in users] for _, users in links]
+    # one candidate iterator per link, made on entering its level, over
+    # the links on its first user's image in order
+    ascending = [sorted(rem[0][0]) if len(rem[0][0]) > 1 else rem[0][0] for rem in rems]
     solutions: list[dict] = []
     assign: dict = {}
-    # one candidate iterator per link, made on entering its level
-    stack = [iter(sorted(rems[0][0][0]))]
+    stack = [iter(ascending[0])]
     while stack:
         i = len(stack) - 1
         L, users = links[i]
@@ -534,7 +567,7 @@ def _link_assignments(target, plan, fwd, image):
             stack.pop()
             continue
         if i + 1 < len(links):
-            stack.append(iter(sorted(rems[i + 1][0][0])))
+            stack.append(iter(ascending[i + 1]))
         else:
             solutions.append(dict(assign))
     return solutions

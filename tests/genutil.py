@@ -1,6 +1,10 @@
-"""Shared test helpers: seeded random bigraph generators, random
+"""Shared test helpers: seeded random bigraph generators, twins added
+beside childless nodes (``with_twins``), random
 renumbering (``permuted``) and port swaps (``swapped``), a brute-force occurrence enumerator used as
-the matcher oracle, two isomorphism oracles (``brute_iso`` and, over
+the matcher oracle, the occurrence list with its table of images kept
+for every pattern (``reference_find_occurrences``) as the oracle of
+``matching.find_occurrences``, which skips the table on rigid patterns,
+two isomorphism oracles (``brute_iso`` and, over
 ``networkx``, ``nx_iso``), colour refinement in three sorted tuples per
 class with edges recoloured from the last round (``reference_refine``)
 as the oracle of the partition of ``canon.certificate``'s colours
@@ -34,7 +38,7 @@ from typing import Sequence
 from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, labels, nest, parallel
 from bigengine.canon import _digest, certificate
 from bigengine.errors import AtomicViolation, SignatureError, WidthMismatch
-from bigengine.matching import check_constraints, find_occurrences
+from bigengine.matching import Occurrence, _occurrences, check_constraints, find_occurrences
 from bigengine.rules import apply_at
 
 
@@ -129,6 +133,16 @@ def random_solid_pattern(rng, sig, max_nodes=4, name_pool=("a", "b", "c"),
             b = close(x, b)
     assert b.is_solid()
     return b
+
+
+def with_twins(b, rng):
+    """b with a twin beside some of its childless nodes: a copy with the
+    same label, parents and ports."""
+    parents = {p[1] for ps in b.node_parents for p in ps if p[0] == "n"}
+    extra = [i for i in range(b.n) if i not in parents and rng.random() < 0.5]
+    grow = lambda row: tuple(row) + tuple(row[i] for i in extra)
+    return _mk(b.sig, b.regions, b.sites, grow(b.ctrl), grow(b.params), grow(b.node_parents),
+               b.site_parents, grow(b.ports), b.inner, b.outer, b.edges)
 
 
 def permuted(b, rng):
@@ -357,6 +371,25 @@ def brute_images(target: Bigraph, pattern: Bigraph) -> set:
             if _links_ok(target, pattern, f, assign):
                 out.add((frozenset(combo), frozenset(assign.values())))
     return out
+
+
+def reference_find_occurrences(target: Bigraph, pattern: Bigraph) -> list:
+    """``find_occurrences`` with its table of images kept for every
+    pattern, rigid or not: one occurrence per image (node image set, the
+    link of each open name, closed-edge image set) and parts, sorted by
+    image."""
+    occurrences: list = []
+    seen: dict = {}                        # image -> its occurrences
+    for occ in _occurrences(target, pattern):
+        key = (frozenset(occ.image),
+               frozenset((L[1], tl) for L, tl in occ.link_map.items() if L[0] == "o"),
+               frozenset(tl for L, tl in occ.link_map.items() if L[0] == "e"))
+        same = seen.setdefault(key, [])
+        if not any(o.owner == occ.owner for o in same):   # same part in each site
+            same.append(occ)
+            occurrences.append(occ)
+    occurrences.sort(key=Occurrence.sort_key)
+    return occurrences
 
 
 def matcher_images(occurrences) -> set:

@@ -20,22 +20,13 @@ from bigengine.printing import print_bigraph  # noqa: E402
 from conftest import MODELS  # noqa: E402
 from genutil import (DEFAULT_CONTROLS, brute_iso, brute_same_orbit, make_sig,  # noqa: E402
                      nx_iso, permuted, random_ground, random_solid_pattern,
-                     reference_orbit_key, reference_refine, swapped, walk_colours)
+                     reference_orbit_key, reference_refine, swapped, walk_colours,
+                     with_twins)
 from test_engine import (CYCLES, PORT_ORDER, ROOM_PAIRS, ROOMS, SETTLE_PICKS,  # noqa: E402
                          TWINS)
 
 SIG = make_sig(DEFAULT_CONTROLS)
 rngs = st.randoms(use_true_random=False)
-
-
-def with_twins(b, rng):
-    """b with a twin beside some of its childless nodes: a copy with the
-    same label, parents and ports."""
-    parents = {p[1] for ps in b.node_parents for p in ps if p[0] == "n"}
-    extra = [i for i in range(b.n) if i not in parents and rng.random() < 0.5]
-    grow = lambda row: tuple(row) + tuple(row[i] for i in extra)
-    return _mk(b.sig, b.regions, b.sites, grow(b.ctrl), grow(b.params), grow(b.node_parents),
-               b.site_parents, grow(b.ports), b.inner, b.outer, b.edges)
 
 
 def decoded(sig, cert):

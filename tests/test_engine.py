@@ -1089,13 +1089,16 @@ DERIVED_MAPS = ("children", "link_points", "link_partners")
 def test_explored_states_shed_their_maps():
     # a stored state, once expanded and labelled, keeps nothing derived:
     # no map, labels, certificate, twin data or anchor table (iso_equal's
-    # search on CYCLES builds those), and rebuilds each map and its
+    # search on CYCLES builds those, and on its reversible copy a lookup
+    # confirms hits on expanded states), and rebuilds each map and its
     # certificate as a fresh copy builds them; equal sets of rule names
     # are one object; the labelling is label_states'
     checked = 0
-    for source in sorted(MODELS.glob("*.big")) + [CYCLES]:
-        name = getattr(source, "name", "CYCLES")
-        spec = load(source) if source is CYCLES else load_file(source)
+    back = CYCLES.replace("react mark = K --> L;", "react mark = K --> L;\nreact back = L --> K;")
+    back = back.replace("{mark}", "{mark, back}")
+    for source in sorted(MODELS.glob("*.big")) + [CYCLES, back]:
+        name = getattr(source, "name", "CYCLES" if source is CYCLES else "CYCLES back")
+        spec = load_file(source) if hasattr(source, "name") else load(source)
         ts = explore(spec, 60)
         for s in ts.states:
             assert not s._cache, (name, sorted(map(str, s._cache)))

@@ -21,7 +21,7 @@ from bigengine.bigraph import Control, Signature, _mk, close, idle
 from bigengine.elaborate import load, load_file
 from bigengine.engine import explore
 from bigengine.errors import PatternNotSolid, TargetNotGround
-from bigengine.matching import merged_parameter, recompose
+from bigengine.matching import _occurrences, _plan, merged_parameter, recompose
 from bigengine.printing import print_bigraph
 
 from conftest import MODELS
@@ -32,9 +32,12 @@ from genutil import (
     matcher_images,
     random_ground,
     random_solid_pattern,
+    reference_find_occurrences,
     reference_recompose,
     well_formed,
+    with_twins,
 )
+from test_engine import ROOMS
 
 
 @pytest.fixture
@@ -321,6 +324,55 @@ def test_occurrences_that_swap_parts_both_count():
     assert len(find_occurrences(spec.bigs["bare"], rule.lhs)) == 1
     states = explore(spec, 60).states
     assert sorted(map(print_bigraph, states)) == ["A.X | A.Y", "L.X | R.Y", "L.Y | R.X"]
+
+
+# the symmetric left sides: two node maps onto one image (A | A, A || A,
+# whose regions do not tell the As apart, S.id | S.id and R.(A | A)), or
+# one node map and two closed edges with the same ports
+SYMMETRIC_SIDES = """
+atomic ctrl A = 0;
+ctrl S = 0;
+ctrl R = 0;
+atomic ctrl P = 2;
+atomic ctrl Q = 2;
+react pair = A | A --> A | A;
+react apart = A || A --> A || A;
+react hosts = S.id | S.id --> S.id | S.id;
+react room = R.(A | A) --> R.(A | A);
+react crossed = /x/y (P{x,y} | Q{x,y}) --> /x/y (P{x,y} | Q{x,y});
+big s0 = A | A | A | S.1 | S.A | S.1 | R.(A | A) | /x/y (P{x,y} | Q{x,y});
+begin brs
+  init s0;
+  rules = [ {pair, apart, hosts, room, crossed} ];
+end
+"""
+
+
+def test_rigid_patterns_skip_only_a_table_that_drops_nothing():
+    # find_occurrences keeps its table of images only for patterns that
+    # are not rigid, and gives the hits of the table kept for every
+    # pattern, in the same order: on the symmetric sides, on every stored
+    # state of the bundled models and ROOMS against each of their left
+    # sides, and on random draws with and without twins
+    spec = load(SYMMETRIC_SIDES)
+    cases = [(spec.init, rule.lhs) for rule in spec.rules()]
+    assert not any(_plan(pattern).rigid for _, pattern in cases)
+    for source in sorted(MODELS.glob("*.big")) + [ROOMS]:
+        spec = load(source) if source is ROOMS else load_file(source)
+        sides = {id(rule.lhs): rule.lhs for rule in spec.rules()}.values()
+        cases += [(state, lhs) for state in explore(spec, 60).states for lhs in sides]
+    sig = make_sig(DEFAULT_CONTROLS)
+    rng = random.Random(29)
+    for _ in range(300):
+        target = random_ground(rng, sig, max_nodes=8, share_prob=0.2)
+        pattern = random_solid_pattern(rng, sig, max_nodes=4, share_prob=0.2)
+        cases += [(target, pattern), (with_twins(target, rng), with_twins(pattern, rng))]
+    repeated = 0                                 # searches whose table dropped a hit
+    for target, pattern in cases:
+        got, want = find_occurrences(target, pattern), reference_find_occurrences(target, pattern)
+        assert got == want and [o.owner for o in got] == [o.owner for o in want]
+        repeated += len(list(_occurrences(target, pattern))) > len(want)
+    assert len(cases) > 1400 and repeated > 10
 
 
 def test_count_zero_iff_predicate_false():
