@@ -19,11 +19,11 @@ order (rarest candidates first) that lets most nodes draw candidates
 from a placed neighbour's image; each one then gets the remaining
 placement checks and its link assignments.
 Occurrences are produced lazily, so ``matches_predicate``, the rule
-guards and the engine's settle stop at the first. A rewrite
-(``recompose``) splices the new part into the target in one pass and
-builds neither piece; an occurrence builds its context or parameter
-only when a guard reads it. No SAT machinery; nothing is carried from
-one state to the next.
+guards and the engine's settle stop at the first, and keep only what
+their search decided. A rewrite (``recompose``) splices the new part
+into the target in one pass, builds neither piece, and lays equal parent
+sets and port rows as one object run-wide (``_shared``). No SAT
+machinery; no search result is carried from one state to the next.
 
 Matching semantics, each condition checked in exactly one place:
 
@@ -55,6 +55,7 @@ Matching semantics, each condition checked in exactly one place:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -78,22 +79,21 @@ class MatchConstraint:
 
 @dataclass
 class Occurrence:
-    """One match of a pattern in a target: the node and link maps, and
-    what ``_finalize`` found of the rest of the target (``image``,
-    parameter tops, parts and owners, region positions). Built on first
-    read and then kept: ``exposed`` (target link -> the name it carries
-    across the pieces) and ``to_close`` (the fresh names of closed links)
-    by ``_wiring``; ``context`` and ``parameter`` (one ground bigraph per
-    site), which only guards read."""
+    """One match of a pattern in a target, only what its search decided:
+    node and link maps, ``image`` nodes, each parameter node's site
+    (``owner``), region positions and the pattern's site count. Built on
+    first read and then kept: ``exposed`` (target link -> the name it
+    carries across the pieces) and ``to_close`` (fresh names of closed
+    links) by ``_wiring``; ``parts`` (each site's nodes) for a rewrite;
+    ``context`` and ``parameter`` (a ground bigraph per site) for guards."""
 
     node_map: dict[int, int]
     link_map: dict[Handle, Handle]
     target: Bigraph = field(repr=False, compare=False)
     image: set = field(repr=False, compare=False)
-    param_tops: dict = field(repr=False, compare=False)  # node -> pattern site
-    part_nodes: dict = field(repr=False, compare=False)  # site -> its part's nodes
     owner: dict = field(repr=False, compare=False)       # part node -> its site
     region_pos: dict = field(repr=False, compare=False)  # region -> target parents
+    sites: int = field(repr=False, compare=False)
 
     def __getattr__(self, name):          # reached only before the build
         if name in ("exposed", "to_close"):
@@ -102,6 +102,9 @@ class Occurrence:
             self.context = _context(self)
         elif name == "parameter":
             self.parameter = _parameter(self)
+        elif name == "parts":             # each site's target nodes, ascending
+            self.parts = [sorted(x for x, s in self.owner.items() if s == k)
+                          for k in range(self.sites)]
         else:
             raise AttributeError(name)
         return self.__dict__[name]
@@ -133,12 +136,11 @@ def recompose(occ: Occurrence, pattern: Bigraph, entries=None) -> Bigraph:
     context o (pattern || parts): nodes are the context's (ascending),
     pattern's, then each copy's (ascending); edges the context's own,
     pattern's, each copy's own (fresh per copy), then the names in
-    ``to_close`` that something still uses, in that order. Nodes with
-    equal parents share one frozenset."""
+    ``to_close`` that something still uses, in that order. Equal parent
+    sets and port rows are one object run-wide (``_shared``)."""
     exposed = occ.exposed
     rows = ([], [], [], [])                    # ctrl, params, parents, ports
-    shared: dict = {}                          # each parent set of the result, to itself
-    edges, regions = _lay_context(occ, rows, shared)
+    edges, regions = _lay_context(occ, rows)
     ctrl, params, parents, ports = rows
     base = len(ctrl)
 
@@ -149,26 +151,25 @@ def recompose(occ: Occurrence, pattern: Bigraph, entries=None) -> Bigraph:
                 out.add(("n", base + p[1]))
             else:
                 out.update(regions[p[1]])
-        out = frozenset(out)
-        return shared.setdefault(out, out)
+        return _shared(frozenset(out))
 
     names = {lh[1]: exposed[th] for lh, th in occ.link_map.items() if lh[0] == "o"}
     ctrl.extend(pattern.ctrl)
     params.extend(pattern.params)
     parents.extend(place(ps) for ps in pattern.node_parents)
-    ports.extend(tuple(("o", names[h[1]]) if h[0] == "o" else ("e", edges + h[1])
-                       for h in hs) for hs in pattern.ports)
+    ports.extend(_shared(tuple(("o", names[h[1]]) if h[0] == "o" else ("e", edges + h[1])
+                               for h in hs)) for hs in pattern.ports)
     edges += pattern.edges
     for k, s in enumerate(range(pattern.sites) if entries is None else entries):
-        edges += _lay(occ, sorted(occ.part_nodes[s]), place(pattern.site_parents[k]),
-                      rows, edges, shared)[1]
+        edges += _lay(occ, occ.parts[s], place(pattern.site_parents[k]), rows, edges)[1]
     # close the names in to_close that are still used, numbering the
-    # closed edges in that order
+    # closed edges in that order; only rows that hold one change
     if occ.to_close:
         used = set().union(*ports)
         live = [("o", w) for w in occ.to_close if ("o", w) in used]
         closing = {h: ("e", edges + k) for k, h in enumerate(live)}
-        ports = [tuple(closing.get(h, h) for h in hs) for hs in ports]
+        ports = [_shared(tuple(closing.get(h, h) for h in hs))
+                 if not closing.keys().isdisjoint(hs) else hs for hs in ports]
         edges += len(live)
     return _mk(occ.target.sig, occ.target.regions, 0, ctrl, params, parents, (), ports,
                (), occ.target.outer, edges)
@@ -208,46 +209,60 @@ def _wiring(occ: Occurrence) -> tuple:
     return exposed, tuple(to_close)
 
 
-def _lay(occ: Occurrence, nodes, top, rows, edges: int, shared: dict) -> tuple:
+_SHARED_ROWS = 4096                            # the most rows _shared keeps alive
+
+
+@lru_cache(maxsize=_SHARED_ROWS)
+def _shared(row):
+    """row, or the equal parent set or port row laid before it in the run
+    (hash-consing, bounded to the rows last used)."""
+    return row
+
+
+def _lay(occ: Occurrence, nodes, top, rows, edges: int) -> tuple:
     """Append target nodes, in order, to rows (ctrl, params, parents,
-    ports) after those already there. A parameter top gets the parents
-    top, any other node its own, renumbered; exposed links carry their
-    name, and the closed links inside the nodes are numbered from edges
-    on in first-seen order. Returns the renumbering and that edge count."""
-    target, exposed, tops = occ.target, occ.exposed, occ.param_tops
+    ports), rows as ``_shared`` holds them. A parameter top (parents
+    outside nodes) gets the parents top, any other node its own; exposed
+    links carry their name, closed links are numbered from edges on in
+    first-seen order. Returns the renumbering and that edge count."""
+    target, exposed = occ.target, occ.exposed
     ctrl, params, parents, ports = rows
     where = {t: len(ctrl) + i for i, t in enumerate(nodes)}
     lifted: dict = {}                          # a target parent set -> its lift
+    laid: dict = {(): ()}                      # port row -> laid row (a repeat adds no link)
     own: dict[Handle, Handle] = {}
     for t in nodes:
         ctrl.append(target.ctrl[t])
         params.append(target.params[t])
         ps = target.node_parents[t]
-        if t not in tops and ps not in lifted:
-            lifted[ps] = _lift(where, ps, shared)
-        parents.append(top if t in tops else lifted[ps])
-        row = []
-        for h in target.ports[t]:
-            if h in exposed:
-                row.append(("o", exposed[h]))
-            else:
-                row.append(own.setdefault(h, ("e", edges + len(own))))
-        ports.append(tuple(row))
+        if ps not in lifted:                   # tops' parents all lie outside nodes, others' in
+            inside = top is None or next(iter(ps))[1] in where
+            lifted[ps] = _lift(where, ps) if inside else top
+        parents.append(lifted[ps])
+        hs = target.ports[t]
+        if hs not in laid:
+            row = []
+            for h in hs:
+                if h in exposed:
+                    row.append(("o", exposed[h]))
+                else:
+                    row.append(own.setdefault(h, ("e", edges + len(own))))
+            laid[hs] = _shared(tuple(row))
+        ports.append(laid[hs])
     return where, len(own)
 
 
-def _lift(where, keys, shared: dict) -> frozenset:
-    """Target place keys, nodes renumbered by where, as held in shared."""
-    got = frozenset(p if p[0] == "r" else ("n", where[p[1]]) for p in keys)
-    return shared.setdefault(got, got)
+def _lift(where, keys) -> frozenset:
+    """Target place keys, nodes renumbered by where, as ``_shared`` holds them."""
+    return _shared(frozenset(p if p[0] == "r" else ("n", where[p[1]]) for p in keys))
 
 
-def _lay_context(occ: Occurrence, rows, shared: dict) -> tuple:
+def _lay_context(occ: Occurrence, rows) -> tuple:
     """Lay the context's nodes (neither image nor parameter) into empty
     rows; returns its edge count and each pattern region's position."""
     nodes = [t for t in range(occ.target.n) if t not in occ.image and t not in occ.owner]
-    where, edges = _lay(occ, nodes, None, rows, 0, shared)
-    return edges, [_lift(where, occ.region_pos[r], shared) for r in range(len(occ.region_pos))]
+    where, edges = _lay(occ, nodes, None, rows, 0)
+    return edges, [_lift(where, occ.region_pos[r]) for r in range(len(occ.region_pos))]
 
 
 def _piece(sig, regions, sites, rows, edges, outer=()) -> Bigraph:
@@ -260,7 +275,7 @@ def _piece(sig, regions, sites, rows, edges, outer=()) -> Bigraph:
 def _context(occ: Occurrence) -> Bigraph:
     """The target's original regions around one hole per pattern region."""
     rows = ([], [], [], [])
-    edges, regions = _lay_context(occ, rows, {})
+    edges, regions = _lay_context(occ, rows)
     return _piece(occ.target.sig, occ.target.regions, regions, rows, edges,
                   occ.target.outer)
 
@@ -268,9 +283,9 @@ def _context(occ: Occurrence) -> Bigraph:
 def _parameter(occ: Occurrence) -> list[Bigraph]:
     """One ground bigraph per pattern site: what the site absorbed."""
     parts = []
-    for s in range(len(occ.part_nodes)):
+    for nodes in occ.parts:
         rows = ([], [], [], [])
-        _, edges = _lay(occ, sorted(occ.part_nodes[s]), frozenset({("r", 0)}), rows, 0, {})
+        _, edges = _lay(occ, nodes, frozenset({("r", 0)}), rows, 0)
         parts.append(_piece(occ.target.sig, 1, (), rows, edges))
     return parts
 
@@ -462,8 +477,7 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
             return                             # undetermined shared-region position
         if frozenset().union(*(region_pos[r] for r in rs)) != extra:
             return
-    if len(region_pos) != pattern.regions:
-        return
+    # every region of a solid pattern holds a node, so each has a position
 
     # --- parameter routing: each top's parents name one pattern site -------
     # checked once per distinct parent set; a set that names no site ends
@@ -487,11 +501,10 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
                     return
                 route[pars] = s
             owner[w] = s
-    param_tops = dict(owner)
 
     # closure of parameter parts: a node below a top has a parent in its
     # part, so only one with several parents can escape it
-    stack = [(c, s) for w, s in param_tops.items() for _, c in t_kids[("n", w)]]
+    stack = [(c, s) for w, s in owner.items() for _, c in t_kids[("n", w)]]
     below: list[int] = []                      # part nodes under several parents
     while stack:
         x, s = stack.pop()
@@ -511,14 +524,10 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
         for p in target.node_parents[x]:
             if p[0] != "n" or owner.get(p[1]) != s:
                 return                         # parameter content escapes its part
-    part_nodes: dict[int, list[int]] = {s: [] for s in range(pattern.sites)}
-    for x, s in owner.items():
-        part_nodes[s].append(x)
 
     # --- link assignment -----------------------------------------------------
     for assign in _link_assignments(target, plan, fwd, image):
-        yield Occurrence(fwd, assign, target, image, param_tops, part_nodes, owner,
-                         region_pos)
+        yield Occurrence(fwd, assign, target, image, owner, region_pos, pattern.sites)
 
 
 def _link_assignments(target, plan, fwd, image):
@@ -588,20 +597,11 @@ def check_constraints(occ: Occurrence, constraints) -> bool:
     """Conditional-rule guard: patterns checked against the merge of all
     parameter parts (param kinds) or the plugged context (ctx kinds).
     Names in constraint patterns are independent of the rule's names."""
-    if not constraints:
-        return True
-    sig = occ.target.sig
-    merged = None
-    grounded = None
+    pieces: dict = {}                          # True: merged parameter, False: context
     for c in constraints:
-        if c.kind.endswith("param"):
-            if merged is None:
-                merged = merged_parameter(occ, sig)
-            found = matches_predicate(merged, c.pattern)
-        else:
-            if grounded is None:
-                grounded = ground_context(occ)
-            found = matches_predicate(grounded, c.pattern)
-        if c.kind.startswith("present") != found:
+        param = c.kind.endswith("param")
+        if param not in pieces:
+            pieces[param] = merged_parameter(occ, occ.target.sig) if param else ground_context(occ)
+        if c.kind.startswith("present") != matches_predicate(pieces[param], c.pattern):
             return False
     return True

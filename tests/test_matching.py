@@ -294,7 +294,10 @@ def test_tops_route_per_parent_set():
         assert len(occs) == count
         for occ in occs:
             assert iso_equal(recompose(occ, pat), t)
-            assert sorted(occ.param_tops.values()) == ([0, 0] if pat is shared else [0, 1])
+            # a parameter top: a part node whose parents are image nodes
+            tops = [s for w, s in occ.owner.items()
+                    if all(q[0] == "n" and q[1] in occ.image for q in t.node_parents[w])]
+            assert sorted(tops) == ([0, 0] if pat is shared else [0, 1])
 
 
 SWAPPED_PARTS = """
