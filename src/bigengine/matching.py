@@ -19,11 +19,13 @@ order (rarest candidates first) that lets most nodes draw candidates
 from a placed neighbour's image; each one then gets the remaining
 placement checks and its link assignments.
 Occurrences are produced lazily, so ``matches_predicate``, the rule
-guards and the engine's settle stop at the first, and keep only what
-their search decided. A rewrite (``recompose``) splices the new part
-into the target in one pass, builds neither piece, and lays equal parent
-sets and port rows as one object run-wide (``_shared``). No SAT
-machinery; no search result is carried from one state to the next.
+guards and the engine's settle stop at the first. An occurrence is what
+its search found and nothing more; neither piece is kept on it. A
+rewrite (``recompose``) splices the new part into the target in one
+pass and builds neither piece; a guard lays the one piece it reads
+(``_piece``). Both lay equal parent sets and port rows as one object
+run-wide (``_shared``). No SAT machinery; no search result is carried
+from one state to the next.
 
 Matching semantics, each condition checked in exactly one place:
 
@@ -59,7 +61,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .bigraph import Bigraph, Handle, _mk, _node_maps, labels, merge, one
+from .bigraph import Bigraph, Handle, _mk, _node_maps, labels
 from .errors import PatternNotSolid, TargetNotGround, UnsupportedPattern
 
 
@@ -79,13 +81,11 @@ class MatchConstraint:
 
 @dataclass
 class Occurrence:
-    """One match of a pattern in a target, only what its search decided:
-    node and link maps, ``image`` nodes, each parameter node's site
-    (``owner``), region positions and the pattern's site count. Built on
-    first read and then kept: ``exposed`` (target link -> the name it
-    carries across the pieces) and ``to_close`` (fresh names of closed
-    links) by ``_wiring``; ``parts`` (each site's nodes) for a rewrite;
-    ``context`` and ``parameter`` (a ground bigraph per site) for guards."""
+    """One match of a pattern in a target, as its search found it: node
+    and link maps, the target, ``image`` nodes, each parameter node's site
+    (``owner``), region positions and the pattern's site count. Nothing
+    else is kept on it: a rewrite derives the wiring (``_wiring``) and
+    each site's nodes, and a guard lays the one piece it reads (``_piece``)."""
 
     node_map: dict[int, int]
     link_map: dict[Handle, Handle]
@@ -95,52 +95,29 @@ class Occurrence:
     region_pos: dict = field(repr=False, compare=False)  # region -> target parents
     sites: int = field(repr=False, compare=False)
 
-    def __getattr__(self, name):          # reached only before the build
-        if name in ("exposed", "to_close"):
-            self.exposed, self.to_close = _wiring(self)
-        elif name == "context":
-            self.context = _context(self)
-        elif name == "parameter":
-            self.parameter = _parameter(self)
-        elif name == "parts":             # each site's target nodes, ascending
-            self.parts = [sorted(x for x, s in self.owner.items() if s == k)
-                          for k in range(self.sites)]
-        else:
-            raise AttributeError(name)
-        return self.__dict__[name]
-
     def sort_key(self):
         return (tuple(sorted(self.node_map.values())),
                 tuple(sorted(self.link_map.values())))
 
 
-def ground_context(occ: Occurrence) -> Bigraph:
-    """The context with every hole plugged by an empty region (for matching)."""
-    ctx = occ.context
-    return _mk(ctx.sig, ctx.regions, 0, ctx.ctrl, ctx.params, ctx.node_parents, (),
-               ctx.ports, (), ctx.outer, ctx.edges)
-
-
-def merged_parameter(occ: Occurrence, sig) -> Bigraph:
-    """All parameter parts side by side under one region."""
-    return merge(*occ.parameter) if occ.parameter else one(sig)
-
-
-def recompose(occ: Occurrence, pattern: Bigraph, entries=None) -> Bigraph:
+def recompose(occ: Occurrence, pattern: Bigraph, entries) -> Bigraph:
     """Put pattern in the matched part's place, its site k filled by a
-    copy of parameter part entries[k] (default: part k); with the matched
-    pattern the result is iso_equal to the target, with a rule's right
-    side and instantiation it is the rewrite.
+    copy of parameter part entries[k]; with the matched pattern and
+    ``range(pattern.sites)`` the result is iso_equal to the target, with
+    a rule's right side and instantiation it is the rewrite.
 
     One pass over the target, numbered as the algebra would number
     context o (pattern || parts): nodes are the context's (ascending),
     pattern's, then each copy's (ascending); edges the context's own,
-    pattern's, each copy's own (fresh per copy), then the names in
-    ``to_close`` that something still uses, in that order. Equal parent
+    pattern's, each copy's own (fresh per copy), then the fresh names of
+    ``_wiring`` that something still uses, in that order. Equal parent
     sets and port rows are one object run-wide (``_shared``)."""
-    exposed = occ.exposed
+    target = occ.target
+    exposed, to_close = _wiring(occ)
     rows = ([], [], [], [])                    # ctrl, params, parents, ports
-    edges, regions = _lay_context(occ, rows)
+    context = [t for t in range(target.n) if t not in occ.image and t not in occ.owner]
+    where, edges = _lay(target, exposed, context, None, rows, 0)
+    regions = [_lift(where, occ.region_pos[r]) for r in range(len(occ.region_pos))]
     ctrl, params, parents, ports = rows
     base = len(ctrl)
 
@@ -160,27 +137,31 @@ def recompose(occ: Occurrence, pattern: Bigraph, entries=None) -> Bigraph:
     ports.extend(_shared(tuple(("o", names[h[1]]) if h[0] == "o" else ("e", edges + h[1])
                                for h in hs)) for hs in pattern.ports)
     edges += pattern.edges
-    for k, s in enumerate(range(pattern.sites) if entries is None else entries):
-        edges += _lay(occ, occ.parts[s], place(pattern.site_parents[k]), rows, edges)[1]
-    # close the names in to_close that are still used, numbering the
-    # closed edges in that order; only rows that hold one change
-    if occ.to_close:
+    parts: list[list[int]] = [[] for _ in range(occ.sites)]   # each site's nodes, ascending
+    for x in sorted(occ.owner):
+        parts[occ.owner[x]].append(x)
+    for k, s in enumerate(entries):
+        edges += _lay(target, exposed, parts[s], place(pattern.site_parents[k]), rows, edges)[1]
+    # close the fresh names that are still used, numbering the closed
+    # edges in that order; only rows that hold one change
+    if to_close:
         used = set().union(*ports)
-        live = [("o", w) for w in occ.to_close if ("o", w) in used]
+        live = [("o", w) for w in to_close if ("o", w) in used]
         closing = {h: ("e", edges + k) for k, h in enumerate(live)}
         ports = [_shared(tuple(closing.get(h, h) for h in hs))
                  if not closing.keys().isdisjoint(hs) else hs for hs in ports]
         edges += len(live)
-    return _mk(occ.target.sig, occ.target.regions, 0, ctrl, params, parents, (), ports,
-               (), occ.target.outer, edges)
+    return _mk(target.sig, target.regions, 0, ctrl, params, parents, (), ports,
+               (), target.outer, edges)
 
 
 def _wiring(occ: Occurrence) -> tuple:
-    """``exposed`` and ``to_close``: an open target link keeps its name; a
-    closed one that a pattern name lands on, or whose ports lie in more
-    than one piece (context, image, a parameter part), gets a fresh name
-    to close again after the rewrite. Other closed links stay inside
-    their piece (or are consumed by a pattern edge)."""
+    """The name each target link carries across the pieces (``exposed``),
+    and the fresh names among them (``to_close``): an open target link
+    keeps its name; a closed one that a pattern name lands on, or whose
+    ports lie in more than one piece (context, image, a parameter part),
+    gets a fresh name to close again after the rewrite. Other closed
+    links stay inside their piece (or are consumed by a pattern edge)."""
     target, image = occ.target, occ.image
     t_points = target.link_points()
     edges_mapped = {tl for L, tl in occ.link_map.items() if L[0] == "e"}
@@ -219,13 +200,12 @@ def _shared(row):
     return row
 
 
-def _lay(occ: Occurrence, nodes, top, rows, edges: int) -> tuple:
+def _lay(target: Bigraph, exposed, nodes, top, rows, edges: int) -> tuple:
     """Append target nodes, in order, to rows (ctrl, params, parents,
     ports), rows as ``_shared`` holds them. A parameter top (parents
     outside nodes) gets the parents top, any other node its own; exposed
     links carry their name, closed links are numbered from edges on in
     first-seen order. Returns the renumbering and that edge count."""
-    target, exposed = occ.target, occ.exposed
     ctrl, params, parents, ports = rows
     where = {t: len(ctrl) + i for i, t in enumerate(nodes)}
     lifted: dict = {}                          # a target parent set -> its lift
@@ -257,37 +237,23 @@ def _lift(where, keys) -> frozenset:
     return _shared(frozenset(p if p[0] == "r" else ("n", where[p[1]]) for p in keys))
 
 
-def _lay_context(occ: Occurrence, rows) -> tuple:
-    """Lay the context's nodes (neither image nor parameter) into empty
-    rows; returns its edge count and each pattern region's position."""
-    nodes = [t for t in range(occ.target.n) if t not in occ.image and t not in occ.owner]
-    where, edges = _lay(occ, nodes, None, rows, 0)
-    return edges, [_lift(where, occ.region_pos[r]) for r in range(len(occ.region_pos))]
-
-
-def _piece(sig, regions, sites, rows, edges, outer=()) -> Bigraph:
+def _piece(occ: Occurrence, param: bool) -> Bigraph:
+    """A guard's piece, ground, laid in one pass: every parameter part
+    side by side under one region, site by site (param), or the context
+    (neither image nor parameter) with its holes plugged by empty regions."""
+    target = occ.target
+    if param:
+        nodes = sorted(occ.owner, key=lambda x: (occ.owner[x], x))
+        regions, top, outer = 1, frozenset({("r", 0)}), ()
+    else:
+        nodes = [t for t in range(target.n) if t not in occ.image and t not in occ.owner]
+        regions, top, outer = target.regions, None, target.outer
+    rows = ([], [], [], [])
+    edges = _lay(target, _wiring(occ)[0], nodes, top, rows, 0)[1]
     ctrl, params, parents, ports = rows
     names = {h[1] for hs in ports for h in hs if h[0] == "o"}
-    return _mk(sig, regions, len(sites), ctrl, params, parents, sites, ports, (),
+    return _mk(target.sig, regions, 0, ctrl, params, parents, (), ports, (),
                names.union(outer), edges)
-
-
-def _context(occ: Occurrence) -> Bigraph:
-    """The target's original regions around one hole per pattern region."""
-    rows = ([], [], [], [])
-    edges, regions = _lay_context(occ, rows)
-    return _piece(occ.target.sig, occ.target.regions, regions, rows, edges,
-                  occ.target.outer)
-
-
-def _parameter(occ: Occurrence) -> list[Bigraph]:
-    """One ground bigraph per pattern site: what the site absorbed."""
-    parts = []
-    for nodes in occ.parts:
-        rows = ([], [], [], [])
-        _, edges = _lay(occ, nodes, frozenset({("r", 0)}), rows, 0)
-        parts.append(_piece(occ.target.sig, 1, (), rows, edges))
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -595,13 +561,14 @@ def matches_predicate(state: Bigraph, pred: Bigraph) -> bool:
 
 def check_constraints(occ: Occurrence, constraints) -> bool:
     """Conditional-rule guard: patterns checked against the merge of all
-    parameter parts (param kinds) or the plugged context (ctx kinds).
+    parameter parts (param kinds) or the plugged context (ctx kinds),
+    each piece laid once, when a guard first reads it (``_piece``).
     Names in constraint patterns are independent of the rule's names."""
     pieces: dict = {}                          # True: merged parameter, False: context
     for c in constraints:
         param = c.kind.endswith("param")
         if param not in pieces:
-            pieces[param] = merged_parameter(occ, occ.target.sig) if param else ground_context(occ)
+            pieces[param] = _piece(occ, param)
         if c.kind.startswith("present") != matches_predicate(pieces[param], c.pattern):
             return False
     return True

@@ -12,9 +12,11 @@ as the oracle of the partition of ``canon.certificate``'s colours
 edges' points (``reference_orbit_key``) as the oracle of
 ``canon.orbit_key``'s grouping, the node-map search that
 tries every candidate (``reference_node_maps``) as the oracle of the
-anchored ``bigraph._node_maps``, the rewrite by the algebra
-(``reference_recompose``) used as the oracle of the one-pass
-``matching.recompose``, the binary products and nest written out
+anchored ``bigraph._node_maps``, an occurrence's context, parameters
+and wiring written from its maps, sharing no laying code with
+``matching`` (``reference_pieces``), as the oracle of a guard's pieces,
+and on them the rewrite by the algebra (``reference_recompose``) as the
+oracle of the one-pass ``matching.recompose``, the binary products and nest written out
 (``reference_product``, ``reference_nest``) as the oracles of the n-ary
 ``merge``, ``parallel`` and ``nest``, a structural sanity check (``well_formed``),
 every application of a rule (``all_applications``), a parser of
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import count, product
 from typing import Sequence
 
 from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, labels, nest, parallel
@@ -765,26 +767,79 @@ def reference_node_maps(a: Bigraph, b: Bigraph, order: Sequence[int], candidates
             yield fwd
 
 
-def reference_recompose(occ, pattern: Bigraph, fillers=None) -> Bigraph:
-    """The rewrite by the algebra, from an occurrence's context,
-    parameter and wiring: rename pattern's names to the exposed ones,
-    nest the fillers (default: the matched parameter) into its sites,
-    nest that into the context, then close the names in ``to_close``
-    that are still used, numbering the closed edges in that order and
-    dropping the idle ones. ``matching.recompose`` must equal it field by
-    field."""
-    renaming = {lh[1]: occ.exposed[th] for lh, th in occ.link_map.items() if lh[0] == "o"}
-    fillers = occ.parameter if fillers is None else fillers
-    filler = reduce(parallel, fillers, idle(pattern.sig, ()))
-    whole = nest(occ.context, nest(rename_outer(pattern, renaming), filler))
+def reference_pieces(occ) -> tuple:
+    """An occurrence's decomposition written from its maps, sharing no
+    code with ``matching``'s laying: (context, parameters, exposed,
+    to_close). An open target link keeps its name; a closed one that a
+    pattern name lands on, or whose ports lie in more than one piece
+    (context, image, a parameter part), gets a fresh name, w0, w1, ...
+    not among the target's names (exposed, and in to_close); a closed
+    link that a pattern edge takes carries none. The context has one
+    hole per pattern region at its position; the parameters are one
+    ground bigraph per pattern site, each part's tops under its one
+    region. Each piece keeps target order among its nodes and numbers its
+    own closed links in order of first use."""
+    t = occ.target
+
+    def piece_of(x):
+        return "img" if x in occ.image else occ.owner.get(x, "ctx")
+
+    touches: dict = {}                         # target link -> pieces with a port on it
+    for x, hs in enumerate(t.ports):
+        for h in hs:
+            touches.setdefault(h, set()).add(piece_of(x))
+    taken = {tl: L[0] for L, tl in occ.link_map.items()}   # target link -> "o" or "e"
+    fresh = (w for w in ("w%d" % k for k in count()) if w not in t.outer)
+    exposed, to_close = {}, []
+    for h in sorted(touches.keys() | {("o", x) for x in t.outer}):
+        if h[0] == "o":
+            exposed[h] = h[1]
+        elif taken.get(h) == "o" or (h not in taken and len(touches[h]) > 1):
+            exposed[h] = next(fresh)
+            to_close.append(exposed[h])
+
+    def piece(nodes, regions, holes, outer):
+        at = {x: i for i, x in enumerate(nodes)}
+
+        def parents(ps):
+            if any(p[0] == "n" and p[1] not in at for p in ps):
+                return frozenset({("r", 0)})   # a parameter top
+            return frozenset(("n", at[p[1]]) if p[0] == "n" else p for p in ps)
+
+        own: dict = {}
+        ports = [tuple(("o", exposed[h]) if h in exposed else own.setdefault(h, ("e", len(own)))
+                       for h in t.ports[x]) for x in nodes]
+        names = {h[1] for hs in ports for h in hs if h[0] == "o"}.union(outer)
+        return _mk(t.sig, regions, len(holes), [t.ctrl[x] for x in nodes],
+                   [t.params[x] for x in nodes], [parents(t.node_parents[x]) for x in nodes],
+                   [parents(ps) for ps in holes], ports, (), names, len(own))
+
+    context = piece([x for x in range(t.n) if piece_of(x) == "ctx"], t.regions,
+                    [occ.region_pos[r] for r in range(len(occ.region_pos))], t.outer)
+    parameters = [piece([x for x in range(t.n) if occ.owner.get(x) == k], 1, (), ())
+                  for k in range(occ.sites)]
+    return context, parameters, exposed, tuple(to_close)
+
+
+def reference_recompose(occ, pattern: Bigraph, entries) -> Bigraph:
+    """The rewrite by the algebra, from the occurrence's pieces
+    (``reference_pieces``): rename pattern's names to the exposed ones,
+    nest the parameters that entries name into its sites, nest that into the
+    context, then close the fresh names that are still used, numbering
+    the closed edges in that order and dropping the idle ones.
+    ``matching.recompose`` must equal it field by field."""
+    context, parameters, exposed, to_close = reference_pieces(occ)
+    renaming = {lh[1]: exposed[th] for lh, th in occ.link_map.items() if lh[0] == "o"}
+    filler = reduce(parallel, [parameters[j] for j in entries], idle(pattern.sig, ()))
+    whole = nest(context, nest(rename_outer(pattern, renaming), filler))
     used = {h for hs in whole.ports for h in hs}.union(h for _, h in whole.inner)
-    live = [("o", w) for w in occ.to_close if ("o", w) in used]
+    live = [("o", w) for w in to_close if ("o", w) in used]
     edges = {h: ("e", whole.edges + k) for k, h in enumerate(live)}
     ports = [tuple(edges.get(h, h) for h in hs) for hs in whole.ports]
     inner = [(x, edges.get(h, h)) for x, h in whole.inner]
     return _mk(whole.sig, whole.regions, whole.sites, whole.ctrl, whole.params,
                whole.node_parents, whole.site_parents, ports, inner,
-               whole.outer.difference(occ.to_close), whole.edges + len(edges))
+               whole.outer.difference(to_close), whole.edges + len(edges))
 
 
 def reference_product(a: Bigraph, b: Bigraph, flat: bool) -> Bigraph:

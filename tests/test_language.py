@@ -496,3 +496,19 @@ def test_deep_expressions_load(chain, n):
     probe = spec.bigs["probe"]
     assert probe.n == n and not probe.outer
     assert probe.edges == (800 if chain is LONG_CLOSURE else 0)
+
+
+# 150 levels of `R.(`, well inside the documented ~245
+BRACKETS = "ctrl R = 0;\nbig probe = %s1%s;\nbig start = 1;%s" % ("R.(" * 150, ")" * 150, BLOCK)
+
+
+@pytest.mark.xfail(strict=True, raises=ParseError,
+                   reason="the bracket limit is Python's recursion limit, so it falls "
+                          "with the caller's own stack depth (ROADMAP item 8)")
+def test_bracket_limit_does_not_depend_on_the_callers_stack():
+    assert load(BRACKETS).bigs["probe"].n == 150
+
+    def deep(k):
+        return load(BRACKETS) if k == 0 else deep(k - 1)
+    # the same model, loaded 600 frames deeper
+    assert deep(600).bigs["probe"].n == 150

@@ -21,7 +21,7 @@ from bigengine.bigraph import Control, Signature, _mk, close, idle
 from bigengine.elaborate import load, load_file
 from bigengine.engine import explore
 from bigengine.errors import PatternNotSolid, TargetNotGround
-from bigengine.matching import _occurrences, _plan, merged_parameter, recompose
+from bigengine.matching import _occurrences, _piece, _plan, _wiring, recompose
 from bigengine.printing import print_bigraph
 
 from conftest import MODELS
@@ -33,6 +33,7 @@ from genutil import (
     random_ground,
     random_solid_pattern,
     reference_find_occurrences,
+    reference_pieces,
     reference_recompose,
     well_formed,
     with_twins,
@@ -58,7 +59,7 @@ def test_site_absorbs_contents(server_sig):
     pattern = make_atom(server_sig, "Server")        # Server.id
     occs = find_occurrences(target, pattern)
     assert len(occs) == 1
-    (param,) = occs[0].parameter
+    param = _piece(occs[0], True)             # the one part, as a guard reads it
     assert param.is_ground()
     assert sorted(param.ctrl) == ["Data", "Data"]
 
@@ -181,13 +182,13 @@ def test_merged_parameter(server_sig):
     sig = server_sig
     room = lambda *inside: nest(make_atom(sig, "Room"), merge(*inside) if inside else one(sig))
     state = merge(room(make_atom(sig, "Data"), make_atom(sig, "Camera")), room())
-    # one part: a guard reads the part itself, not a copy of it
+    # a guard reads every part under one region, laid site by site
     occ = find_occurrences(state, room(identity(sig)))[0]
-    assert merged_parameter(occ, sig) is occ.parameter[0]
+    assert _piece(occ, True) == reference_pieces(occ)[1][0]
     two = find_occurrences(state, parallel(room(identity(sig)), room(identity(sig))))[0]
-    assert merged_parameter(two, sig) == merge(*two.parameter)
+    assert _piece(two, True) == merge(*reference_pieces(two)[1])
     none = find_occurrences(state, room())[0]
-    assert merged_parameter(none, sig) == one(sig)
+    assert _piece(none, True) == one(sig)
 
 
 def test_determinism(server_sig):
@@ -207,7 +208,7 @@ def test_recomposition_soundness_random():
         target = random_ground(rng, sig, max_nodes=8)
         pattern = random_solid_pattern(rng, sig, max_nodes=3)
         for occ in find_occurrences(target, pattern):
-            assert iso_equal(recompose(occ, pattern), target)
+            assert iso_equal(recompose(occ, pattern, range(pattern.sites)), target)
             checked += 1
     assert checked > 50
 
@@ -240,7 +241,7 @@ def test_matcher_agrees_with_brute_force_link_dense():
         occs = find_occurrences(target, pattern)
         assert matcher_images(occs) == brute_images(target, pattern)
         for occ in occs:
-            assert iso_equal(recompose(occ, pattern), target)
+            assert iso_equal(recompose(occ, pattern, range(pattern.sites)), target)
         found += len(occs)
     assert found >= 40
 
@@ -258,7 +259,7 @@ def test_matcher_agrees_with_brute_force_shared():
         occs = find_occurrences(target, pattern)
         assert matcher_images(occs) == brute_images(target, pattern)
         for occ in occs:
-            assert iso_equal(recompose(occ, pattern), target)
+            assert iso_equal(recompose(occ, pattern, range(pattern.sites)), target)
             shared += any(len(target.node_parents[t]) > 1 for t in occ.node_map.values())
     assert shared >= 100
 
@@ -293,7 +294,7 @@ def test_tops_route_per_parent_set():
         assert matcher_images(occs) == brute_images(t, pat)
         assert len(occs) == count
         for occ in occs:
-            assert iso_equal(recompose(occ, pat), t)
+            assert iso_equal(recompose(occ, pat, range(pat.sites)), t)
             # a parameter top: a part node whose parents are image nodes
             tops = [s for w, s in occ.owner.items()
                     if all(q[0] == "n" and q[1] in occ.image for q in t.node_parents[w])]
@@ -409,7 +410,7 @@ def test_sharing_target_matching(building_sig):
     pattern = make_atom(building_sig, "Adult")
     occs = find_occurrences(state, pattern)
     assert len(occs) == 1
-    assert iso_equal(recompose(occs[0], pattern), state)
+    assert iso_equal(recompose(occs[0], pattern, range(pattern.sites)), state)
     # a camera with the adult inside, extra parent goes to the context
     cam_pat = nest(make_atom(building_sig, "Camera"), make_atom(building_sig, "Adult"))
     assert find_occurrences(state, cam_pat) == []   # adult also under the other camera
@@ -429,10 +430,10 @@ def test_shared_content_routes_to_one_site(building_sig):
     room_site = make_atom(building_sig, "Room")
     occs = find_occurrences(state, room_site)
     assert len(occs) == 1
-    (param,) = occs[0].parameter
+    param = _piece(occs[0], True)
     adult = param.ctrl.index("Adult")
     assert len(param.node_parents[adult]) == 2
-    assert iso_equal(recompose(occs[0], room_site), state)
+    assert iso_equal(recompose(occs[0], room_site, range(room_site.sites)), state)
 
 
 def test_recomposition_on_corpus_states():
@@ -444,7 +445,7 @@ def test_recomposition_on_corpus_states():
         for state in ts.states:
             for rule in spec.rules():
                 for occ in find_occurrences(state, rule.lhs):
-                    assert iso_equal(recompose(occ, rule.lhs), state)
+                    assert iso_equal(recompose(occ, rule.lhs, range(rule.lhs.sites)), state)
                     checked += 1
         assert checked
 
@@ -469,8 +470,8 @@ def test_recompose_closes_links_in_one_pass():
     # the occurrence with a, b, c, d on w, x, y, z (closed in that order)
     (occ,) = [o for o in occs
               if [o.link_map[("o", x)] for x in "abcd"] == [("e", k) for k in range(4)]]
-    assert len(occ.to_close) == 4
-    result = recompose(occ, merge(atoms(("J", "abd")), idle(sig, ["c"])))
+    assert len(_wiring(occ)[1]) == 4
+    result = recompose(occ, merge(atoms(("J", "abd")), idle(sig, ["c"])), ())
     assert well_formed(result)
     assert result.edges == 3 and not result.outer
     assert result.ports[result.ctrl.index("J")] == (("e", 0), ("e", 1), ("e", 2))
@@ -478,12 +479,17 @@ def test_recompose_closes_links_in_one_pass():
     assert iso_equal(result, expected)
 
 
-def assert_splice_is_the_algebra(occ, pattern, entries=None):
-    fillers = None if entries is None else [occ.parameter[j] for j in entries]
+def assert_splice_is_the_algebra(occ, pattern, entries):
     got = recompose(occ, pattern, entries)
-    assert got == reference_recompose(occ, pattern, fillers)
+    assert got == reference_recompose(occ, pattern, entries)
     # nodes with equal parents share one frozenset
     assert len({id(ps) for ps in got.node_parents}) == len(set(got.node_parents))
+    # a guard's pieces: the parameters merged, the context with its holes plugged
+    context, parameters, _, _ = reference_pieces(occ)
+    assert _piece(occ, True) == (merge(*parameters) if parameters else one(context.sig))
+    assert _piece(occ, False) == _mk(context.sig, context.regions, 0, context.ctrl,
+                                     context.params, context.node_parents, (), context.ports,
+                                     (), context.outer, context.edges)
 
 
 def test_splice_is_the_algebra_on_bundled_models():
@@ -545,6 +551,6 @@ def test_splice_is_the_algebra_random():
                                share_prob=share)
         pattern = random_solid_pattern(rng, sig, max_nodes=3, share_prob=share)
         for occ in find_occurrences(target, pattern):
-            assert_splice_is_the_algebra(occ, pattern)
+            assert_splice_is_the_algebra(occ, pattern, range(pattern.sites))
             checked += 1
     assert checked > 50

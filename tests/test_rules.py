@@ -4,8 +4,10 @@ import pytest
 
 from bigengine import (
     InstMap,
+    Occurrence,
     ReactionRule,
     apply_at,
+    check_constraints,
     close,
     find_occurrences,
     identity,
@@ -253,21 +255,31 @@ end
 
 
 @pytest.mark.parametrize("name, built", [
-    ("plain", []), ("absent", ["_parameter"]), ("present", ["_parameter"]),
-    ("around", ["_context"]),
+    ("plain", set()), ("absent", {"param"}), ("present", {"param"}), ("around", {"ctx"}),
 ], ids=["unguarded", "absent_param", "present_param", "ctx"])
 def test_pieces_are_built_only_when_read(monkeypatch, name, built):
-    # a rewrite reads neither the context nor the parameter; a guard reads
-    # only the piece it names
+    # a rewrite lays neither the context nor the parameter; a guard lays
+    # only the piece it names (which kinds, not how many times: apply_at
+    # checks the guards again)
     got = []
-    for builder in ("_context", "_parameter"):
-        real = getattr(matching, builder)
-        monkeypatch.setattr(matching, builder,
-                            lambda occ, real=real, builder=builder:
-                            got.append(builder) or real(occ))
+    real = matching._piece
+    monkeypatch.setattr(matching, "_piece", lambda occ, param:
+                        got.append("param" if param else "ctx") or real(occ, param))
     spec = load(PIECES)
     rule = next(r for r in spec.rules() if r.name == name)
     (occ,) = find_occurrences(spec.init, rule.lhs)
     result = apply_at(spec.init, rule, occ)
     assert sorted(result.ctrl) == ["Lamp", "Q", "Q", "Room"]
-    assert got == built
+    assert set(got) == built
+
+
+def test_occurrences_keep_only_what_their_search_found():
+    # nothing is derived onto an occurrence, by a guard or a rewrite
+    assert "__getattr__" not in vars(Occurrence)
+    fields = {"node_map", "link_map", "target", "image", "owner", "region_pos", "sites"}
+    spec = load(PIECES)
+    for rule in spec.rules():
+        for occ in find_occurrences(spec.init, rule.lhs):
+            check_constraints(occ, rule.constraints)
+            apply_at(spec.init, rule, occ)
+            assert set(vars(occ)) == fields
