@@ -193,7 +193,7 @@ class Bigraph:
 
     def shed(self) -> None:
         """Drop everything cached on self (maps, labels, certificate, twin
-        data, anchor tables, plans), each rebuilt on its next read."""
+        data, anchor tables, plans, forest flag), each rebuilt on its next read."""
         self._cache.clear()
 
     def port_count(self, handle: Handle) -> int:

@@ -20,12 +20,12 @@ from a placed neighbour's image; each one then gets the remaining
 placement checks and its link assignments.
 Occurrences are produced lazily, so ``matches_predicate``, the rule
 guards and the engine's settle stop at the first. An occurrence is what
-its search found and nothing more; neither piece is kept on it. A
-rewrite (``recompose``) splices the new part into the target in one
-pass and builds neither piece; a guard lays the one piece it reads
-(``_piece``). Both lay equal parent sets and port rows as one object
-run-wide (``_shared``). No SAT machinery; no search result is carried
-from one state to the next.
+its search found; no piece is kept on it, and its parameter is routed
+(``_parts``) only where read. A rewrite (``recompose``) splices the new
+part into the target in one pass and builds neither piece; a guard lays
+the one piece it reads (``_piece``). Both lay equal parent sets and port
+rows as one object run-wide (``_shared``). No SAT machinery; no search
+result is carried from one state to the next.
 
 Matching semantics, each condition checked in exactly one place:
 
@@ -39,8 +39,8 @@ Matching semantics, each condition checked in exactly one place:
 * All top nodes of one region share the same extra parents (the
   region's position, in the context); every unmatched child of an image
   node has only image parents, which name exactly one site, and its
-  part of the parameter is closed and holds no image node (``_finalize``,
-  which routes each distinct parent set once, not each child).
+  part of the parameter is closed and holds no image node (``_finalize``:
+  by ``_parts``' routing where a node has two parents, else two tests).
 * A closed pattern edge matches a closed target link with exactly the
   same ports. An open pattern name matches any target link, open or
   closed; distinct names may land on the same link. Every port of an
@@ -82,18 +82,17 @@ class MatchConstraint:
 @dataclass
 class Occurrence:
     """One match of a pattern in a target, as its search found it: node
-    and link maps, the target, ``image`` nodes, each parameter node's site
-    (``owner``), region positions and the pattern's site count. Nothing
-    else is kept on it: a rewrite derives the wiring (``_wiring``) and
-    each site's nodes, and a guard lays the one piece it reads (``_piece``)."""
+    and link maps, the target, ``image`` nodes, region positions and the
+    pattern. Nothing else is kept on it: what reads the parameter routes
+    it (``_parts``), a rewrite derives the wiring (``_wiring``), and a
+    guard lays the one piece it reads (``_piece``)."""
 
     node_map: dict[int, int]
     link_map: dict[Handle, Handle]
     target: Bigraph = field(repr=False, compare=False)
     image: set = field(repr=False, compare=False)
-    owner: dict = field(repr=False, compare=False)       # part node -> its site
     region_pos: dict = field(repr=False, compare=False)  # region -> target parents
-    sites: int = field(repr=False, compare=False)
+    pattern: Bigraph = field(repr=False, compare=False)
 
     def sort_key(self):
         return (tuple(sorted(self.node_map.values())),
@@ -106,16 +105,17 @@ def recompose(occ: Occurrence, pattern: Bigraph, entries) -> Bigraph:
     ``range(pattern.sites)`` the result is iso_equal to the target, with
     a rule's right side and instantiation it is the rewrite.
 
-    One pass over the target, numbered as the algebra would number
-    context o (pattern || parts): nodes are the context's (ascending),
-    pattern's, then each copy's (ascending); edges the context's own,
-    pattern's, each copy's own (fresh per copy), then the fresh names of
-    ``_wiring`` that something still uses, in that order. Equal parent
-    sets and port rows are one object run-wide (``_shared``)."""
-    target = occ.target
-    exposed, to_close = _wiring(occ)
+    One pass over the target, its parameter routed once (``_parts``),
+    numbered as the algebra would number context o (pattern || parts):
+    nodes are the context's (ascending), pattern's, then each copy's
+    (ascending); edges the context's own, pattern's, each copy's own
+    (fresh per copy), then the fresh names of ``_wiring`` that something
+    still uses, in that order. Equal rows are one object run-wide (``_shared``)."""
+    target, image = occ.target, occ.image
+    owner = _parts(target, occ.pattern, occ.node_map, image)
+    exposed, to_close = _wiring(occ, owner)
     rows = ([], [], [], [])                    # ctrl, params, parents, ports
-    context = [t for t in range(target.n) if t not in occ.image and t not in occ.owner]
+    context = [t for t in range(target.n) if t not in image and t not in owner]
     where, edges = _lay(target, exposed, context, None, rows, 0)
     regions = [_lift(where, occ.region_pos[r]) for r in range(len(occ.region_pos))]
     ctrl, params, parents, ports = rows
@@ -137,9 +137,9 @@ def recompose(occ: Occurrence, pattern: Bigraph, entries) -> Bigraph:
     ports.extend(_shared(tuple(("o", names[h[1]]) if h[0] == "o" else ("e", edges + h[1])
                                for h in hs)) for hs in pattern.ports)
     edges += pattern.edges
-    parts: list[list[int]] = [[] for _ in range(occ.sites)]   # each site's nodes, ascending
-    for x in sorted(occ.owner):
-        parts[occ.owner[x]].append(x)
+    parts: list[list[int]] = [[] for _ in range(occ.pattern.sites)]   # each site's nodes, ascending
+    for x in sorted(owner):
+        parts[owner[x]].append(x)
     for k, s in enumerate(entries):
         edges += _lay(target, exposed, parts[s], place(pattern.site_parents[k]), rows, edges)[1]
     # close the fresh names that are still used, numbering the closed
@@ -155,11 +155,11 @@ def recompose(occ: Occurrence, pattern: Bigraph, entries) -> Bigraph:
                (), target.outer, edges)
 
 
-def _wiring(occ: Occurrence) -> tuple:
+def _wiring(occ: Occurrence, owner: dict) -> tuple:
     """The name each target link carries across the pieces (``exposed``),
     and the fresh names among them (``to_close``): an open target link
     keeps its name; a closed one that a pattern name lands on, or whose
-    ports lie in more than one piece (context, image, a parameter part),
+    ports lie in more than one piece (context, image, a part of owner),
     gets a fresh name to close again after the rewrite. Other closed
     links stay inside their piece (or are consumed by a pattern edge)."""
     target, image = occ.target, occ.image
@@ -168,8 +168,7 @@ def _wiring(occ: Occurrence) -> tuple:
     names_onto = {tl for L, tl in occ.link_map.items() if L[0] == "o"}
     exposed: dict[Handle, str] = {}
     to_close: list[str] = []
-    taken = set(target.outer)
-    counter = 0
+    counter = 0                                # fresh names w0, w1, ... not in target.outer
     for h in sorted(t_points):
         if h[0] == "o":
             exposed[h] = h[1]
@@ -177,16 +176,14 @@ def _wiring(occ: Occurrence) -> tuple:
         if h in edges_mapped:
             continue
         # pieces the edge touches (a ground target has only port points)
-        tags = {"img" if pt[1] in image else occ.owner.get(pt[1], "ctx")
+        tags = {"img" if pt[1] in image else owner.get(pt[1], "ctx")
                 for pt in t_points[h]}
         if h in names_onto or len(tags) > 1:
-            while "w%d" % counter in taken:
+            while "w%d" % counter in target.outer:
                 counter += 1
-            w = "w%d" % counter
+            exposed[h] = "w%d" % counter
+            to_close.append(exposed[h])
             counter += 1
-            taken.add(w)
-            exposed[h] = w
-            to_close.append(w)
     return exposed, tuple(to_close)
 
 
@@ -237,19 +234,19 @@ def _lift(where, keys) -> frozenset:
     return _shared(frozenset(p if p[0] == "r" else ("n", where[p[1]]) for p in keys))
 
 
-def _piece(occ: Occurrence, param: bool) -> Bigraph:
-    """A guard's piece, ground, laid in one pass: every parameter part
+def _piece(occ: Occurrence, param: bool, owner: dict) -> Bigraph:
+    """A guard's piece, ground, laid in one pass: every part of owner
     side by side under one region, site by site (param), or the context
     (neither image nor parameter) with its holes plugged by empty regions."""
     target = occ.target
     if param:
-        nodes = sorted(occ.owner, key=lambda x: (occ.owner[x], x))
+        nodes = sorted(owner, key=lambda x: (owner[x], x))
         regions, top, outer = 1, frozenset({("r", 0)}), ()
     else:
-        nodes = [t for t in range(target.n) if t not in occ.image and t not in occ.owner]
+        nodes = [t for t in range(target.n) if t not in occ.image and t not in owner]
         regions, top, outer = target.regions, None, target.outer
     rows = ([], [], [], [])
-    edges = _lay(target, _wiring(occ)[0], nodes, top, rows, 0)[1]
+    edges = _lay(target, _wiring(occ, owner)[0], nodes, top, rows, 0)[1]
     ctrl, params, parents, ports = rows
     names = {h[1] for hs in ports for h in hs if h[0] == "o"}
     return _mk(target.sig, regions, 0, ctrl, params, parents, (), ports, (),
@@ -266,20 +263,21 @@ def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
     sorted by image. An image is the node image set, the link each open
     name lands on, and the closed edge image set. Pattern automorphisms
     fix open names, so they collapse unless they give some site another
-    part (its target nodes, compared only when an image repeats); two
-    occurrences that send names to different links are both kept. A rigid
-    pattern repeats no image, so its occurrences go unkeyed."""
+    part (its target nodes, routed by ``_parts``); two occurrences that
+    send names to different links are both kept. A rigid pattern repeats
+    no image, so its occurrences go unkeyed and unrouted."""
     if _plan(pattern).rigid:
         return sorted(_occurrences(target, pattern), key=Occurrence.sort_key)
     occurrences: list[Occurrence] = []
-    seen: dict = {}                        # image -> its occurrences
+    seen: dict = {}                        # image -> the parts of its occurrences
     for occ in _occurrences(target, pattern):
         key = (frozenset(occ.image),
                frozenset((L[1], tl) for L, tl in occ.link_map.items() if L[0] == "o"),
                frozenset(tl for L, tl in occ.link_map.items() if L[0] == "e"))
         same = seen.setdefault(key, [])
-        if not any(o.owner == occ.owner for o in same):   # same part in each site
-            same.append(occ)
+        owner = _parts(target, pattern, occ.node_map, occ.image)
+        if owner not in same:              # same part in each site
+            same.append(owner)
             occurrences.append(occ)
     occurrences.sort(key=Occurrence.sort_key)
     return occurrences
@@ -291,14 +289,16 @@ class _Plan(NamedTuple):
     region parent, node children, has a site child) and the nodes it
     shares a parent edge or a link with. The nodes with a region parent,
     each with its region parents and whether it has a node parent too;
-    the nodes with a site child. The site each parent set names. Per
-    link handle, closed edges first: its (node, ports on it) pairs; the
-    nodes with ports; and whether the pattern is rigid (``_rigid``)."""
+    the nodes with a site child; those with no site of their own, with
+    their node-child counts; the site each parent set names. Per link
+    handle, closed edges first: its (node, ports on it) pairs; the nodes
+    with ports; and whether the pattern is rigid (``_rigid``)."""
 
     filters: tuple
     adj: tuple
     tops: tuple
     sited: tuple
+    unowned: tuple
     site_of_parents: dict
     links: tuple
     linked: tuple
@@ -339,6 +339,8 @@ def _plan(pattern: Bigraph) -> _Plan:
         tuple((u, tuple(p[1] for p in ps if p[0] == "r"), f[1] > 0)
               for u, (ps, f) in enumerate(zip(pattern.node_parents, filters)) if f[2]),
         tuple(u for u, f in enumerate(filters) if f[4]),
+        tuple((u, f[3]) for u, f in enumerate(filters)
+              if f[4] and {("n", u)} not in pattern.site_parents),
         {frozenset(ps): s for s, ps in enumerate(pattern.site_parents)},
         tuple((h, tuple(users[h].items())) for h in sorted(users)),   # ("e", k) < ("o", x)
         tuple(u for u, hs in enumerate(pattern.ports) if hs),
@@ -408,11 +410,14 @@ def _occurrences(target: Bigraph, pattern: Bigraph):
                     if v not in placed:
                         heappush(heap, (0, sizes[v], v))
         last = pattern._cache["order"] = (sizes, tuple(order))
+    forest = target._cache.get("forest")       # no node has two parents (no sharing)
+    if forest is None:
+        forest = target._cache["forest"] = sum(map(len, target.node_parents)) == target.n
     for fwd in _node_maps(pattern, target, last[1], cand.__getitem__):
-        yield from _finalize(target, pattern, plan, dict(fwd))
+        yield from _finalize(target, pattern, plan, dict(fwd), forest)
 
 
-def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int]):
+def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict, forest: bool):
     """Placement checks left after the node map, then link assignment;
     yields one occurrence per link assignment.
 
@@ -422,7 +427,9 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
     node has none, and only nodes with a site child have children outside
     the image. Checks only what is left: region positions agree, each
     parameter top's parents name one site, and parameter parts are closed
-    and hold no image node (so no region position lies in one).
+    and hold no image node (so no region position lies in one): by
+    ``_parts`` where a node has two parents, else by two tests (a part is
+    then the subtree of a top with one, image, parent).
     """
     image = set(fwd.values())
 
@@ -445,6 +452,25 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
             return
     # every region of a solid pattern holds a node, so each has a position
 
+    if forest:
+        for u, k in plan.unowned:              # a top under u would name no site
+            if len(target.children()[("n", fwd[u])]) > k:
+                return
+        for (p,) in region_pos.values():       # a position has one parent on a forest
+            while p[0] == "n":                 # up to its root: no image node above
+                if p[1] in image:
+                    return
+                (p,) = target.node_parents[p[1]]
+    elif _parts(target, pattern, fwd, image) is None:
+        return
+    for assign in _link_assignments(target, plan, fwd, image):
+        yield Occurrence(fwd, assign, target, image, region_pos, pattern)
+
+
+def _parts(target: Bigraph, pattern: Bigraph, fwd: dict[int, int], image) -> dict | None:
+    """Each parameter node's site under the node map fwd, or None when a
+    top's parents name no site, or a part is not closed or holds an image node."""
+    plan = _plan(pattern)
     # --- parameter routing: each top's parents name one pattern site -------
     # checked once per distinct parent set; a set that names no site ends
     # the occurrence, so route holds only sets that name one
@@ -461,10 +487,10 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
             if s is None:
                 # every parent of a parameter top must be a matched node
                 if any(p[0] != "n" or p[1] not in inv for p in pars):
-                    return
+                    return None
                 s = plan.site_of_parents.get(frozenset(("n", inv[p[1]]) for p in pars))
                 if s is None:
-                    return
+                    return None
                 route[pars] = s
             owner[w] = s
 
@@ -476,11 +502,11 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
         x, s = stack.pop()
         if x in owner:
             if owner[x] != s:
-                return
+                return None
             continue
         if x in image:
             # x's parent is then a region position inside the parameter
-            return
+            return None
         owner[x] = s
         if len(target.node_parents[x]) > 1:
             below.append(x)
@@ -489,11 +515,8 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict[int, int
         s = owner[x]
         for p in target.node_parents[x]:
             if p[0] != "n" or owner.get(p[1]) != s:
-                return                         # parameter content escapes its part
-
-    # --- link assignment -----------------------------------------------------
-    for assign in _link_assignments(target, plan, fwd, image):
-        yield Occurrence(fwd, assign, target, image, owner, region_pos, pattern.sites)
+                return None                    # parameter content escapes its part
+    return owner
 
 
 def _link_assignments(target, plan, fwd, image):
@@ -561,14 +584,15 @@ def matches_predicate(state: Bigraph, pred: Bigraph) -> bool:
 
 def check_constraints(occ: Occurrence, constraints) -> bool:
     """Conditional-rule guard: patterns checked against the merge of all
-    parameter parts (param kinds) or the plugged context (ctx kinds),
-    each piece laid once, when a guard first reads it (``_piece``).
-    Names in constraint patterns are independent of the rule's names."""
+    parameter parts (param kinds) or the plugged context (ctx kinds), each
+    laid once, when a guard first reads it (``_piece``), from one routing
+    (``_parts``); constraint patterns' names are independent of the rule's."""
+    owner = _parts(occ.target, occ.pattern, occ.node_map, occ.image) if constraints else {}
     pieces: dict = {}                          # True: merged parameter, False: context
     for c in constraints:
         param = c.kind.endswith("param")
         if param not in pieces:
-            pieces[param] = _piece(occ, param)
+            pieces[param] = _piece(occ, param, owner)
         if c.kind.startswith("present") != matches_predicate(pieces[param], c.pattern):
             return False
     return True

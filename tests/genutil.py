@@ -4,6 +4,7 @@ renumbering (``permuted``) and port swaps (``swapped``), a brute-force occurrenc
 the matcher oracle, the occurrence list with its table of images kept
 for every pattern (``reference_find_occurrences``) as the oracle of
 ``matching.find_occurrences``, which skips the table on rigid patterns,
+each parameter node's site as ``matching._parts`` routes it (``parts``),
 two isomorphism oracles (``brute_iso`` and, over
 ``networkx``, ``nx_iso``), colour refinement in three sorted tuples per
 class with edges recoloured from the last round (``reference_refine``)
@@ -40,7 +41,13 @@ from typing import Sequence
 from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, labels, nest, parallel
 from bigengine.canon import _digest, certificate
 from bigengine.errors import AtomicViolation, SignatureError, WidthMismatch
-from bigengine.matching import Occurrence, _occurrences, check_constraints, find_occurrences
+from bigengine.matching import (
+    Occurrence,
+    _occurrences,
+    _parts,
+    check_constraints,
+    find_occurrences,
+)
 from bigengine.rules import apply_at
 
 
@@ -387,11 +394,16 @@ def reference_find_occurrences(target: Bigraph, pattern: Bigraph) -> list:
                frozenset((L[1], tl) for L, tl in occ.link_map.items() if L[0] == "o"),
                frozenset(tl for L, tl in occ.link_map.items() if L[0] == "e"))
         same = seen.setdefault(key, [])
-        if not any(o.owner == occ.owner for o in same):   # same part in each site
+        if not any(parts(o) == parts(occ) for o in same):   # same part in each site
             same.append(occ)
             occurrences.append(occ)
     occurrences.sort(key=Occurrence.sort_key)
     return occurrences
+
+
+def parts(occ) -> dict:
+    """Each parameter node's site, as ``matching._parts`` routes it."""
+    return _parts(occ.target, occ.pattern, occ.node_map, occ.image)
 
 
 def matcher_images(occurrences) -> set:
@@ -779,10 +791,10 @@ def reference_pieces(occ) -> tuple:
     ground bigraph per pattern site, each part's tops under its one
     region. Each piece keeps target order among its nodes and numbers its
     own closed links in order of first use."""
-    t = occ.target
+    t, owner = occ.target, parts(occ)
 
     def piece_of(x):
-        return "img" if x in occ.image else occ.owner.get(x, "ctx")
+        return "img" if x in occ.image else owner.get(x, "ctx")
 
     touches: dict = {}                         # target link -> pieces with a port on it
     for x, hs in enumerate(t.ports):
@@ -816,8 +828,8 @@ def reference_pieces(occ) -> tuple:
 
     context = piece([x for x in range(t.n) if piece_of(x) == "ctx"], t.regions,
                     [occ.region_pos[r] for r in range(len(occ.region_pos))], t.outer)
-    parameters = [piece([x for x in range(t.n) if occ.owner.get(x) == k], 1, (), ())
-                  for k in range(occ.sites)]
+    parameters = [piece([x for x in range(t.n) if owner.get(x) == k], 1, (), ())
+                  for k in range(occ.pattern.sites)]
     return context, parameters, exposed, tuple(to_close)
 
 

@@ -30,6 +30,7 @@ from genutil import (
     brute_images,
     make_sig,
     matcher_images,
+    parts,
     random_ground,
     random_solid_pattern,
     reference_find_occurrences,
@@ -59,7 +60,7 @@ def test_site_absorbs_contents(server_sig):
     pattern = make_atom(server_sig, "Server")        # Server.id
     occs = find_occurrences(target, pattern)
     assert len(occs) == 1
-    param = _piece(occs[0], True)             # the one part, as a guard reads it
+    param = _piece(occs[0], True, parts(occs[0]))   # the one part, as a guard reads it
     assert param.is_ground()
     assert sorted(param.ctrl) == ["Data", "Data"]
 
@@ -184,11 +185,11 @@ def test_merged_parameter(server_sig):
     state = merge(room(make_atom(sig, "Data"), make_atom(sig, "Camera")), room())
     # a guard reads every part under one region, laid site by site
     occ = find_occurrences(state, room(identity(sig)))[0]
-    assert _piece(occ, True) == reference_pieces(occ)[1][0]
+    assert _piece(occ, True, parts(occ)) == reference_pieces(occ)[1][0]
     two = find_occurrences(state, parallel(room(identity(sig)), room(identity(sig))))[0]
-    assert _piece(two, True) == merge(*reference_pieces(two)[1])
+    assert _piece(two, True, parts(two)) == merge(*reference_pieces(two)[1])
     none = find_occurrences(state, room())[0]
-    assert _piece(none, True) == one(sig)
+    assert _piece(none, True, parts(none)) == one(sig)
 
 
 def test_determinism(server_sig):
@@ -262,6 +263,19 @@ def test_matcher_agrees_with_brute_force_shared():
             assert iso_equal(recompose(occ, pattern, range(pattern.sites)), target)
             shared += any(len(target.node_parents[t]) > 1 for t in occ.node_map.values())
     assert shared >= 100
+    # sharing-free targets, nested, where _finalize routes nothing: a
+    # shared site leaves its parents without a site of their own, and a
+    # region's position can fall inside another region's parameter
+    found = 0
+    for _ in range(3000):
+        target = random_ground(rng, sig, max_nodes=6, max_regions=1)
+        pattern = random_solid_pattern(rng, sig, max_nodes=3, share_prob=0.5)
+        occs = find_occurrences(target, pattern)
+        assert matcher_images(occs) == brute_images(target, pattern)
+        for occ in occs:
+            assert iso_equal(recompose(occ, pattern, range(pattern.sites)), target)
+        found += len(occs)
+    assert found >= 500
 
 
 
@@ -296,7 +310,7 @@ def test_tops_route_per_parent_set():
         for occ in occs:
             assert iso_equal(recompose(occ, pat, range(pat.sites)), t)
             # a parameter top: a part node whose parents are image nodes
-            tops = [s for w, s in occ.owner.items()
+            tops = [s for w, s in parts(occ).items()
                     if all(q[0] == "n" and q[1] in occ.image for q in t.node_parents[w])]
             assert sorted(tops) == ([0, 0] if pat is shared else [0, 1])
 
@@ -374,7 +388,7 @@ def test_rigid_patterns_skip_only_a_table_that_drops_nothing():
     repeated = 0                                 # searches whose table dropped a hit
     for target, pattern in cases:
         got, want = find_occurrences(target, pattern), reference_find_occurrences(target, pattern)
-        assert got == want and [o.owner for o in got] == [o.owner for o in want]
+        assert got == want and list(map(parts, got)) == list(map(parts, want))
         repeated += len(list(_occurrences(target, pattern))) > len(want)
     assert len(cases) > 1400 and repeated > 10
 
@@ -430,7 +444,7 @@ def test_shared_content_routes_to_one_site(building_sig):
     room_site = make_atom(building_sig, "Room")
     occs = find_occurrences(state, room_site)
     assert len(occs) == 1
-    param = _piece(occs[0], True)
+    param = _piece(occs[0], True, parts(occs[0]))
     adult = param.ctrl.index("Adult")
     assert len(param.node_parents[adult]) == 2
     assert iso_equal(recompose(occs[0], room_site, range(room_site.sites)), state)
@@ -470,7 +484,7 @@ def test_recompose_closes_links_in_one_pass():
     # the occurrence with a, b, c, d on w, x, y, z (closed in that order)
     (occ,) = [o for o in occs
               if [o.link_map[("o", x)] for x in "abcd"] == [("e", k) for k in range(4)]]
-    assert len(_wiring(occ)[1]) == 4
+    assert len(_wiring(occ, parts(occ))[1]) == 4
     result = recompose(occ, merge(atoms(("J", "abd")), idle(sig, ["c"])), ())
     assert well_formed(result)
     assert result.edges == 3 and not result.outer
@@ -486,10 +500,11 @@ def assert_splice_is_the_algebra(occ, pattern, entries):
     assert len({id(ps) for ps in got.node_parents}) == len(set(got.node_parents))
     # a guard's pieces: the parameters merged, the context with its holes plugged
     context, parameters, _, _ = reference_pieces(occ)
-    assert _piece(occ, True) == (merge(*parameters) if parameters else one(context.sig))
-    assert _piece(occ, False) == _mk(context.sig, context.regions, 0, context.ctrl,
-                                     context.params, context.node_parents, (), context.ports,
-                                     (), context.outer, context.edges)
+    owner = parts(occ)
+    assert _piece(occ, True, owner) == (merge(*parameters) if parameters else one(context.sig))
+    assert _piece(occ, False, owner) == _mk(context.sig, context.regions, 0, context.ctrl,
+                                            context.params, context.node_parents, (),
+                                            context.ports, (), context.outer, context.edges)
 
 
 def test_splice_is_the_algebra_on_bundled_models():

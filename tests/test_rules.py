@@ -263,8 +263,8 @@ def test_pieces_are_built_only_when_read(monkeypatch, name, built):
     # checks the guards again)
     got = []
     real = matching._piece
-    monkeypatch.setattr(matching, "_piece", lambda occ, param:
-                        got.append("param" if param else "ctx") or real(occ, param))
+    monkeypatch.setattr(matching, "_piece", lambda occ, param, owner:
+                        got.append("param" if param else "ctx") or real(occ, param, owner))
     spec = load(PIECES)
     rule = next(r for r in spec.rules() if r.name == name)
     (occ,) = find_occurrences(spec.init, rule.lhs)
@@ -276,7 +276,7 @@ def test_pieces_are_built_only_when_read(monkeypatch, name, built):
 def test_occurrences_keep_only_what_their_search_found():
     # nothing is derived onto an occurrence, by a guard or a rewrite
     assert "__getattr__" not in vars(Occurrence)
-    fields = {"node_map", "link_map", "target", "image", "owner", "region_pos", "sites"}
+    fields = {"node_map", "link_map", "target", "image", "region_pos", "pattern"}
     spec = load(PIECES)
     for rule in spec.rules():
         for occ in find_occurrences(spec.init, rule.lhs):
