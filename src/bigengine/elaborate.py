@@ -25,7 +25,6 @@ from .errors import (
     MixedLabelKinds,
     ParseError,
     PatternNotSolid,
-    SignatureError,
     UnknownIdentifier,
     UnknownRuleInBlock,
 )
@@ -118,10 +117,7 @@ def elaborate(ast: lang.Ast) -> BrsSpec:
         declare(decl.name, decl.line)
         match decl:
             case lang.CtrlDecl():
-                try:
-                    sig.add(Control(decl.name, decl.arity, decl.atomic, decl.params or ()))
-                except SignatureError as exc:
-                    raise DuplicateDefinition(str(exc)) from None
+                sig.add(Control(decl.name, decl.arity, decl.atomic, decl.params or ()))
             case lang.BigDef():
                 bigs[decl.name] = decl.expr(ev, {})
             case lang.ReactDef():

@@ -51,7 +51,7 @@ Matching semantics, each condition checked in exactly one place:
   each site are counted once, so pattern automorphisms (which fix open
   names) multiply matches only by moving parts between sites, while
   occurrences that rewrite differently all count (``find_occurrences``,
-  whose table of images only a pattern that is not rigid needs: ``_rigid``).
+  which compares only hits that repeat a node image set).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class Occurrence:
     node_map: dict[int, int]
     link_map: dict[Handle, Handle]
     target: Bigraph = field(repr=False, compare=False)
-    image: set = field(repr=False, compare=False)
+    image: frozenset = field(repr=False, compare=False)
     region_pos: dict = field(repr=False, compare=False)  # region -> target parents
     pattern: Bigraph = field(repr=False, compare=False)
 
@@ -264,21 +264,28 @@ def find_occurrences(target: Bigraph, pattern: Bigraph) -> list[Occurrence]:
     name lands on, and the closed edge image set. Pattern automorphisms
     fix open names, so they collapse unless they give some site another
     part (its target nodes, routed by ``_parts``); two occurrences that
-    send names to different links are both kept. A rigid pattern repeats
-    no image, so its occurrences go unkeyed and unrouted."""
-    if _plan(pattern).rigid:
-        return sorted(_occurrences(target, pattern), key=Occurrence.sort_key)
+    send names to different links are both kept. Equal images have equal
+    node image sets, so a hit whose node image set is new is kept unkeyed
+    and unrouted, and only a hit that repeats one is compared, with the
+    earlier hits on that set; the first hit per image and parts stays."""
+
+    def likeness(occ):                     # what hits on one node image set differ by
+        return ({(L[1], tl) for L, tl in occ.link_map.items() if L[0] == "o"},
+                {tl for L, tl in occ.link_map.items() if L[0] == "e"},
+                _parts(target, pattern, occ.node_map, occ.image))
+
     occurrences: list[Occurrence] = []
-    seen: dict = {}                        # image -> the parts of its occurrences
+    seen: dict = {}                        # node image set -> its first hit, then its hits' likeness
     for occ in _occurrences(target, pattern):
-        key = (frozenset(occ.image),
-               frozenset((L[1], tl) for L, tl in occ.link_map.items() if L[0] == "o"),
-               frozenset(tl for L, tl in occ.link_map.items() if L[0] == "e"))
-        same = seen.setdefault(key, [])
-        owner = _parts(target, pattern, occ.node_map, occ.image)
-        if owner not in same:              # same part in each site
-            same.append(owner)
-            occurrences.append(occ)
+        same = seen.setdefault(occ.image, occ)
+        if same is not occ:
+            if type(same) is Occurrence:
+                same = seen[occ.image] = [likeness(same)]
+            key = likeness(occ)
+            if key in same:
+                continue
+            same.append(key)
+        occurrences.append(occ)
     occurrences.sort(key=Occurrence.sort_key)
     return occurrences
 
@@ -291,8 +298,8 @@ class _Plan(NamedTuple):
     each with its region parents and whether it has a node parent too;
     the nodes with a site child; those with no site of their own, with
     their node-child counts; the site each parent set names. Per link
-    handle, closed edges first: its (node, ports on it) pairs; the nodes
-    with ports; and whether the pattern is rigid (``_rigid``)."""
+    handle, closed edges first: its (node, ports on it) pairs; and the
+    nodes with ports."""
 
     filters: tuple
     adj: tuple
@@ -302,7 +309,6 @@ class _Plan(NamedTuple):
     site_of_parents: dict
     links: tuple
     linked: tuple
-    rigid: bool
 
 
 def _plan(pattern: Bigraph) -> _Plan:
@@ -319,13 +325,12 @@ def _plan(pattern: Bigraph) -> _Plan:
                      sum(c[0] == "n" for c in p_kids[("n", u)]),
                      any(c[0] == "s" for c in p_kids[("n", u)]))
                     for u, ps in enumerate(pattern.node_parents))
-    rel: list[list] = [[] for _ in range(pattern.n)]    # (0, node parent), (1, node child)
+    adj: list[set] = [set() for _ in range(pattern.n)]  # node parents, children and link mates
     for u, ps in enumerate(pattern.node_parents):
         for p in ps:
             if p[0] == "n":
-                rel[u].append((0, p[1]))
-                rel[p[1]].append((1, u))
-    adj = [{v for _, v in r} for r in rel]
+                adj[u].add(p[1])
+                adj[p[1]].add(u)
     users: dict = {}
     for u, hs in enumerate(pattern.ports):
         for h in hs:
@@ -343,27 +348,8 @@ def _plan(pattern: Bigraph) -> _Plan:
               if f[4] and {("n", u)} not in pattern.site_parents),
         {frozenset(ps): s for s, ps in enumerate(pattern.site_parents)},
         tuple((h, tuple(users[h].items())) for h in sorted(users)),   # ("e", k) < ("o", x)
-        tuple(u for u, hs in enumerate(pattern.ports) if hs),
-        _rigid(label, rel, users))
+        tuple(u for u, hs in enumerate(pattern.ports) if hs))
     return got
-
-
-def _rigid(label, rel, users) -> bool:
-    """Whether refining node labels over node parenthood alone (no regions,
-    sites or links) gives each node its own colour, and no two closed edges
-    have the same ports per node. Then no image repeats: two node maps onto
-    one would differ by an automorphism of labels and parenthood, and one
-    node map fixes each closed edge's image."""
-    col, count = label, len(set(label))
-    while count < len(col):
-        ids: dict = {}
-        col = [ids.setdefault((c, *sorted((d, col[v]) for d, v in r)), len(ids))
-               for c, r in zip(col, rel)]
-        if len(ids) == count:                  # stable, and not discrete
-            return False
-        count = len(ids)
-    edges = [frozenset(row.items()) for h, row in users.items() if h[0] == "e"]
-    return len(set(edges)) == len(edges)
 
 
 def _occurrences(target: Bigraph, pattern: Bigraph):
@@ -431,7 +417,7 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict, forest:
     ``_parts`` where a node has two parents, else by two tests (a part is
     then the subtree of a top with one, image, parent).
     """
-    image = set(fwd.values())
+    image = frozenset(fwd.values())
 
     # --- region positions: the parents of a top node outside the image -----
     # (all of its parents when it has no parent in the pattern's nodes)

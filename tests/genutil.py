@@ -1,9 +1,10 @@
 """Shared test helpers: seeded random bigraph generators, twins added
 beside childless nodes (``with_twins``), random
 renumbering (``permuted``) and port swaps (``swapped``), a brute-force occurrence enumerator used as
-the matcher oracle, the occurrence list with its table of images kept
-for every pattern (``reference_find_occurrences``) as the oracle of
-``matching.find_occurrences``, which skips the table on rigid patterns,
+the matcher oracle, the occurrence list kept by a table of every image
+(``reference_find_occurrences``) as the oracle of
+``matching.find_occurrences``, which compares only hits that repeat a
+node image set,
 each parameter node's site as ``matching._parts`` routes it (``parts``),
 two isomorphism oracles (``brute_iso`` and, over
 ``networkx``, ``nx_iso``), colour refinement in three sorted tuples per
@@ -383,10 +384,10 @@ def brute_images(target: Bigraph, pattern: Bigraph) -> set:
 
 
 def reference_find_occurrences(target: Bigraph, pattern: Bigraph) -> list:
-    """``find_occurrences`` with its table of images kept for every
-    pattern, rigid or not: one occurrence per image (node image set, the
-    link of each open name, closed-edge image set) and parts, sorted by
-    image."""
+    """``find_occurrences`` by a table of every image, each hit keyed
+    whether or not its node image set repeats: one occurrence per image
+    (node image set, the link of each open name, closed-edge image set)
+    and parts, the first found, sorted by image."""
     occurrences: list = []
     seen: dict = {}                        # image -> its occurrences
     for occ in _occurrences(target, pattern):

@@ -131,6 +131,22 @@ def test_abrs_tra_shape():
     assert all(abs(v - 1.0) < 1e-9 for v in sums.values())
 
 
+def test_abrs_tra_skips_actions_without_transitions():
+    # at Y | K action a has no transition: b is that state's choice 0
+    spec = load("""
+atomic ctrl X = 0; atomic ctrl Y = 0; atomic ctrl K = 0;
+react ra = X -[1]-> Y;
+react rb = K -[1]-> K;
+big s0 = X | K;
+begin abrs
+  init s0;
+  rules = [ {ra, rb} ];
+  actions = [ a = {ra}, b = {rb} ];
+end
+""")
+    assert write_tra(explore(spec, 10)) == b"2 3 3\n0 0 1 1 a\n0 1 0 1 b\n1 0 1 1 b\n"
+
+
 def test_roundtrip_reader_multiset():
     spec = load_file(MODELS / "vault.big")
     ts = explore(spec, 100)

@@ -21,7 +21,7 @@ from bigengine.bigraph import Control, Signature, _mk, close, idle
 from bigengine.elaborate import load, load_file
 from bigengine.engine import explore
 from bigengine.errors import PatternNotSolid, TargetNotGround
-from bigengine.matching import _occurrences, _piece, _plan, _wiring, recompose
+from bigengine.matching import _occurrences, _piece, _wiring, recompose
 from bigengine.printing import print_bigraph
 
 from conftest import MODELS
@@ -366,15 +366,14 @@ end
 """
 
 
-def test_rigid_patterns_skip_only_a_table_that_drops_nothing():
-    # find_occurrences keeps its table of images only for patterns that
-    # are not rigid, and gives the hits of the table kept for every
-    # pattern, in the same order: on the symmetric sides, on every stored
-    # state of the bundled models and ROOMS against each of their left
-    # sides, and on random draws with and without twins
+def test_find_occurrences_drops_only_hits_that_repeat_an_image():
+    # find_occurrences compares only hits that repeat a node image set,
+    # and gives the hits of a table of every image, in the same order and
+    # with equal parts: on the symmetric sides, on every stored state of
+    # the bundled models and ROOMS against each of their left sides, and
+    # on random draws with and without twins
     spec = load(SYMMETRIC_SIDES)
     cases = [(spec.init, rule.lhs) for rule in spec.rules()]
-    assert not any(_plan(pattern).rigid for _, pattern in cases)
     for source in sorted(MODELS.glob("*.big")) + [ROOMS]:
         spec = load(source) if source is ROOMS else load_file(source)
         sides = {id(rule.lhs): rule.lhs for rule in spec.rules()}.values()
@@ -385,7 +384,7 @@ def test_rigid_patterns_skip_only_a_table_that_drops_nothing():
         target = random_ground(rng, sig, max_nodes=8, share_prob=0.2)
         pattern = random_solid_pattern(rng, sig, max_nodes=4, share_prob=0.2)
         cases += [(target, pattern), (with_twins(target, rng), with_twins(pattern, rng))]
-    repeated = 0                                 # searches whose table dropped a hit
+    repeated = 0                                 # searches that dropped a hit
     for target, pattern in cases:
         got, want = find_occurrences(target, pattern), reference_find_occurrences(target, pattern)
         assert got == want and list(map(parts, got)) == list(map(parts, want))
@@ -542,6 +541,14 @@ end
 """
 
 
+OUTER_W0 = """
+atomic ctrl A = 1; atomic ctrl B = 1; atomic ctrl C = 1; atomic ctrl D = 1;
+react r = B{x} --> D{x};
+big s0 = /e (A{e} | B{e}) | C{w0};
+begin brs init s0; rules = [ {r} ]; end
+"""
+
+
 def test_splice_is_the_algebra_on_copies_and_crossing_links():
     spec = load(SPLICE_MODEL)
     ts = explore(spec, 60)
@@ -553,6 +560,13 @@ def test_splice_is_the_algebra_on_copies_and_crossing_links():
                 assert_splice_is_the_algebra(occ, rule.rhs, rule.inst.entries)
                 applied.add(rule.name)
     assert applied == {"unwrap", "dup", "drop", "cut"}
+    # the pattern name lands on a closed edge, whose fresh name skips the
+    # target's own outer name w0, so C stays apart from the A-D edge
+    spec = load(OUTER_W0)
+    (rule,) = spec.rules()
+    (occ,) = find_occurrences(spec.init, rule.lhs)
+    assert _wiring(occ, parts(occ))[1] == ("w1",)
+    assert_splice_is_the_algebra(occ, rule.rhs, rule.inst.entries)
 
 
 def test_splice_is_the_algebra_random():

@@ -11,11 +11,13 @@ import pytest
 from bigengine import bigraph, canon, matching
 from bigengine.elaborate import load, load_file
 from bigengine.engine import explore
-from bigengine.matching import _occurrences, check_constraints
+from bigengine.matching import _occurrences, check_constraints, find_occurrences
 
 from conftest import MODELS
 from genutil import (
+    brute_images,
     make_sig,
+    matcher_images,
     permuted,
     random_ground,
     random_solid_pattern,
@@ -88,3 +90,35 @@ def test_node_maps_agree_in_iso_equal(compared, monkeypatch):
     for state in states:
         assert canon.iso_equal(state, permuted(state, rng))
     assert len(compared) == len(states) and all(compared)
+
+
+# candidates with a placed parent or child that the pattern does not give
+# them. In "parent" and "child" the top B lies under the sited A's image:
+# fits rejects it as B's placed parent (A placed first) or as A's placed
+# child (B placed first, having fewer candidates). On a forest
+# _finalize's position walk would reject it too, so the shared K keeps
+# these targets off that path. "chains" and "pairs" hold two copies
+# linked crosswise, so a node drawn by a link lands in the other copy
+PLACED = """
+ctrl A = 0; atomic ctrl B = 0; atomic ctrl K = 0; ctrl M = 0;
+ctrl P = 1; ctrl Q = 0; atomic ctrl R = 1; ctrl D = 0; atomic ctrl E = 0;
+ctrl S = 0; atomic ctrl T = 1; atomic ctrl U = 1;
+big tops = A.id || B;
+big parent = A.B | share K by ([{0,1}], 2) in (M.id | M.id);
+big child = A.B | A.1 | share K by ([{0,1}], 2) in (M.id | M.id);
+big chain = P{x}.Q.R{x};
+big chains = /a/b (P{a}.Q.R{b} | P{b}.Q.R{a}) | K | D.Q.E;
+big pair = S.(T{x} | U{x});
+big pairs = /a/b (S.(T{a} | U{b}) | S.(T{b} | U{a})) | K | S.(K | K) | S.(K | K);
+react r = K --> K;
+begin brs init parent; rules = [ {r} ]; end
+"""
+
+
+@pytest.mark.parametrize("pattern, target, count", [
+    ("tops", "parent", 0), ("tops", "child", 1), ("chain", "chains", 0), ("pair", "pairs", 0)])
+def test_placed_neighbours_outside_the_pattern_fail(pattern, target, count):
+    bigs = load(PLACED).bigs
+    occs = find_occurrences(bigs[target], bigs[pattern])
+    assert len(occs) == count
+    assert matcher_images(occs) == brute_images(bigs[target], bigs[pattern])

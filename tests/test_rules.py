@@ -74,6 +74,13 @@ def test_lhs_not_solid(ab_sig):
         validate_rule(rule)
 
 
+def test_site_under_a_region_is_not_solid():
+    # A | id: its one region holds a node, but also a site directly
+    with pytest.raises(LhsNotSolid, match="left-hand side of r is not solid"):
+        load("""atomic ctrl A = 0; react r = A | id --> A | id; big s0 = A;
+                begin brs init s0; rules = [ {r} ]; end""")
+
+
 def test_identity_map_synthesised(ab_sig):
     lhs = make_atom(ab_sig, "K")
     rule = ReactionRule("id", lhs, lhs)
