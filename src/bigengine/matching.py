@@ -22,10 +22,12 @@ Occurrences are produced lazily, so ``matches_predicate``, the rule
 guards and the engine's settle stop at the first. An occurrence is what
 its search found; no piece is kept on it, and its parameter is routed
 (``_parts``) only where read. A rewrite (``recompose``) splices the new
-part into the target in one pass and builds neither piece; a guard lays
-the one piece it reads (``_piece``). Both lay equal parent sets and port
-rows as one object run-wide (``_shared``). No SAT machinery; no search
-result is carried from one state to the next.
+part into the target in one pass, builds neither piece and numbers each
+closed link across pieces (``_wiring``) once, after every piece's own
+edges; a guard lays the one piece it reads (``_piece``), where such a
+link is an outer name. Both lay equal parent sets and port rows as one
+object run-wide (``_shared``). No SAT machinery; no search result is
+carried from one state to the next.
 
 Matching semantics, each condition checked in exactly one place:
 
@@ -59,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import NamedTuple
 
 from .bigraph import Bigraph, Handle, _mk, _node_maps, labels
@@ -109,14 +112,27 @@ def recompose(occ: Occurrence, pattern: Bigraph, entries) -> Bigraph:
     numbered as the algebra would number context o (pattern || parts):
     nodes are the context's (ascending), pattern's, then each copy's
     (ascending); edges the context's own, pattern's, each copy's own
-    (fresh per copy), then the fresh names of ``_wiring`` that something
-    still uses, in that order. Equal rows are one object run-wide (``_shared``)."""
+    (fresh per copy), then the links across pieces that something still
+    uses, in target order, every number known from ``_wiring`` before a
+    row is laid. Equal rows are one object run-wide (``_shared``)."""
     target, image = occ.target, occ.image
     owner = _parts(target, occ.pattern, occ.node_map, image)
-    exposed, to_close = _wiring(occ, owner)
+    crossing, own = _wiring(occ, owner)
+    closed: dict[Handle, Handle] = {}          # a live link across pieces -> its edge
+    if crossing:
+        # live: the context or a copied part has a port on it, or a right-side name uses it
+        used = pattern._cache.get("used")
+        if used is None:
+            used = pattern._cache["used"] = {h for hs in pattern.ports for h in hs if h[0] == "o"}
+        onto = {occ.link_map[h] for h in used}
+        copied = set(entries)
+        edges = own.get("ctx", 0) + pattern.edges + sum(own.get(s, 0) for s in entries)
+        for h, tags in crossing.items():
+            if "ctx" in tags or h in onto or not copied.isdisjoint(tags):
+                closed[h] = ("e", edges + len(closed))
     rows = ([], [], [], [])                    # ctrl, params, parents, ports
     context = [t for t in range(target.n) if t not in image and t not in owner]
-    where, edges = _lay(target, exposed, context, None, rows, 0)
+    where, edges = _lay(target, closed, context, None, rows, 0)
     regions = [_lift(where, occ.region_pos[r]) for r in range(len(occ.region_pos))]
     ctrl, params, parents, ports = rows
     base = len(ctrl)
@@ -130,61 +146,46 @@ def recompose(occ: Occurrence, pattern: Bigraph, entries) -> Bigraph:
                 out.update(regions[p[1]])
         return _shared(frozenset(out))
 
-    names = {lh[1]: exposed[th] for lh, th in occ.link_map.items() if lh[0] == "o"}
     ctrl.extend(pattern.ctrl)
     params.extend(pattern.params)
     parents.extend(place(ps) for ps in pattern.node_parents)
-    ports.extend(_shared(tuple(("o", names[h[1]]) if h[0] == "o" else ("e", edges + h[1])
+    names = {L: closed.get(tl, tl) for L, tl in occ.link_map.items() if L[0] == "o"}
+    ports.extend(_shared(tuple(names[h] if h[0] == "o" else ("e", edges + h[1])
                                for h in hs)) for hs in pattern.ports)
     edges += pattern.edges
     parts: list[list[int]] = [[] for _ in range(occ.pattern.sites)]   # each site's nodes, ascending
     for x in sorted(owner):
         parts[owner[x]].append(x)
     for k, s in enumerate(entries):
-        edges += _lay(target, exposed, parts[s], place(pattern.site_parents[k]), rows, edges)[1]
-    # close the fresh names that are still used, numbering the closed
-    # edges in that order; only rows that hold one change
-    if to_close:
-        used = set().union(*ports)
-        live = [("o", w) for w in to_close if ("o", w) in used]
-        closing = {h: ("e", edges + k) for k, h in enumerate(live)}
-        ports = [_shared(tuple(closing.get(h, h) for h in hs))
-                 if not closing.keys().isdisjoint(hs) else hs for hs in ports]
-        edges += len(live)
+        edges += _lay(target, closed, parts[s], place(pattern.site_parents[k]), rows, edges)[1]
     return _mk(target.sig, target.regions, 0, ctrl, params, parents, (), ports,
-               (), target.outer, edges)
+               (), target.outer, edges + len(closed))
 
 
 def _wiring(occ: Occurrence, owner: dict) -> tuple:
-    """The name each target link carries across the pieces (``exposed``),
-    and the fresh names among them (``to_close``): an open target link
-    keeps its name; a closed one that a pattern name lands on, or whose
-    ports lie in more than one piece (context, image, a part of owner),
-    gets a fresh name to close again after the rewrite. Other closed
-    links stay inside their piece (or are consumed by a pattern edge)."""
+    """One scan of the target's closed links: those across pieces
+    (context, image, a part of owner), in target order, each with the
+    pieces it touches, and each piece's count of its own closed links
+    (those wholly in it). A closed link crosses when a pattern name lands
+    on it or its ports lie in more than one piece; one that a pattern edge
+    takes is neither. Open links keep their name and are not listed."""
     target, image = occ.target, occ.image
     t_points = target.link_points()
-    edges_mapped = {tl for L, tl in occ.link_map.items() if L[0] == "e"}
-    names_onto = {tl for L, tl in occ.link_map.items() if L[0] == "o"}
-    exposed: dict[Handle, str] = {}
-    to_close: list[str] = []
-    counter = 0                                # fresh names w0, w1, ... not in target.outer
-    for h in sorted(t_points):
-        if h[0] == "o":
-            exposed[h] = h[1]
-            continue
-        if h in edges_mapped:
+    taken = {tl: L[0] for L, tl in occ.link_map.items()}    # target link -> "o" or "e"
+    crossing: dict[Handle, set] = {}
+    own: dict = {}                             # "ctx" or a site -> its closed links
+    for k in range(target.edges):
+        h = ("e", k)
+        if taken.get(h) == "e":
             continue
         # pieces the edge touches (a ground target has only port points)
-        tags = {"img" if pt[1] in image else owner.get(pt[1], "ctx")
-                for pt in t_points[h]}
-        if h in names_onto or len(tags) > 1:
-            while "w%d" % counter in target.outer:
-                counter += 1
-            exposed[h] = "w%d" % counter
-            to_close.append(exposed[h])
-            counter += 1
-    return exposed, tuple(to_close)
+        tags = {"img" if pt[1] in image else owner.get(pt[1], "ctx") for pt in t_points[h]}
+        if h in taken or len(tags) > 1:
+            crossing[h] = tags
+        elif tags:
+            (tag,) = tags
+            own[tag] = own.get(tag, 0) + 1
+    return crossing, own
 
 
 _SHARED_ROWS = 4096                            # the most rows _shared keeps alive
@@ -197,11 +198,12 @@ def _shared(row):
     return row
 
 
-def _lay(target: Bigraph, exposed, nodes, top, rows, edges: int) -> tuple:
+def _lay(target: Bigraph, crossing, nodes, top, rows, edges: int) -> tuple:
     """Append target nodes, in order, to rows (ctrl, params, parents,
     ports), rows as ``_shared`` holds them. A parameter top (parents
-    outside nodes) gets the parents top, any other node its own; exposed
-    links carry their name, closed links are numbered from edges on in
+    outside nodes) gets the parents top, any other node its own; a link
+    across pieces gets its handle in crossing, an open link keeps its
+    name, and the nodes' own closed links are numbered from edges on in
     first-seen order. Returns the renumbering and that edge count."""
     ctrl, params, parents, ports = rows
     where = {t: len(ctrl) + i for i, t in enumerate(nodes)}
@@ -220,8 +222,10 @@ def _lay(target: Bigraph, exposed, nodes, top, rows, edges: int) -> tuple:
         if hs not in laid:
             row = []
             for h in hs:
-                if h in exposed:
-                    row.append(("o", exposed[h]))
+                if h in crossing:
+                    row.append(crossing[h])
+                elif h[0] == "o":
+                    row.append(h)
                 else:
                     row.append(own.setdefault(h, ("e", edges + len(own))))
             laid[hs] = _shared(tuple(row))
@@ -237,7 +241,9 @@ def _lift(where, keys) -> frozenset:
 def _piece(occ: Occurrence, param: bool, owner: dict) -> Bigraph:
     """A guard's piece, ground, laid in one pass: every part of owner
     side by side under one region, site by site (param), or the context
-    (neither image nor parameter) with its holes plugged by empty regions."""
+    (neither image nor parameter) with its holes plugged by empty regions.
+    The links across pieces (``_wiring``) are outer names of the piece,
+    w0, w1, ... in target order, skipping the target's own names."""
     target = occ.target
     if param:
         nodes = sorted(owner, key=lambda x: (owner[x], x))
@@ -245,8 +251,10 @@ def _piece(occ: Occurrence, param: bool, owner: dict) -> Bigraph:
     else:
         nodes = [t for t in range(target.n) if t not in occ.image and t not in owner]
         regions, top, outer = target.regions, None, target.outer
+    fresh = (w for w in ("w%d" % k for k in count()) if w not in target.outer)
+    crossing = {h: ("o", w) for h, w in zip(_wiring(occ, owner)[0], fresh)}
     rows = ([], [], [], [])
-    edges = _lay(target, _wiring(occ, owner)[0], nodes, top, rows, 0)[1]
+    edges = _lay(target, crossing, nodes, top, rows, 0)[1]
     ctrl, params, parents, ports = rows
     names = {h[1] for hs in ports for h in hs if h[0] == "o"}
     return _mk(target.sig, regions, 0, ctrl, params, parents, (), ports, (),

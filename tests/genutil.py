@@ -840,7 +840,10 @@ def reference_recompose(occ, pattern: Bigraph, entries) -> Bigraph:
     nest the parameters that entries name into its sites, nest that into the
     context, then close the fresh names that are still used, numbering
     the closed edges in that order and dropping the idle ones.
-    ``matching.recompose`` must equal it field by field."""
+    ``matching.recompose`` must equal it field by field. The splice numbers
+    each link across pieces once, from its counts; this route keeps the
+    fresh names and the closing on purpose, as an oracle that shares
+    neither that numbering nor any laying code with it."""
     context, parameters, exposed, to_close = reference_pieces(occ)
     renaming = {lh[1]: exposed[th] for lh, th in occ.link_map.items() if lh[0] == "o"}
     filler = reduce(parallel, [parameters[j] for j in entries], idle(pattern.sig, ()))

@@ -464,8 +464,8 @@ def test_recomposition_on_corpus_states():
 
 
 def test_recompose_closes_links_in_one_pass():
-    # four names to close: three links stay in use, numbered in order, and
-    # one (the edge K and P shared) is left idle by the right side
+    # four closed links across pieces: three stay in use, numbered in
+    # order, and one (the edge K and P shared) is left idle by the right side
     sig = Signature([Control("K", 4, atomic=True), Control("J", 3, atomic=True),
                      Control("P", 1, atomic=True), Control("L", 1, atomic=True),
                      Control("M", 1, atomic=True), Control("N", 1, atomic=True)])
@@ -483,7 +483,7 @@ def test_recompose_closes_links_in_one_pass():
     # the occurrence with a, b, c, d on w, x, y, z (closed in that order)
     (occ,) = [o for o in occs
               if [o.link_map[("o", x)] for x in "abcd"] == [("e", k) for k in range(4)]]
-    assert len(_wiring(occ, parts(occ))[1]) == 4
+    assert len(_wiring(occ, parts(occ))[0]) == 4
     result = recompose(occ, merge(atoms(("J", "abd")), idle(sig, ["c"])), ())
     assert well_formed(result)
     assert result.edges == 3 and not result.outer
@@ -495,8 +495,9 @@ def test_recompose_closes_links_in_one_pass():
 def assert_splice_is_the_algebra(occ, pattern, entries):
     got = recompose(occ, pattern, entries)
     assert got == reference_recompose(occ, pattern, entries)
-    # nodes with equal parents share one frozenset
+    # nodes with equal parents share one frozenset, equal port rows one tuple
     assert len({id(ps) for ps in got.node_parents}) == len(set(got.node_parents))
+    assert len({id(hs) for hs in got.ports}) == len(set(got.ports))
     # a guard's pieces: the parameters merged, the context with its holes plugged
     context, parameters, _, _ = reference_pieces(occ)
     owner = parts(occ)
@@ -507,14 +508,19 @@ def assert_splice_is_the_algebra(occ, pattern, entries):
 
 
 def test_splice_is_the_algebra_on_bundled_models():
+    # and on the benchmark's rooms, whose every move closes door links
+    # across pieces
     checked = 0
-    for path in sorted(MODELS.glob("*.big")):
-        spec = load_file(path)
-        for state in explore(spec, 60).states:
+    for spec in [load_file(path) for path in sorted(MODELS.glob("*.big"))] + [load(ROOMS)]:
+        states = explore(spec, 60).states
+        hits = 0
+        for state in states:
             for rule in spec.rules():
                 for occ in find_occurrences(state, rule.lhs):
                     assert_splice_is_the_algebra(occ, rule.rhs, rule.inst.entries)
-                    checked += 1
+                    hits += 1
+        checked += hits
+    assert (len(states), hits) == (16, 87)         # ROOMS
     assert checked > 500
 
 
@@ -560,12 +566,13 @@ def test_splice_is_the_algebra_on_copies_and_crossing_links():
                 assert_splice_is_the_algebra(occ, rule.rhs, rule.inst.entries)
                 applied.add(rule.name)
     assert applied == {"unwrap", "dup", "drop", "cut"}
-    # the pattern name lands on a closed edge, whose fresh name skips the
-    # target's own outer name w0, so C stays apart from the A-D edge
+    # the pattern name lands on a closed edge, which a guard's context
+    # names w1, skipping the target's own outer name w0, so C stays apart
+    # from the A-D edge
     spec = load(OUTER_W0)
     (rule,) = spec.rules()
     (occ,) = find_occurrences(spec.init, rule.lhs)
-    assert _wiring(occ, parts(occ))[1] == ("w1",)
+    assert _piece(occ, False, parts(occ)).outer == {"w0", "w1"}
     assert_splice_is_the_algebra(occ, rule.rhs, rule.inst.entries)
 
 
