@@ -319,12 +319,12 @@ def _juxtapose(bs: Sequence[Bigraph], flat: bool) -> Bigraph:
     no = eo = ro = 0
     for b in bs:
         _check_sig(bs[0], b)
-        if no or (b.regions > 1 if flat else ro):   # else nothing shifts (cheap for guard merges)
+        if no or (b.regions > 1 if flat else ro):
             shift = lambda ps: frozenset(
                 ("n", p[1] + no) if p[0] == "n" else ("r", 0 if flat else p[1] + ro) for p in ps)
             nps += map(shift, b.node_parents)
             sps += map(shift, b.site_parents)
-        else:
+        else:                                   # nothing before it to shift by: not re-laid
             nps += b.node_parents
             sps += b.site_parents
         ports += (tuple(_shift_handle(h, eo) for h in hs) for hs in b.ports) if eo else b.ports

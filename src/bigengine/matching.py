@@ -22,11 +22,12 @@ Occurrences are produced lazily, so ``matches_predicate``, the rule
 guards and the engine's settle stop at the first. An occurrence is what
 its search found; no piece is kept on it, and its parameter is routed
 (``_parts``) only where read. A rewrite (``recompose``) splices the new
-part into the target in one pass, builds neither piece and numbers each
+part into the target in one pass, builds neither piece, numbers each
 closed link across pieces (``_wiring``) once, after every piece's own
-edges; a guard lays the one piece it reads (``_piece``), where such a
-link is an outer name. Both lay equal parent sets and port rows as one
-object run-wide (``_shared``). No SAT machinery; no search result is
+edges, and lays equal parent sets and port rows as one object run-wide
+(``_shared``). A guard lays nothing: it searches the target within a
+view of the one piece it reads (``_piece``), where a closed guard edge
+takes no link across pieces. No SAT machinery; no search result is
 carried from one state to the next.
 
 Matching semantics, each condition checked in exactly one place:
@@ -61,7 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import count
 from typing import NamedTuple
 
 from .bigraph import Bigraph, Handle, _mk, _node_maps, labels
@@ -88,7 +88,7 @@ class Occurrence:
     and link maps, the target, ``image`` nodes, region positions and the
     pattern. Nothing else is kept on it: what reads the parameter routes
     it (``_parts``), a rewrite derives the wiring (``_wiring``), and a
-    guard lays the one piece it reads (``_piece``)."""
+    guard searches the target within a view of its piece (``_piece``)."""
 
     node_map: dict[int, int]
     link_map: dict[Handle, Handle]
@@ -238,27 +238,22 @@ def _lift(where, keys) -> frozenset:
     return _shared(frozenset(p if p[0] == "r" else ("n", where[p[1]]) for p in keys))
 
 
-def _piece(occ: Occurrence, param: bool, owner: dict) -> Bigraph:
-    """A guard's piece, ground, laid in one pass: every part of owner
-    side by side under one region, site by site (param), or the context
-    (neither image nor parameter) with its holes plugged by empty regions.
-    The links across pieces (``_wiring``) are outer names of the piece,
-    w0, w1, ... in target order, skipping the target's own names."""
-    target = occ.target
+def _piece(occ: Occurrence, param: bool, owner: dict) -> tuple:
+    """A guard's piece as a view of the target, nothing laid: its nodes
+    (ascending), their parents, their children within the piece and the
+    links across pieces (``_wiring``), which no closed guard edge takes,
+    not even one between two parts, wholly in the parameter. The
+    parameter (param) is every part of owner, each top's parents read as
+    region 0; the context is every node in neither image nor parameter,
+    with empty holes."""
+    target, image = occ.target, occ.image
+    parents, kids, cut = target.node_parents, target.children(), _wiring(occ, owner)[0]
     if param:
-        nodes = sorted(owner, key=lambda x: (owner[x], x))
-        regions, top, outer = 1, frozenset({("r", 0)}), ()
-    else:
-        nodes = [t for t in range(target.n) if t not in occ.image and t not in owner]
-        regions, top, outer = target.regions, None, target.outer
-    fresh = (w for w in ("w%d" % k for k in count()) if w not in target.outer)
-    crossing = {h: ("o", w) for h, w in zip(_wiring(occ, owner)[0], fresh)}
-    rows = ([], [], [], [])
-    edges = _lay(target, crossing, nodes, top, rows, 0)[1]
-    ctrl, params, parents, ports = rows
-    names = {h[1] for hs in ports for h in hs if h[0] == "o"}
-    return _mk(target.sig, regions, 0, ctrl, params, parents, (), ports, (),
-               names.union(outer), edges)
+        return sorted(owner), {x: parents[x] if next(iter(parents[x]))[1] in owner
+                               else frozenset({("r", 0)}) for x in owner}, kids, cut
+    holes = frozenset().union(*occ.region_pos.values())     # the holes' parents
+    kids = {**kids, **{p: tuple(c for c in kids[p] if c[1] not in image) for p in holes}}
+    return [t for t in range(target.n) if t not in image and t not in owner], parents, kids, cut
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +355,23 @@ def _plan(pattern: Bigraph) -> _Plan:
     return got
 
 
-def _occurrences(target: Bigraph, pattern: Bigraph):
+def _occurrences(target: Bigraph, pattern: Bigraph, piece=None):
     """Occurrences in search order, one per node map and link assignment
-    (images may repeat)."""
+    (images may repeat), in the target or within a guard's ``_piece``."""
     if not target.is_ground():
         raise TargetNotGround("match target must be ground")
     plan = _plan(pattern)
-    t_kids = target.children()
+    nodes, parents, kids, _ = piece = piece or (range(target.n), target.node_parents,
+                                                target.children(), ())
 
     # candidate target nodes per pattern node: same label, then the
     # parent and child counts the pattern node admits
     by_label: dict = {f[0]: [] for f in plan.filters}
-    for t, label in enumerate(labels(target)):
-        row = by_label.get(label)
+    lab = labels(target)
+    for t in nodes:
+        row = by_label.get(lab[t])
         if row is not None:
-            row.append((t, len(target.node_parents[t]), len(t_kids[("n", t)])))
+            row.append((t, len(parents[t]), len(kids[("n", t)])))
     cand: list[list[int]] = []
     for label, np_nodes, has_region, n_kids, has_site in plan.filters:
         row = [t for t, tp, tk in by_label[label]
@@ -408,12 +405,13 @@ def _occurrences(target: Bigraph, pattern: Bigraph):
     if forest is None:
         forest = target._cache["forest"] = sum(map(len, target.node_parents)) == target.n
     for fwd in _node_maps(pattern, target, last[1], cand.__getitem__):
-        yield from _finalize(target, pattern, plan, dict(fwd), forest)
+        yield from _finalize(target, pattern, plan, dict(fwd), forest, piece)
 
 
-def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict, forest: bool):
+def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict, forest: bool, piece):
     """Placement checks left after the node map, then link assignment;
-    yields one occurrence per link assignment.
+    yields one occurrence per link assignment. Parents, children and cut
+    links are read from piece (the target's, or a guard's ``_piece``).
 
     Relies on ``_node_maps`` for exact parenthood between image nodes and
     on the candidate filter for parent and child counts, so the parents
@@ -423,16 +421,16 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict, forest:
     parameter top's parents name one site, and parameter parts are closed
     and hold no image node (so no region position lies in one): by
     ``_parts`` where a node has two parents, else by two tests (a part is
-    then the subtree of a top with one, image, parent).
-    """
+    then the subtree of a top with one, image, parent)."""
     image = frozenset(fwd.values())
+    _, parents, kids, cut = piece
 
     # --- region positions: the parents of a top node outside the image -----
     # (all of its parents when it has no parent in the pattern's nodes)
     region_pos: dict[int, frozenset] = {}
     multi: list[tuple[tuple[int, ...], frozenset]] = []
     for u, rs, under_node in plan.tops:
-        extra = target.node_parents[fwd[u]]
+        extra = parents[fwd[u]]
         if under_node:
             extra = frozenset(p for p in extra if p[0] == "r" or p[1] not in image)
         if len(rs) > 1:
@@ -448,27 +446,27 @@ def _finalize(target: Bigraph, pattern: Bigraph, plan: _Plan, fwd: dict, forest:
 
     if forest:
         for u, k in plan.unowned:              # a top under u would name no site
-            if len(target.children()[("n", fwd[u])]) > k:
+            if len(kids[("n", fwd[u])]) > k:
                 return
         for (p,) in region_pos.values():       # a position has one parent on a forest
             while p[0] == "n":                 # up to its root: no image node above
                 if p[1] in image:
                     return
-                (p,) = target.node_parents[p[1]]
-    elif _parts(target, pattern, fwd, image) is None:
+                (p,) = parents[p[1]]
+    elif _parts(target, pattern, fwd, image, piece) is None:
         return
-    for assign in _link_assignments(target, plan, fwd, image):
+    for assign in _link_assignments(target, plan, fwd, image, cut):
         yield Occurrence(fwd, assign, target, image, region_pos, pattern)
 
 
-def _parts(target: Bigraph, pattern: Bigraph, fwd: dict[int, int], image) -> dict | None:
-    """Each parameter node's site under the node map fwd, or None when a
-    top's parents name no site, or a part is not closed or holds an image node."""
+def _parts(target: Bigraph, pattern: Bigraph, fwd: dict, image, piece=None) -> dict | None:
+    """Each parameter node's site under fwd (in piece, if given), or None when
+    a top's parents name no site, or a part is not closed or holds an image node."""
     plan = _plan(pattern)
+    _, parents, t_kids, _ = piece or (None, target.node_parents, target.children(), ())
     # --- parameter routing: each top's parents name one pattern site -------
     # checked once per distinct parent set; a set that names no site ends
     # the occurrence, so route holds only sets that name one
-    t_kids = target.children()
     inv = {t: u for u, t in fwd.items()}
     route: dict[frozenset, int] = {}           # a top's parents -> its site
     owner: dict[int, int] = {}                 # parameter node -> pattern site
@@ -476,7 +474,7 @@ def _parts(target: Bigraph, pattern: Bigraph, fwd: dict[int, int], image) -> dic
         for _, w in t_kids[("n", fwd[u])]:
             if w in image or w in owner:
                 continue
-            pars = target.node_parents[w]
+            pars = parents[w]
             s = route.get(pars)
             if s is None:
                 # every parent of a parameter top must be a matched node
@@ -502,18 +500,18 @@ def _parts(target: Bigraph, pattern: Bigraph, fwd: dict[int, int], image) -> dic
             # x's parent is then a region position inside the parameter
             return None
         owner[x] = s
-        if len(target.node_parents[x]) > 1:
+        if len(parents[x]) > 1:
             below.append(x)
         stack.extend((c, s) for _, c in t_kids[("n", x)])
     for x in below:
         s = owner[x]
-        for p in target.node_parents[x]:
+        for p in parents[x]:
             if p[0] != "n" or owner.get(p[1]) != s:
                 return None                    # parameter content escapes its part
     return owner
 
 
-def _link_assignments(target, plan, fwd, image):
+def _link_assignments(target, plan, fwd, image, cut):
     """All maps pattern-link -> target-link compatible with the node map.
 
     Counts the free ports per (image node, target link) of the linked
@@ -544,8 +542,8 @@ def _link_assignments(target, plan, fwd, image):
                 rem[tl] += need
         for tl in stack[-1]:
             # a closed edge takes an unused closed edge of the same size,
-            # wholly on the image (edges are assigned first)
-            if L[0] == "e" and (tl[0] != "e" or tl in assign.values()
+            # uncut, wholly on the image (edges are assigned first)
+            if L[0] == "e" and (tl[0] != "e" or tl in assign.values() or tl in cut
                                 or target.port_count(tl) != sum(n for _, n in users)
                                 or any(pt[1] not in image for pt in target.link_points()[tl])):
                 continue
@@ -577,16 +575,17 @@ def matches_predicate(state: Bigraph, pred: Bigraph) -> bool:
 
 
 def check_constraints(occ: Occurrence, constraints) -> bool:
-    """Conditional-rule guard: patterns checked against the merge of all
-    parameter parts (param kinds) or the plugged context (ctx kinds), each
-    laid once, when a guard first reads it (``_piece``), from one routing
-    (``_parts``); constraint patterns' names are independent of the rule's."""
+    """Conditional-rule guard: patterns searched in the target within a
+    view (``_piece``) of every parameter part under one region (param
+    kinds) or the context with empty holes (ctx kinds), made when a guard
+    first reads it, from one routing (``_parts``); a closed guard edge
+    takes no link across pieces, and guard names are independent of the rule's."""
     owner = _parts(occ.target, occ.pattern, occ.node_map, occ.image) if constraints else {}
-    pieces: dict = {}                          # True: merged parameter, False: context
+    pieces: dict = {}                          # True: parameter, False: context
     for c in constraints:
         param = c.kind.endswith("param")
         if param not in pieces:
             pieces[param] = _piece(occ, param, owner)
-        if c.kind.startswith("present") != matches_predicate(pieces[param], c.pattern):
+        if c.kind.startswith("present") != any(_occurrences(occ.target, c.pattern, pieces[param])):
             return False
     return True

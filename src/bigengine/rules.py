@@ -127,8 +127,8 @@ def validate_rule(rule: ReactionRule) -> None:
 def apply_at(state: Bigraph, rule: ReactionRule, occ: Occurrence) -> Bigraph:
     """Replace the matched left side by the right side at one occurrence,
     in one pass over the state (``matching.recompose``), which builds no
-    context or parameter. The rule's guards are checked first, each one
-    laying the one piece it reads; nothing is kept on the occurrence.
+    context or parameter. The rule's guards are checked first, each in a
+    view of the state (``matching._piece``); nothing is kept on the occurrence.
 
     Parameters are duplicated or discarded per the instantiation map:
     copies share their open links (and any link exposed to the rest of

@@ -16,8 +16,10 @@ edges' points (``reference_orbit_key``) as the oracle of
 tries every candidate (``reference_node_maps``) as the oracle of the
 anchored ``bigraph._node_maps``, an occurrence's context, parameters
 and wiring written from its maps, sharing no laying code with
-``matching`` (``reference_pieces``), as the oracle of a guard's pieces,
-and on them the rewrite by the algebra (``reference_recompose``) as the
+``matching`` (``reference_pieces``), and on them each guard searched by
+``matches_predicate`` in its laid piece (``reference_guards``) as the
+oracle of ``check_constraints``, which searches the target in place, and
+the rewrite by the algebra (``reference_recompose``) as the
 oracle of the one-pass ``matching.recompose``, the binary products and nest written out
 (``reference_product``, ``reference_nest``) as the oracles of the n-ary
 ``merge``, ``parallel`` and ``nest``, a structural sanity check (``well_formed``),
@@ -39,7 +41,8 @@ from functools import reduce
 from itertools import count, product
 from typing import Sequence
 
-from bigengine.bigraph import Bigraph, Signature, _mk, close, idle, labels, nest, parallel
+from bigengine.bigraph import (Bigraph, Signature, _mk, close, idle, labels, merge, nest, one,
+                               parallel)
 from bigengine.canon import _digest, certificate
 from bigengine.errors import AtomicViolation, SignatureError, WidthMismatch
 from bigengine.matching import (
@@ -48,6 +51,7 @@ from bigengine.matching import (
     _parts,
     check_constraints,
     find_occurrences,
+    matches_predicate,
 )
 from bigengine.rules import apply_at
 
@@ -832,6 +836,22 @@ def reference_pieces(occ) -> tuple:
     parameters = [piece([x for x in range(t.n) if owner.get(x) == k], 1, (), ())
                   for k in range(occ.pattern.sites)]
     return context, parameters, exposed, tuple(to_close)
+
+
+def reference_guards(occ, constraints) -> list:
+    """Whether each guard holds at occ, its pattern searched by
+    ``matches_predicate`` in a laid piece: the context of
+    ``reference_pieces`` with its holes dropped (ctx kinds), or its
+    parameters merged under one region, ``one`` when there are none
+    (param kinds). It shares no laying or search-restriction code with
+    ``matching``."""
+    context, parameters, _, _ = reference_pieces(occ)
+    pieces = {"ctx": _mk(context.sig, context.regions, 0, context.ctrl, context.params,
+                         context.node_parents, (), context.ports, (), context.outer,
+                         context.edges),
+              "param": merge(*parameters) if parameters else one(context.sig)}
+    return [matches_predicate(pieces[c.kind.split("_")[1]], c.pattern)
+            == c.kind.startswith("present") for c in constraints]
 
 
 def reference_recompose(occ, pattern: Bigraph, entries) -> Bigraph:

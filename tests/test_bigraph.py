@@ -202,7 +202,7 @@ def test_nary_products_number_as_the_fold():
         ops = _operands(rng, sig, rng.randint(1, 4))
         if len(ops) == 1:
             assert merge(ops[0]) == merge(ops[0], one(sig))
-            # a lone one-region operand (a guard's one-part parameter) is not copied
+            # a lone one-region operand is not copied
             assert (merge(ops[0]) is ops[0]) == (ops[0].regions == 1)
             assert parallel(ops[0]) == ops[0]
             continue

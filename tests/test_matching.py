@@ -21,7 +21,7 @@ from bigengine.bigraph import Control, Signature, _mk, close, idle
 from bigengine.elaborate import load, load_file
 from bigengine.engine import explore
 from bigengine.errors import PatternNotSolid, TargetNotGround
-from bigengine.matching import _occurrences, _piece, _wiring, recompose
+from bigengine.matching import _occurrences, _wiring, recompose
 from bigengine.printing import print_bigraph
 
 from conftest import MODELS
@@ -34,6 +34,7 @@ from genutil import (
     random_ground,
     random_solid_pattern,
     reference_find_occurrences,
+    reference_guards,
     reference_pieces,
     reference_recompose,
     well_formed,
@@ -60,9 +61,13 @@ def test_site_absorbs_contents(server_sig):
     pattern = make_atom(server_sig, "Server")        # Server.id
     occs = find_occurrences(target, pattern)
     assert len(occs) == 1
-    param = _piece(occs[0], True, parts(occs[0]))   # the one part, as a guard reads it
+    (param,) = reference_pieces(occs[0])[1]         # the one part
     assert param.is_ground()
     assert sorted(param.ctrl) == ["Data", "Data"]
+    # a guard reads that part
+    data = make_atom(server_sig, "Data")
+    guards = [MatchConstraint("present_param", merge(*[data] * k)) for k in (2, 3)]
+    assert [check_constraints(occs[0], (c,)) for c in guards] == [True, False]
 
 
 def test_control_mismatch(server_sig):
@@ -182,14 +187,85 @@ def test_check_constraints_param_and_ctx():
 def test_merged_parameter(server_sig):
     sig = server_sig
     room = lambda *inside: nest(make_atom(sig, "Room"), merge(*inside) if inside else one(sig))
-    state = merge(room(make_atom(sig, "Data"), make_atom(sig, "Camera")), room())
-    # a guard reads every part under one region, laid site by site
-    occ = find_occurrences(state, room(identity(sig)))[0]
-    assert _piece(occ, True, parts(occ)) == reference_pieces(occ)[1][0]
-    two = find_occurrences(state, parallel(room(identity(sig)), room(identity(sig))))[0]
-    assert _piece(two, True, parts(two)) == merge(*reference_pieces(two)[1])
-    none = find_occurrences(state, room())[0]
-    assert _piece(none, True, parts(none)) == one(sig)
+    data, camera = make_atom(sig, "Data"), make_atom(sig, "Camera")
+    state = merge(room(data), room(camera), room())
+    # a guard reads every part under one region: Data and Camera lie
+    # together only in the parameter of a two-room match that takes both
+    # rooms; a match with no site has the empty parameter
+    guards = (MatchConstraint("present_param", merge(data, camera)),
+              MatchConstraint("absent_param", data))
+    got = []
+    for pattern in (room(identity(sig)),
+                    parallel(room(identity(sig)), room(identity(sig))), room()):
+        for occ in find_occurrences(state, pattern):
+            checks = [check_constraints(occ, (c,)) for c in guards]
+            assert checks == reference_guards(occ, guards)
+            got.append((pattern.sites, *checks))
+    assert sorted(got) == sorted([(1, False, False), (1, False, True), (1, False, True),
+                                  (2, True, False), (2, True, False), (2, False, False),
+                                  (2, False, False), (2, False, True), (2, False, True),
+                                  (0, False, True)])
+
+
+TWO_PARTS = """
+ctrl A = 0; atomic ctrl B = 1; atomic ctrl C = 1;
+react r = A.id | A.id --> A.id | A.id if /y (B{y} | C{y}) in param, B{y} | C{y} in param;
+big s0 = /e (A.B{e} | A.C{e});
+begin brs init s0; rules = [ {r} ]; end
+"""
+
+
+def test_a_closed_guard_edge_takes_no_link_between_parts():
+    # the B-C edge links the two parts, so the merged parameter shows it
+    # as an open name: an open guard name lands on it, a closed guard
+    # edge does not, though all its ports lie in the parameter piece
+    spec = load(TWO_PARTS)
+    (rule,) = spec.rules()
+    occs = find_occurrences(spec.init, rule.lhs)
+    assert len(occs) == 2                      # the parts either way round
+    for occ in occs:
+        assert reference_guards(occ, rule.constraints) == [False, True]
+        assert [check_constraints(occ, (c,)) for c in rule.constraints] == [False, True]
+
+
+GUARDED = ("abrs_guards", "connect_server", "pbrs_detect_capped", "pbrs_detect_two",
+           "spawn", "turntaking", "vault", "vault_one")
+
+
+def test_guards_agree_with_the_reference():
+    # check_constraints searches the target within a view of each piece,
+    # the reference the piece laid whole: every guard of a model on every
+    # hit of every rule in its states, and random guards with sites, links
+    # and two regions on random draws, half of them with sharing
+    tally = {}                                 # (context piece, pattern found) -> checks
+
+    def agree(occ, guards):
+        got = [check_constraints(occ, (c,)) for c in guards]
+        assert got == reference_guards(occ, guards)
+        assert check_constraints(occ, guards) == all(got)
+        for c, holds in zip(guards, got):
+            key = (c.kind.endswith("ctx"), holds == c.kind.startswith("present"))
+            tally[key] = tally.get(key, 0) + 1
+
+    for spec in [load_file(MODELS / (name + ".big")) for name in GUARDED] + [load(ROOMS)]:
+        guards = [c for rule in spec.rules() for c in rule.constraints]
+        for state in explore(spec, 60).states:
+            for rule in spec.rules():
+                for occ in find_occurrences(state, rule.lhs):
+                    agree(occ, guards)
+    sig = make_sig(DEFAULT_CONTROLS)
+    rng = random.Random(36)
+    for k in range(1000):
+        share = 0.5 if k % 2 else 0.0
+        target = random_ground(rng, sig, max_nodes=8, share_prob=share)
+        pattern = random_solid_pattern(rng, sig, max_nodes=2, share_prob=share)
+        guards = [MatchConstraint(kind, random_solid_pattern(rng, sig, max_nodes=2,
+                                                             share_prob=share))
+                  for kind in ("present_param", "present_ctx", "absent_param", "absent_ctx") * 2]
+        for occ in find_occurrences(target, pattern):
+            agree(occ, guards)
+    assert sum(tally.values()) >= 3000
+    assert tally[False, True] and tally[True, True]    # patterns found in both pieces
 
 
 def test_determinism(server_sig):
@@ -443,9 +519,14 @@ def test_shared_content_routes_to_one_site(building_sig):
     room_site = make_atom(building_sig, "Room")
     occs = find_occurrences(state, room_site)
     assert len(occs) == 1
-    param = _piece(occs[0], True, parts(occs[0]))
-    adult = param.ctrl.index("Adult")
-    assert len(param.node_parents[adult]) == 2
+    (param,) = reference_pieces(occs[0])[1]
+    assert len(param.node_parents[param.ctrl.index("Adult")]) == 2
+    # a guard sees the adult under both cameras, not under one
+    adult = make_atom(building_sig, "Adult")
+    under_both = share(adult, [{0, 1}], 2, merge(cam_site, cam_site))
+    guards = (MatchConstraint("present_param", under_both),
+              MatchConstraint("present_param", nest(cam_site, adult)))
+    assert [check_constraints(occs[0], (c,)) for c in guards] == [True, False]
     assert iso_equal(recompose(occs[0], room_site, range(room_site.sites)), state)
 
 
@@ -498,13 +579,9 @@ def assert_splice_is_the_algebra(occ, pattern, entries):
     # nodes with equal parents share one frozenset, equal port rows one tuple
     assert len({id(ps) for ps in got.node_parents}) == len(set(got.node_parents))
     assert len({id(hs) for hs in got.ports}) == len(set(got.ports))
-    # a guard's pieces: the parameters merged, the context with its holes plugged
-    context, parameters, _, _ = reference_pieces(occ)
-    owner = parts(occ)
-    assert _piece(occ, True, owner) == (merge(*parameters) if parameters else one(context.sig))
-    assert _piece(occ, False, owner) == _mk(context.sig, context.regions, 0, context.ctrl,
-                                            context.params, context.node_parents, (),
-                                            context.ports, (), context.outer, context.edges)
+    # a guard reads either piece in place: the left side as a guard
+    guards = [MatchConstraint(kind, occ.pattern) for kind in ("present_param", "present_ctx")]
+    assert [check_constraints(occ, (c,)) for c in guards] == reference_guards(occ, guards)
 
 
 def test_splice_is_the_algebra_on_bundled_models():
@@ -549,7 +626,7 @@ end
 
 OUTER_W0 = """
 atomic ctrl A = 1; atomic ctrl B = 1; atomic ctrl C = 1; atomic ctrl D = 1;
-react r = B{x} --> D{x};
+react r = B{x} --> D{x} if A{y} in ctx, !(A{y} | C{y}) in ctx, !(/y A{y}) in ctx;
 big s0 = /e (A{e} | B{e}) | C{w0};
 begin brs init s0; rules = [ {r} ]; end
 """
@@ -566,13 +643,15 @@ def test_splice_is_the_algebra_on_copies_and_crossing_links():
                 assert_splice_is_the_algebra(occ, rule.rhs, rule.inst.entries)
                 applied.add(rule.name)
     assert applied == {"unwrap", "dup", "drop", "cut"}
-    # the pattern name lands on a closed edge, which a guard's context
-    # names w1, skipping the target's own outer name w0, so C stays apart
-    # from the A-D edge
+    # the pattern name lands on a closed edge, a link across pieces, which
+    # the reference context names w1, skipping the target's own outer name
+    # w0: a context guard sees A on it, apart from C on w0, and no closed
+    # guard edge takes it
     spec = load(OUTER_W0)
     (rule,) = spec.rules()
     (occ,) = find_occurrences(spec.init, rule.lhs)
-    assert _piece(occ, False, parts(occ)).outer == {"w0", "w1"}
+    assert reference_guards(occ, rule.constraints) == [True, True, True]
+    assert [check_constraints(occ, (c,)) for c in rule.constraints] == [True, True, True]
     assert_splice_is_the_algebra(occ, rule.rhs, rule.inst.entries)
 
 
